@@ -2,12 +2,9 @@
 
 from .boxes import SearchBox, default_beta_box, if_beta_box
 from .correlation import (
-    CorrelationSpec,
     DistanceCache,
     FactoredCorrelation,
     IllConditionedError,
-    build_correlation,
-    condition_number,
     factorize,
     nugget_lower_bound,
 )
@@ -53,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BfgsOptions",
     "BenchmarkResult",
-    "CorrelationSpec",
     "DegenerateDataError",
     "DesignSet",
     "DevianceObjective",
@@ -71,10 +67,8 @@ __all__ = [
     "TestFunction",
     "UnfittableError",
     "bfgs_minimize",
-    "build_correlation",
     "central_gradient",
     "cluster_starts",
-    "condition_number",
     "default_beta_box",
     "direct_search",
     "evaluate_deviance",

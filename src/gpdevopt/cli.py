@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
-import os
 import sys
 import warnings
 
 import numpy as np
 
 from .boxes import SearchBox, default_beta_box
-from .correlation import DistanceCache, factorize
 from .global_search import STRATEGIES, lhd_maximin
 from .gp import (
     DegenerateDataError,
@@ -30,6 +29,7 @@ from .gp import (
     GpOptions,
     UnfittableError,
     fit,
+    model_at,
     predict_many,
 )
 from .testbed import (
@@ -42,7 +42,6 @@ from .testbed import (
 )
 
 MODEL_FORMAT_VERSION = 1
-THREADS_ENV_VAR = "GPDEVOPT_THREADS"
 
 
 def _read_table(path: str) -> tuple[list[str], list[list[float]]]:
@@ -75,7 +74,8 @@ def _input_columns(header: list[str], path: str) -> list[str]:
     return [f"x{k + 1}" for k in range(d)]
 
 
-def _load_training_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+def _load_training_csv(path: str) -> tuple[DesignSet, np.ndarray, np.ndarray]:
+    """Design with inputs min-max scaled to [0, 1], plus the column minima and maxima."""
     header, rows = _read_table(path)
     x_names = _input_columns(header, path)
     if "y" not in header:
@@ -85,16 +85,12 @@ def _load_training_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     data = np.array(rows)
     x = data[:, [header.index(name) for name in x_names]]
     y = data[:, header.index("y")]
-    return x, y
-
-
-def _scale_inputs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mins = x.min(axis=0)
     maxs = x.max(axis=0)
     if np.any(maxs <= mins):
         bad = int(np.argmax(maxs <= mins)) + 1
         raise ValueError(f"input column x{bad} has zero range and cannot be scaled")
-    return (x - mins) / (maxs - mins), mins, maxs
+    return DesignSet((x - mins) / (maxs - mins), y), mins, maxs
 
 
 def _model_payload(model: FittedGP, mins, maxs, strategy, seed, box_scale) -> dict:
@@ -104,7 +100,7 @@ def _model_payload(model: FittedGP, mins, maxs, strategy, seed, box_scale) -> di
         "seed": seed,
         "box_scale": box_scale,
         "p": model.p.tolist(),
-        "condition_exponent": 25.0,
+        "condition_exponent": model.options.a,
         "beta": model.beta_star.tolist(),
         "mu": model.mu_hat,
         "sigma2": model.sigma2_hat,
@@ -124,21 +120,25 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
         payload = json.load(handle)
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format")
-    design = DesignSet(np.array(payload["points"]), np.array(payload["outputs"]))
+    # Column-major, as `_load_training_csv` builds it: the kernel's reduction
+    # order follows the layout of the points, so this rebuilds bit for bit the
+    # model that `fit` returned.
+    points = np.array(payload["points"], dtype=float, order="F")
+    design = DesignSet(points, np.array(payload["outputs"]))
     p = np.array(payload["p"], dtype=float)
-    cache = DistanceCache(design.points, p)
-    R = cache.correlation(np.array(payload["beta"], dtype=float))
-    factored = factorize(R, payload["delta"], payload.get("kappa", math.nan))
-    model = FittedGP(
-        design=design,
-        beta_star=np.array(payload["beta"], dtype=float),
-        mu_hat=float(payload["mu"]),
-        sigma2_hat=float(payload["sigma2"]),
-        correlation=factored,
-        deviance=float(payload["deviance"]),
-        fe_count=int(payload["fe_count"]),
-        p=p,
-    )
+    if p.shape != (design.d,) or np.any(p != p[0]):
+        raise ValueError(f"{path}: p must repeat one exponent per input column")
+    options = GpOptions(p_exponent=float(p[0]), a=float(payload["condition_exponent"]))
+    model = model_at(design, payload["beta"], options, fe_count=int(payload["fe_count"]))
+    # Recomputing the deviance verifies the file: the bound is the rounding
+    # error of two float64 evaluations at the condition number of R + delta*I.
+    kappa = min(model.correlation.kappa, math.exp(options.a))
+    tol = 1e-8 * max(abs(model.deviance), 1.0) + (design.n + 1) * kappa * np.finfo(float).eps
+    if not abs(float(payload["deviance"]) - model.deviance) <= tol:
+        raise ValueError(
+            f"{path}: stored deviance {payload['deviance']!r} does not match "
+            f"{model.deviance!r} recomputed from the file's data and beta"
+        )
     return model, np.array(payload["input_min"]), np.array(payload["input_max"])
 
 
@@ -154,17 +154,13 @@ def _write_rows(path: str | None, header: list[str], rows: list[list]) -> None:
             handle.close()
 
 
+def _fit(design: DesignSet, args) -> FittedGP:
+    return fit(design, args.strategy, p_exponent=args.p, box_scale=args.box_scale, seed=args.seed)
+
+
 def _cmd_fit(args) -> int:
-    x_native, y = _load_training_csv(args.data)
-    x_scaled, mins, maxs = _scale_inputs(x_native)
-    design = DesignSet(x_scaled, y)
-    model = fit(
-        design,
-        args.strategy,
-        p_exponent=args.p,
-        box_scale=args.box_scale,
-        seed=args.seed,
-    )
+    design, mins, maxs = _load_training_csv(args.data)
+    model = _fit(design, args)
     payload = _model_payload(model, mins, maxs, args.strategy, args.seed, args.box_scale)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
@@ -197,13 +193,6 @@ def _cmd_predict(args) -> int:
             out_rows.append(list(x_native[i]) + [float(y_hat[i]), float(mse[i])])
     _write_rows(args.out, out_header, out_rows)
     return 0
-
-
-def _resolve_threads(args) -> int:
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        return max(1, int(env))
-    return max(1, args.threads)
 
 
 def _format_benchmark(
@@ -255,7 +244,6 @@ def _format_benchmark(
 def _cmd_benchmark(args) -> int:
     names = list(TEST_FUNCTION_NAMES) if args.function == "all" else [args.function]
     strategies = tuple(s.strip() for s in args.strategies.split(","))
-    threads = _resolve_threads(args)
     results_by_fn = []
     raw_rows = []
     for name in names:
@@ -265,7 +253,6 @@ def _cmd_benchmark(args) -> int:
             strategies,
             replicates=args.replicates,
             rng_seed=args.seed,
-            threads=threads,
             p_exponent=args.p,
             box_scale=args.box_scale,
         )
@@ -292,9 +279,7 @@ def _cmd_benchmark(args) -> int:
 
 def _surface_design(args) -> DesignSet:
     if args.data:
-        x_native, y = _load_training_csv(args.data)
-        x_scaled, _, _ = _scale_inputs(x_native)
-        return DesignSet(x_scaled, y)
+        return _load_training_csv(args.data)[0]
     fn = test_function(args.function)
     rng = np.random.default_rng(args.seed)
     unit = SearchBox(np.zeros(fn.d), np.ones(fn.d))
@@ -311,30 +296,17 @@ def _cmd_surface(args) -> int:
         box = default_beta_box(design.d, scale=args.box_scale)
         lo, hi = box.bounds()
         axes = [np.linspace(lo[k], hi[k], args.grid) for k in range(design.d)]
-        rows = []
-        if design.d == 1:
-            for b1 in axes[0]:
-                value, _ = objective.evaluate(np.array([b1]))
-                rows.append([float(b1), value])
-            header = ["beta1", "L"]
-        else:
-            for b1 in axes[0]:
-                for b2 in axes[1]:
-                    value, _ = objective.evaluate(np.array([b1, b2]))
-                    rows.append([float(b1), float(b2), value])
-            header = ["beta1", "beta2", "L"]
+        rows = [
+            [*map(float, beta), objective.evaluate(np.array(beta))[0]]
+            for beta in itertools.product(*axes)
+        ]
+        header = [f"beta{k + 1}" for k in range(design.d)] + ["L"]
         _write_rows(args.out, header, rows)
         return 0
     # prediction surface
     if design.d != 2:
         raise ValueError("prediction surfaces require exactly 2 input dimensions")
-    model = fit(
-        design,
-        args.strategy,
-        p_exponent=args.p,
-        box_scale=args.box_scale,
-        seed=args.seed,
-    )
+    model = _fit(design, args)
     axis = np.linspace(0.0, 1.0, args.grid)
     grid = np.array([[u, v] for u in axis for v in axis])
     y_hat, mse = predict_many(model, grid)
@@ -379,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--replicates", type=int, default=25)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--format", default="markdown", choices=["csv", "json", "markdown"])
-    p_bench.add_argument("--threads", type=int, default=1)
     p_bench.add_argument("--out", default=None)
     p_bench.add_argument("--raw-out", default=None, help="per-replicate CSV path")
     p_bench.add_argument("--p", type=float, default=2.0, choices=[2.0, 1.99])

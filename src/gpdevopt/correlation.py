@@ -24,39 +24,25 @@ class IllConditionedError(RuntimeError):
     """Correlation matrix could not be factorized, even after the nugget."""
 
 
-@dataclass(frozen=True)
-class CorrelationSpec:
-    """Hyperparameters of the Gaussian product correlation.
+def powered_distances(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """|x_ik - y_jk|**p_k for every pair of rows, as a (d, m, n) array.
 
-    Parameters
-    ----------
-    beta : (d,) array
-        log10 inverse lengthscales, one per input dimension.
-    p : (d,) array
-        Smoothness exponents, each in (0, 2].
-    a : float
-        Condition-number ceiling exponent; the nugget keeps kappa(R) <= exp(a).
+    The result is a transposed view of an (m, n, d) array built in place.
+    That memory layout fixes the reduction order of `gaussian_kernel`, and
+    so the bits of every correlation matrix and vector the package computes.
     """
+    powered = x[:, None, :] - y[None, :, :]
+    np.abs(powered, out=powered)
+    powered **= p
+    return powered.transpose(2, 0, 1)
 
-    beta: np.ndarray
-    p: np.ndarray
-    a: float = 25.0
 
-    def __post_init__(self):
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "p", p)
-        if beta.ndim != 1 or beta.shape != p.shape or beta.size < 1:
-            raise ValueError("beta and p must be 1-D vectors of equal length")
-        if np.any(p <= 0.0) or np.any(p > 2.0):
-            raise ValueError("smoothness exponents must lie in (0, 2]")
-        if not self.a > 0.0:
-            raise ValueError("condition threshold exponent a must be positive")
-
-    @property
-    def d(self) -> int:
-        return self.beta.size
+def gaussian_kernel(powered: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """exp(-sum_k 10**beta_k * powered[k]): the Gaussian product correlation."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.tensordot(10.0 ** beta, powered, axes=1)
+        np.negative(out, out=out)
+        return np.exp(out, out=out)
 
 
 class DistanceCache:
@@ -75,56 +61,31 @@ class DistanceCache:
                 f"design has {pts.shape[1]} columns but p has length {p.size}"
             )
         self.n, self.d = pts.shape
-        diffs = np.abs(pts[:, None, :] - pts[None, :, :])  # (n, n, d)
-        self._powered = np.transpose(diffs, (2, 0, 1)) ** p[:, None, None]
+        self._powered = powered_distances(pts, pts, p)
 
     def correlation(self, beta: np.ndarray) -> np.ndarray:
-        """Correlation matrix at the given log10 inverse lengthscales."""
+        """Correlation matrix at the given log10 inverse lengthscales.
+
+        R[i, j] = prod_k exp(-10**beta_k * |x_ik - x_jk|**p_k); the diagonal is
+        exactly one and the result is exactly symmetric.
+        """
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (self.d,):
             raise ValueError(f"beta must have length {self.d}, got {beta.shape}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            expo = np.tensordot(10.0 ** beta, self._powered, axes=1)
-            return np.exp(-expo)
+        return gaussian_kernel(self._powered, beta)
 
 
-def build_correlation(design: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
-    """Gaussian correlation matrix of an n x d design.
-
-    R[i, j] = prod_k exp(-10**beta_k * |x_ik - x_jk|**p_k); the diagonal is
-    exactly one and the result is exactly symmetric.
-    """
-    return DistanceCache(design, spec.p).correlation(spec.beta)
-
-
-def eigenvalue_range(R: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a symmetric matrix."""
-    w = np.linalg.eigvalsh(np.asarray(R, dtype=float))
-    return float(w[0]), float(w[-1])
-
-
-def condition_number(R: np.ndarray) -> float:
-    """2-norm condition number lambda_max / lambda_min.
-
-    Returns inf when the smallest eigenvalue is nonpositive within floating
-    tolerance, signalling a numerically singular matrix.
-    """
-    lmin, lmax = eigenvalue_range(R)
-    if lmax <= 0.0:
-        return math.inf
-    if lmin <= lmax * 1e-15:
-        return math.inf
-    return lmax / lmin
-
-
-def nugget_from_extremes(lmin: float, lmax: float, a: float) -> tuple[float, float]:
-    """Nugget lower bound and (clamped) condition number from eigenvalues.
+def nugget_and_kappa(R: np.ndarray, a: float) -> tuple[float, float]:
+    """Nugget lower bound delta and (clamped) condition number kappa of R.
 
     The bound is the smallest delta with kappa(R + delta*I) <= exp(a):
-    lmax * (kappa - exp(a)) / (kappa * (exp(a) - 1)), floored at zero.  When
-    lmin underflows below 1e-14 * lmax the condition number is clamped so the
-    formula stays finite.
+    lmax * (kappa - exp(a)) / (kappa * (exp(a) - 1)), floored at zero, from
+    the extreme eigenvalues of the symmetric matrix R.  When lmin underflows
+    below 1e-14 * lmax the condition number is clamped so the formula stays
+    finite.
     """
+    w = np.linalg.eigvalsh(np.asarray(R, dtype=float))
+    lmin, lmax = float(w[0]), float(w[-1])
     if lmax <= 0.0:
         raise ValueError("matrix has no positive eigenvalue")
     kappa = lmax / lmin if lmin > lmax * 1e-14 else KAPPA_CLAMP
@@ -137,8 +98,7 @@ def nugget_from_extremes(lmin: float, lmax: float, a: float) -> tuple[float, flo
 
 def nugget_lower_bound(R: np.ndarray, a: float = 25.0) -> float:
     """Smallest nugget keeping the condition number of R + delta*I below exp(a)."""
-    lmin, lmax = eigenvalue_range(R)
-    return nugget_from_extremes(lmin, lmax, a)[0]
+    return nugget_and_kappa(R, a)[0]
 
 
 @dataclass(frozen=True)
@@ -146,11 +106,9 @@ class FactoredCorrelation:
     """Cholesky-factored nugget-regularized correlation matrix R + delta*I.
 
     A single lower-triangular factor serves both the inverse action and the
-    log-determinant needed by the deviance.  Instances are immutable and safe
-    to share across threads.
+    log-determinant needed by the deviance.  Instances are immutable.
     """
 
-    matrix_dim: int
     delta: float
     log_det: float
     factor: np.ndarray
@@ -165,10 +123,8 @@ class FactoredCorrelation:
         return linalg.solve_triangular(self.factor, b, lower=True, check_finite=False)
 
 
-def factorize(
-    R: np.ndarray, delta: float, kappa: float = math.nan
-) -> FactoredCorrelation:
-    """Triangular factorization of R + delta*I.
+def factorize(R: np.ndarray, delta: float, kappa: float) -> FactoredCorrelation:
+    """Triangular factorization of R + delta*I, recording kappa(R) alongside.
 
     Raises IllConditionedError when the shifted matrix is numerically not
     positive definite; callers treat the corresponding deviance as +inf.
@@ -187,8 +143,6 @@ def factorize(
             f"factorization failed at delta={delta:g}"
         ) from exc
     log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
-    if math.isnan(kappa):
-        kappa = condition_number(R)
     return FactoredCorrelation(
-        matrix_dim=n, delta=float(delta), log_det=log_det, factor=L, kappa=float(kappa)
+        delta=float(delta), log_det=log_det, factor=L, kappa=float(kappa)
     )

@@ -16,14 +16,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .correlation import (
     DistanceCache,
     FactoredCorrelation,
     IllConditionedError,
     factorize,
-    nugget_from_extremes,
+    gaussian_kernel,
+    nugget_and_kappa,
+    powered_distances,
 )
 from .global_search import STRATEGIES, run_strategy
 from .optreport import OptReport
@@ -82,6 +83,12 @@ class GpOptions:
     p_exponent: float = 2.0
     a: float = 25.0
 
+    def __post_init__(self):
+        if not 0.0 < self.p_exponent <= 2.0:
+            raise ValueError("smoothness exponent must lie in (0, 2]")
+        if not self.a > 0.0:
+            raise ValueError("condition threshold exponent a must be positive")
+
     def p_vector(self, d: int) -> np.ndarray:
         return np.full(d, self.p_exponent)
 
@@ -94,21 +101,41 @@ class DevianceInfo:
     kappa: float
     mu_hat: float
     sigma2_hat: float
-    log_det: float
     factored: FactoredCorrelation | None
+
+
+def _gls_mean(factored: FactoredCorrelation, Y: np.ndarray):
+    """(shift, Y - shift, GLS mean of Y - shift) with shift the plain mean of Y.
+
+    Centering Y first is exact for the estimate and avoids cancellation when
+    the outputs carry a large common offset.
+    """
+    shift = float(Y.mean())
+    centered = Y - shift
+    u = factored.solve(np.ones(Y.size))
+    return shift, centered, float(u @ centered) / float(u.sum())
+
+
+def _quadratic_form(factored: FactoredCorrelation, resid: np.ndarray) -> float:
+    """resid' (R + delta*I)^-1 resid through the triangular factor."""
+    z = factored.half_solve(resid)
+    return float(z @ z)
+
+
+def _profile(factored: FactoredCorrelation, Y: np.ndarray):
+    """Profile mean, variance, and the quadratic form, sharing one solve."""
+    shift, centered, mu_centered = _gls_mean(factored, Y)
+    qform = _quadratic_form(factored, centered - mu_centered)
+    return shift + mu_centered, max(qform / Y.size, 0.0), qform
 
 
 def mean_estimate(factored: FactoredCorrelation, Y: np.ndarray) -> float:
     """Generalized least squares mean (1' R^-1 1)^-1 (1' R^-1 Y)."""
     Y = np.asarray(Y, dtype=float)
-    if Y.size != factored.matrix_dim:
+    if Y.size != factored.factor.shape[0]:
         raise ValueError("output vector length does not match the factorization")
-    # Centering Y first is exact for the estimate and avoids cancellation
-    # when the outputs carry a large common offset.
-    shift = float(Y.mean())
-    centered = Y - shift
-    u = factored.solve(np.ones(Y.size))
-    return shift + float(u @ centered) / float(u.sum())
+    shift, _, mu_centered = _gls_mean(factored, Y)
+    return shift + mu_centered
 
 
 def variance_estimate(
@@ -116,45 +143,7 @@ def variance_estimate(
 ) -> float:
     """Profile variance (Y - mu)' R^-1 (Y - mu) / n, clamped at zero."""
     Y = np.asarray(Y, dtype=float)
-    resid = Y - mu_hat
-    z = factored.half_solve(resid)
-    return max(float(z @ z) / Y.size, 0.0)
-
-
-def _profile(factored: FactoredCorrelation, Y: np.ndarray):
-    """Profile mean, variance, and the quadratic form, sharing one solve."""
-    shift = float(Y.mean())
-    centered = Y - shift
-    u = factored.solve(np.ones(Y.size))
-    mu_centered = float(u @ centered) / float(u.sum())
-    resid = centered - mu_centered
-    z = factored.half_solve(resid)
-    qform = float(z @ z)
-    mu_hat = shift + mu_centered
-    sigma2_hat = max(qform / Y.size, 0.0)
-    return mu_hat, sigma2_hat, qform
-
-
-def _deviance_from_cache(
-    cache: DistanceCache, Y: np.ndarray, beta: np.ndarray, a: float
-) -> tuple[float, DevianceInfo]:
-    n = Y.size
-    R = cache.correlation(beta)
-    if not np.all(np.isfinite(R)):
-        return math.inf, DevianceInfo(0.0, math.inf, math.nan, math.nan, math.nan, None)
-    try:
-        w = np.linalg.eigvalsh(R)
-        delta, kappa = nugget_from_extremes(float(w[0]), float(w[-1]), a)
-        factored = factorize(R, delta, kappa)
-    except (IllConditionedError, np.linalg.LinAlgError, linalg.LinAlgError, ValueError):
-        return math.inf, DevianceInfo(0.0, math.inf, math.nan, math.nan, math.nan, None)
-    mu_hat, sigma2_hat, qform = _profile(factored, Y)
-    if qform <= 0.0:
-        value = -math.inf
-    else:
-        value = factored.log_det + n * math.log(qform)
-    info = DevianceInfo(delta, kappa, mu_hat, sigma2_hat, factored.log_det, factored)
-    return value, info
+    return max(_quadratic_form(factored, Y - mu_hat) / Y.size, 0.0)
 
 
 def evaluate_deviance(
@@ -167,12 +156,8 @@ def evaluate_deviance(
     and the quadratic form.  Ill-conditioning yields +inf rather than an
     exception so optimizers can survive pathological beta.
     """
-    options = options or GpOptions()
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if beta.size != design.d:
-        raise ValueError(f"beta must have length {design.d}")
-    cache = DistanceCache(design.points, options.p_vector(design.d))
-    return _deviance_from_cache(cache, design.outputs, beta, options.a)
+    return DevianceObjective(design, options).evaluate(beta)
 
 
 class DevianceObjective:
@@ -192,15 +177,23 @@ class DevianceObjective:
 
     def __call__(self, beta: np.ndarray) -> float:
         self.fe_count += 1
-        value, _ = _deviance_from_cache(
-            self._cache, self.design.outputs, np.asarray(beta, dtype=float), self.options.a
-        )
-        return value
+        return self.evaluate(beta)[0]
 
     def evaluate(self, beta: np.ndarray) -> tuple[float, DevianceInfo]:
-        return _deviance_from_cache(
-            self._cache, self.design.outputs, np.asarray(beta, dtype=float), self.options.a
-        )
+        Y = self.design.outputs
+        R = self._cache.correlation(np.asarray(beta, dtype=float))
+        if not np.all(np.isfinite(R)):
+            return math.inf, DevianceInfo(0.0, math.inf, math.nan, math.nan, None)
+        try:
+            delta, kappa = nugget_and_kappa(R, self.options.a)
+            factored = factorize(R, delta, kappa)
+        except (IllConditionedError, np.linalg.LinAlgError):
+            return math.inf, DevianceInfo(0.0, math.inf, math.nan, math.nan, None)
+        mu_hat, sigma2_hat, qform = _profile(factored, Y)
+        # A vanishing quadratic form (a constant or underflowing response)
+        # would give -inf, which would win any minimization.
+        value = factored.log_det + Y.size * math.log(qform) if qform > 0.0 else math.inf
+        return value, DevianceInfo(delta, kappa, mu_hat, sigma2_hat, factored)
 
 
 @dataclass(frozen=True)
@@ -220,20 +213,48 @@ class FittedGP:
     correlation: FactoredCorrelation
     deviance: float
     fe_count: int
-    p: np.ndarray
+    options: GpOptions
     trace: tuple[tuple[int, float], ...] = ()
 
     @property
     def d(self) -> int:
         return self.design.d
 
+    @property
+    def p(self) -> np.ndarray:
+        return self.options.p_vector(self.d)
 
-def _cross_correlation(model: FittedGP, points: np.ndarray) -> np.ndarray:
-    """Correlation of each query point with every design point, (m, n)."""
-    diffs = np.abs(points[:, None, :] - model.design.points[None, :, :])
-    with np.errstate(over="ignore", invalid="ignore"):
-        expo = (diffs ** model.p[None, None, :]) @ (10.0 ** model.beta_star)
-        return np.exp(-expo)
+
+def model_at(
+    design: DesignSet,
+    beta: np.ndarray,
+    options: GpOptions | None = None,
+    *,
+    fe_count: int = 0,
+    trace: tuple[tuple[int, float], ...] = (),
+) -> FittedGP:
+    """The emulator at one beta: its deviance, factorization and profile estimates.
+
+    `fe_count` and `trace` record how an optimizer reached beta; building the
+    model costs no counted evaluation.  Raises UnfittableError when the
+    deviance at beta is not finite.
+    """
+    options = options or GpOptions()
+    beta = np.array(beta, dtype=float)
+    value, info = evaluate_deviance(design, beta, options)
+    if not math.isfinite(value):
+        raise UnfittableError(f"the deviance at beta={beta.tolist()} is not finite")
+    return FittedGP(
+        design=design,
+        beta_star=beta,
+        mu_hat=info.mu_hat,
+        sigma2_hat=info.sigma2_hat,
+        correlation=info.factored,
+        deviance=value,
+        fe_count=fe_count,
+        options=options,
+        trace=trace,
+    )
 
 
 def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +266,8 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
     n = model.design.n
     ones = np.ones(n)
     resid = model.design.outputs - model.mu_hat
-    r = _cross_correlation(model, points)  # (m, n)
+    powered = powered_distances(points, model.design.points, model.p)
+    r = gaussian_kernel(powered, model.beta_star)  # (m, n)
     u = factored.solve(ones)
     one_r_one = float(u.sum())
     z_resid = factored.half_solve(resid)
@@ -271,7 +293,8 @@ def prediction_weights(model: FittedGP, x_star: np.ndarray) -> np.ndarray:
     x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
     factored = model.correlation
     ones = np.ones(model.design.n)
-    r = _cross_correlation(model, x_star)[0]
+    powered = powered_distances(x_star, model.design.points, model.p)
+    r = gaussian_kernel(powered, model.beta_star)[0]
     u = factored.solve(ones)
     a_coef = (1.0 - float(r @ u)) / float(u.sum())
     return factored.solve(a_coef * ones + r)
@@ -312,15 +335,6 @@ def fit(
         )
     if not math.isfinite(report.value):
         raise UnfittableError("every start produced a non-finite deviance")
-    value, info = objective.evaluate(report.beta_star)
-    return FittedGP(
-        design=design,
-        beta_star=np.array(report.beta_star, dtype=float, copy=True),
-        mu_hat=info.mu_hat,
-        sigma2_hat=info.sigma2_hat,
-        correlation=info.factored,
-        deviance=value,
-        fe_count=report.fe_used,
-        p=options.p_vector(design.d),
-        trace=report.trace,
+    return model_at(
+        design, report.beta_star, options, fe_count=report.fe_used, trace=report.trace
     )

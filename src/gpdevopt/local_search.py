@@ -235,9 +235,7 @@ def implicit_filtering(objective, beta0: np.ndarray, opts: IfOptions) -> OptRepo
         prev_x: np.ndarray | None = None
         scale_idx = 0
         samples: list[tuple[np.ndarray, float]] = [(x.copy(), f)]
-        for _ in range(100_000):  # safety bound; scales and descent terminate first
-            if scale_idx >= len(opts.scales):
-                break
+        while scale_idx < len(opts.scales):
             h = opts.scales[scale_idx]
             best_f = f
             best_pt: np.ndarray | None = None

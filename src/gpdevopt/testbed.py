@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -238,7 +237,6 @@ def run_benchmark(
     replicates: int = 25,
     rng_seed: int = 0,
     *,
-    threads: int = 1,
     p_exponent: float = 2.0,
     box_scale: float = 1.0,
 ) -> list[BenchmarkResult]:
@@ -255,15 +253,10 @@ def run_benchmark(
         if strategy not in _STRATEGY_INDEX:
             raise ValueError(f"unknown strategy {strategy!r}")
     strategies = tuple(strategies)
-
-    def job(r: int):
-        return _one_replicate(fn, strategies, rng_seed, r, p_exponent, box_scale)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_rows = list(pool.map(job, range(replicates)))
-    else:
-        all_rows = [job(r) for r in range(replicates)]
+    all_rows = [
+        _one_replicate(fn, strategies, rng_seed, r, p_exponent, box_scale)
+        for r in range(replicates)
+    ]
 
     results = []
     for strategy in strategies:

@@ -17,9 +17,9 @@ from gpdevopt.global_search import STRATEGIES, lhd_maximin
 from gpdevopt.gp import (
     DesignSet,
     DevianceObjective,
-    FittedGP,
     evaluate_deviance,
     fit,
+    model_at,
     predict_many,
     prediction_weights,
 )
@@ -68,20 +68,6 @@ def oracle_everything(points, Y, beta, x_star, p=2.0, a=25.0):
         "y_hat_weights": y_hat_weights,
         "mse": mse,
     }
-
-
-def model_at(ds: DesignSet, beta: np.ndarray) -> FittedGP:
-    value, info = evaluate_deviance(ds, beta)
-    return FittedGP(
-        design=ds,
-        beta_star=np.asarray(beta, dtype=float),
-        mu_hat=info.mu_hat,
-        sigma2_hat=info.sigma2_hat,
-        correlation=info.factored,
-        deviance=value,
-        fe_count=1,
-        p=np.full(ds.d, 2.0),
-    )
 
 
 def test_criterion_1_oracle_equivalence():

@@ -129,6 +129,33 @@ class TestPredictCommand:
         assert rc == 0
         assert out.read_text().strip() == "x1,y_hat,mse"
 
+    def test_loaded_model_reproduces_fitted_model(self, tmp_path):
+        # The model rebuilt from the file predicts bit for bit like the model
+        # `fit` returned for the same CSV (30-point Goldstein-Price design).
+        from gpdevopt.cli import _load_model, _load_training_csv
+        from gpdevopt.gp import fit, predict_many
+
+        data = tmp_path / "train.csv"
+        goldstein_price_csv(data, n=30, seed=0)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--out", str(model_path)]) == 0
+        loaded, _, _ = _load_model(str(model_path))
+        fitted = fit(_load_training_csv(str(data))[0], "DIRECT-BFGS", seed=0)
+        points = np.random.default_rng(1).random((50, 2))
+        for got, want in zip(predict_many(loaded, points), predict_many(fitted, points)):
+            assert np.array_equal(got, want)
+
+    def test_tampered_model_rejected(self, tmp_path, capsys):
+        model_path, native, _ = self.fit_hump(tmp_path)
+        points = tmp_path / "pts.csv"
+        write_csv(points, ["x1"], [[v] for v in native[:, 0]])
+        payload = json.loads(model_path.read_text())
+        payload["beta"] = [payload["beta"][0] + 0.1]
+        model_path.write_text(json.dumps(payload))
+        rc = main(["predict", "--model", str(model_path), "--points", str(points)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_out_of_range_points_clamped_with_warning(self, tmp_path):
         model_path, native, _ = self.fit_hump(tmp_path)
         points = tmp_path / "far.csv"
@@ -237,15 +264,6 @@ class TestBenchmarkCommand:
             ])
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
-
-    def test_threads_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GPDEVOPT_THREADS", "2")
-        path = tmp_path / "t.csv"
-        rc = main([
-            "benchmark", "--function", "hump", "--strategies", "DIRECT-BFGS",
-            "--replicates", "2", "--seed", "5", "--format", "csv", "--out", str(path),
-        ])
-        assert rc == 0
 
 
 class TestSurfaceCommand:

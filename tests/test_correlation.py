@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from gpdevopt.correlation import (
-    CorrelationSpec,
     DistanceCache,
     IllConditionedError,
-    build_correlation,
-    condition_number,
     factorize,
+    nugget_and_kappa,
     nugget_lower_bound,
 )
+from gpdevopt.gp import DesignSet, GpOptions, fit
 
 E25 = math.exp(25.0)
 
@@ -20,32 +19,33 @@ def random_design(rng, n, d):
     return rng.random((n, d))
 
 
+def correlation(design, beta, p=2.0):
+    beta = np.asarray(beta, dtype=float)
+    return DistanceCache(design, np.full(beta.size, p)).correlation(beta)
+
+
 class TestBuildCorrelation:
     def test_zero_distance_gives_one(self):
-        spec = CorrelationSpec(beta=[0.3, -0.5], p=[2.0, 2.0])
         design = np.array([[0.2, 0.4], [0.2, 0.4], [0.9, 0.1]])
-        R = build_correlation(design, spec)
+        R = correlation(design, [0.3, -0.5])
         assert R[0, 1] == 1.0
         assert np.all(np.diag(R) == 1.0)
 
     def test_scalar_formula(self):
         # d=1, beta=0, p=2, |dx|=0.5 -> exp(-0.25)
-        spec = CorrelationSpec(beta=[0.0], p=[2.0])
-        R = build_correlation(np.array([[0.0], [0.5]]), spec)
+        R = correlation(np.array([[0.0], [0.5]]), [0.0])
         assert R[0, 1] == pytest.approx(math.exp(-0.25), rel=1e-15)
 
     def test_very_negative_beta_gives_all_ones(self):
-        spec = CorrelationSpec(beta=[-30.0, -30.0], p=[2.0, 2.0])
         rng = np.random.default_rng(0)
-        R = build_correlation(random_design(rng, 6, 2), spec)
+        R = correlation(random_design(rng, 6, 2), [-30.0, -30.0])
         assert np.all(R > 1.0 - 1e-12)
 
     def test_symmetry_and_unit_diagonal_exact(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             d = rng.integers(1, 4)
-            spec = CorrelationSpec(beta=rng.uniform(-1, 1, d), p=np.full(d, 2.0))
-            R = build_correlation(random_design(rng, 8, d), spec)
+            R = correlation(random_design(rng, 8, d), rng.uniform(-1, 1, d))
             assert np.array_equal(R, R.T)
             assert np.all(np.diag(R) == 1.0)
 
@@ -61,41 +61,41 @@ class TestBuildCorrelation:
             bumped = beta.copy()
             bumped[k] += rng.uniform(0.1, 1.0)
             i, j = 0, int(rng.integers(1, 5))
-            r_lo = build_correlation(design, CorrelationSpec(beta, np.full(d, 2.0)))[i, j]
-            r_hi = build_correlation(design, CorrelationSpec(bumped, np.full(d, 2.0)))[i, j]
+            r_lo = correlation(design, beta)[i, j]
+            r_hi = correlation(design, bumped)[i, j]
             assert r_hi < r_lo
 
     def test_dimension_mismatch_rejected(self):
-        spec = CorrelationSpec(beta=[0.0], p=[2.0])
         with pytest.raises(ValueError):
-            build_correlation(np.zeros((4, 2)), spec)
+            DistanceCache(np.zeros((4, 2)), [2.0])
+        with pytest.raises(ValueError):
+            DistanceCache(np.array([[0.0], [1.0]]), [2.0]).correlation(np.array([0.0, 1.0]))
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            CorrelationSpec(beta=[0.0, 1.0], p=[2.0])
-        with pytest.raises(ValueError):
-            CorrelationSpec(beta=[0.0], p=[2.5])
-        with pytest.raises(ValueError):
-            CorrelationSpec(beta=[0.0], p=[2.0], a=0.0)
+        # Out-of-range options are rejected before any deviance is evaluated.
+        design = DesignSet(np.array([[0.0], [0.5], [1.0]]), np.array([0.0, 1.0, 0.3]))
+        for p_exponent, a in [(2.5, 25.0), (3.0, 25.0), (0.0, 25.0), (2.0, 0.0), (2.0, -1.0)]:
+            with pytest.raises(ValueError):
+                GpOptions(p_exponent=p_exponent, a=a)
+            with pytest.raises(ValueError):
+                fit(design, p_exponent=p_exponent, a=a)
 
 
 class TestConditionNumber:
     def test_identity(self):
-        assert condition_number(np.eye(5)) == pytest.approx(1.0)
+        assert nugget_and_kappa(np.eye(5), 25.0) == (0.0, pytest.approx(1.0))
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
     def test_two_by_two_closed_form(self, r):
         R = np.array([[1.0, r], [r, 1.0]])
-        assert condition_number(R) == pytest.approx((1 + r) / (1 - r), rel=1e-12)
+        assert nugget_and_kappa(R, 25.0)[1] == pytest.approx((1 + r) / (1 - r), rel=1e-12)
 
     def test_near_coincident_points_blow_up(self):
         # 10 nearly coincident 1-D points at beta=0 make R numerically singular.
         x = 0.5 + 1e-6 * np.arange(10.0)
-        spec = CorrelationSpec(beta=[0.0], p=[2.0])
-        R = build_correlation(x[:, None], spec)
-        kappa = condition_number(R)
-        w = np.linalg.eigvalsh(R)
-        assert kappa > E25 or w[0] <= w[-1] * 1e-15
+        R = correlation(x[:, None], [0.0])
+        delta, kappa = nugget_and_kappa(R, 25.0)
+        assert kappa > E25 and delta > 0.0
 
 
 class TestNuggetLowerBound:
@@ -122,13 +122,13 @@ class TestNuggetLowerBound:
 
 class TestFactorize:
     def test_identity_log_det_zero(self):
-        fac = factorize(np.eye(3), 0.0)
+        fac = factorize(np.eye(3), 0.0, 1.0)
         assert fac.log_det == pytest.approx(0.0, abs=1e-14)
         assert fac.delta == 0.0
 
     def test_two_by_two_log_det(self):
         R = np.array([[1.0, 0.5], [0.5, 1.0]])  # det = 0.75
-        fac = factorize(R, 0.0)
+        fac = factorize(R, 0.0, 3.0)
         assert fac.log_det == pytest.approx(math.log(0.75), rel=1e-12)
 
     def test_log_det_matches_brute_force(self):
@@ -137,7 +137,7 @@ class TestFactorize:
             n = rng.integers(2, 7)
             A = rng.standard_normal((n, n))
             R = A @ A.T + n * np.eye(n)  # SPD
-            fac = factorize(R, 0.0)
+            fac = factorize(R, 0.0, np.linalg.cond(R))
             sign, logdet = np.linalg.slogdet(R)
             assert sign == 1.0
             assert fac.log_det == pytest.approx(logdet, rel=1e-8)
@@ -145,24 +145,23 @@ class TestFactorize:
     def test_singular_matrix_succeeds_with_nugget(self):
         x = 0.5 + 1e-8 * np.arange(12.0)
         R = DistanceCache(x[:, None], np.full(1, 2.0)).correlation(np.array([0.0]))
-        delta = nugget_lower_bound(R, 25.0)
-        fac = factorize(R, delta)
+        fac = factorize(R, *nugget_and_kappa(R, 25.0))
         assert math.isfinite(fac.log_det)
 
     def test_non_pd_without_nugget_raises(self):
         x = 0.5 + 1e-9 * np.arange(15.0)
         R = DistanceCache(x[:, None], np.full(1, 2.0)).correlation(np.array([0.0]))
         with pytest.raises(IllConditionedError):
-            factorize(R, 0.0)
+            factorize(R, 0.0, nugget_and_kappa(R, 25.0)[1])
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
-            factorize(np.eye(2), -1e-3)
+            factorize(np.eye(2), -1e-3, 1.0)
 
     def test_solve_matches_dense_inverse(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((5, 5))
         R = A @ A.T + 5 * np.eye(5)
-        fac = factorize(R, 0.0)
+        fac = factorize(R, 0.0, np.linalg.cond(R))
         b = rng.standard_normal(5)
         assert fac.solve(b) == pytest.approx(np.linalg.solve(R, b), rel=1e-10)

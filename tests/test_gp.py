@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpdevopt.boxes import SearchBox, default_beta_box
-from gpdevopt.correlation import factorize
+from gpdevopt.correlation import DistanceCache, factorize
 from gpdevopt.global_search import lhd_maximin
 from gpdevopt.gp import (
     DegenerateDataError,
@@ -14,6 +14,7 @@ from gpdevopt.gp import (
     evaluate_deviance,
     fit,
     mean_estimate,
+    model_at,
     predict,
     predict_many,
     prediction_weights,
@@ -70,7 +71,7 @@ class TestDesignSet:
 
 class TestMeanAndVariance:
     def test_identity_gives_arithmetic_mean(self):
-        fac = factorize(np.eye(4), 0.0)
+        fac = factorize(np.eye(4), 0.0, 1.0)
         Y = np.array([1.0, 2.0, 3.0, 6.0])
         assert mean_estimate(fac, Y) == pytest.approx(Y.mean(), rel=1e-14)
 
@@ -92,11 +93,11 @@ class TestMeanAndVariance:
         assert mean_estimate(info.factored, Y) == pytest.approx(mu_oracle, rel=1e-10)
 
     def test_variance_constant_output_is_zero(self):
-        fac = factorize(np.eye(3), 0.0)
+        fac = factorize(np.eye(3), 0.0, 1.0)
         assert variance_estimate(fac, np.full(3, 2.0), 2.0) == 0.0
 
     def test_variance_identity_is_population_variance(self):
-        fac = factorize(np.eye(5), 0.0)
+        fac = factorize(np.eye(5), 0.0, 1.0)
         Y = np.array([1.0, 4.0, -2.0, 0.5, 3.0])
         mu = Y.mean()
         assert variance_estimate(fac, Y, mu) == pytest.approx(np.var(Y), rel=1e-12)
@@ -161,11 +162,15 @@ class TestEvaluateDeviance:
         with pytest.raises(ValueError):
             evaluate_deviance(ds, np.array([0.0]))
 
-    def test_constant_output_gives_negative_infinity(self):
-        ds = DesignSet(np.array([[0.0], [0.5], [1.0]]), np.full(3, 2.0))
-        val, info = evaluate_deviance(ds, np.array([0.0]))
-        assert val == -math.inf
-        assert info.sigma2_hat == 0.0
+    def test_constant_output_gives_positive_infinity(self):
+        # A vanishing quadratic form must not yield -inf, which would win
+        # every minimization: a constant response, or one so small that the
+        # quadratic form underflows.
+        x = np.array([[0.0], [0.5], [1.0]])
+        for Y in (np.full(3, 2.0), 1e-200 * np.array([0.0, 1.0, 0.3])):
+            val, info = evaluate_deviance(DesignSet(x, Y), np.array([0.0]))
+            assert val == math.inf
+            assert info.sigma2_hat == 0.0
 
     def test_smoothness_exponent_1_99(self):
         # Slightly lowering the exponent changes R off the p=2 values but
@@ -178,9 +183,7 @@ class TestEvaluateDeviance:
         assert math.isfinite(val)
         val2, _ = evaluate_deviance(ds, np.array([0.0]))
         assert val != val2
-        from gpdevopt.correlation import CorrelationSpec, build_correlation
-
-        R = build_correlation(x, CorrelationSpec(beta=[0.0], p=[1.99]))
+        R = DistanceCache(x, [1.99]).correlation(np.array([0.0]))
         assert R[0, 1] == pytest.approx(math.exp(-(0.5 ** 1.99)), rel=1e-14)
 
 
@@ -206,19 +209,8 @@ class TestPredict:
         x = np.array([[0.0], [0.05], [0.1]])
         Y = np.array([1.0, 3.0, 2.0])
         ds = DesignSet(x, Y)
-        val, info = evaluate_deviance(ds, np.array([2.6]))
-        from gpdevopt.gp import FittedGP
-
-        model = FittedGP(
-            design=ds,
-            beta_star=np.array([2.6]),
-            mu_hat=info.mu_hat,
-            sigma2_hat=info.sigma2_hat,
-            correlation=info.factored,
-            deviance=val,
-            fe_count=1,
-            p=np.array([2.0]),
-        )
+        _, info = evaluate_deviance(ds, np.array([2.6]))
+        model = model_at(ds, np.array([2.6]))
         pred = predict(model, np.array([1.0]))
         assert pred.y_hat == pytest.approx(info.mu_hat, abs=1e-8)
         ones = np.ones(3)
@@ -241,18 +233,7 @@ class TestPredict:
             if not math.isfinite(val) or info.kappa > 1e6:
                 continue
             checked += 1
-            from gpdevopt.gp import FittedGP
-
-            model = FittedGP(
-                design=ds,
-                beta_star=beta,
-                mu_hat=info.mu_hat,
-                sigma2_hat=info.sigma2_hat,
-                correlation=info.factored,
-                deviance=val,
-                fe_count=1,
-                p=np.full(d, 2.0),
-            )
+            model = model_at(ds, beta)
             x_star = rng.random(d)
             direct_form = predict(model, x_star).y_hat
             weights = prediction_weights(model, x_star)
@@ -335,20 +316,8 @@ class TestFit:
         x = np.concatenate([base, base + 1e-7])[:, None]
         Y = np.sin(3 * x[:, 0])
         ds = DesignSet(x, Y)
-        val, info = evaluate_deviance(ds, np.array([0.5]))
-        assert info.delta > 0.0
-        from gpdevopt.gp import FittedGP
-
-        model = FittedGP(
-            design=ds,
-            beta_star=np.array([0.5]),
-            mu_hat=info.mu_hat,
-            sigma2_hat=info.sigma2_hat,
-            correlation=info.factored,
-            deviance=val,
-            fe_count=1,
-            p=np.array([2.0]),
-        )
+        model = model_at(ds, np.array([0.5]))
+        assert model.correlation.delta > 0.0
         y_hat, mse = predict_many(model, np.linspace(0, 1, 25)[:, None])
         assert np.all(np.isfinite(y_hat))
         assert np.all(mse >= 0.0)

@@ -150,13 +150,6 @@ class TestRunBenchmark:
             assert a.rmspes == b.rmspes
             assert a.fe_counts == b.fe_counts
 
-    def test_threads_do_not_change_results(self):
-        fn = make_test_function("hump")
-        serial = run_benchmark(fn, ("DIRECT-BFGS",), replicates=3, rng_seed=1)
-        threaded = run_benchmark(fn, ("DIRECT-BFGS",), replicates=3, rng_seed=1, threads=3)
-        assert serial[0].rmspes == threaded[0].rmspes
-        assert serial[0].fe_counts == threaded[0].fe_counts
-
     def test_training_and_validation_disjoint(self):
         fn = make_test_function("hump")
         rng = np.random.default_rng(5)
