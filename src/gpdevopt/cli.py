@@ -148,7 +148,8 @@ def _write_rows(path: str | None, header: list[str], rows: list[list]) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            # float() first: under numpy 2, repr(np.float64(x)) is 'np.float64(x)'.
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
     finally:
         if path:
             handle.close()

@@ -5,6 +5,13 @@ Gaussian factors, exp(-10**beta_k * |x_ik - x_jk|**p_k).  Because nearby
 points make the matrix nearly singular, a nugget (small diagonal inflation)
 is applied whenever the condition number would exceed exp(a); the smallest
 such nugget is computed in closed form from the extreme eigenvalues.
+
+The eigenvalue decomposition is the expensive step, and the nugget is zero
+for most beta an optimizer visits.  `certified_factor` therefore tries to
+prove kappa(R) <= exp(a) from the Cholesky factor alone; the eigenvalues
+(`nugget_and_kappa`) are computed only when that proof fails, and wherever
+kappa itself is reported.  The factorizations and solves call LAPACK
+directly, with the same arguments scipy.linalg would pass.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 
 # Condition numbers are capped here when the smallest eigenvalue underflows
 # relative to the largest, so the nugget formula stays finite.
@@ -83,6 +90,11 @@ def nugget_and_kappa(R: np.ndarray, a: float) -> tuple[float, float]:
     the extreme eigenvalues of the symmetric matrix R.  When lmin underflows
     below 1e-14 * lmax the condition number is clamped so the formula stays
     finite.
+
+    This is the exact path, one full symmetric eigenvalue decomposition.  A
+    counted deviance evaluation runs it only when `certified_factor` cannot
+    prove delta = 0; the uncounted evaluation behind model building, model
+    files and diagnostics always runs it, because it reports kappa.
     """
     w = np.linalg.eigvalsh(np.asarray(R, dtype=float))
     lmin, lmax = float(w[0]), float(w[-1])
@@ -101,12 +113,68 @@ def nugget_lower_bound(R: np.ndarray, a: float = 25.0) -> float:
     return nugget_and_kappa(R, a)[0]
 
 
+def _cholesky(A: np.ndarray, overwrite: bool = False) -> np.ndarray | None:
+    """Lower Cholesky factor of A (upper triangle zeroed), or None if A is not
+    numerically positive definite."""
+    L, info = dpotrf(A, lower=1, clean=1, overwrite_a=overwrite)
+    return L if info == 0 else None
+
+
+def cholesky_log_det(L: np.ndarray) -> float:
+    """log det(L L') from the diagonal of a lower Cholesky factor."""
+    return 2.0 * float(np.log(L.diagonal()).sum())
+
+
+def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(L L')^-1 b for a lower Cholesky factor L."""
+    return dpotrs(L, b, lower=1)[0]
+
+
+def triangular_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b for a lower Cholesky factor L (its diagonal is positive, so the
+    solve cannot fail)."""
+    return dtrtrs(L, b, lower=1)[0]
+
+
+def certified_factor(R: np.ndarray, a: float) -> np.ndarray | None:
+    """Cholesky factor of R if kappa(R) <= exp(a) is proven, else None.
+
+    A returned factor is the one `factorize(R, 0.0, kappa)` computes, and
+    `nugget_and_kappa(R, a)` would give delta = 0 for R.  The proof needs no
+    eigenvalues.  R has nonnegative entries, so its largest row sum bounds
+    lmax (Gershgorin), and trace(R^-1) = ||L^-1||_F^2 bounds 1/lmin.  Their
+    product must be at most half of exp(a), which absorbs the rounding of
+    eigvalsh near the ceiling.  It must also be at most 1/(8 n eps), beyond
+    which eigvalsh no longer resolves lmin; that cap binds only for a above
+    about 30.  Non-finite entries in R always fail the test.
+
+    Before L is inverted, its pivots give a lower bound on kappa(R):
+    lmax >= max(1'R1/n, 1) and lmin <= min_i L_ii^2.  When that bound is
+    above the limit, the proof cannot succeed and the inversion is skipped.
+    """
+    L = _cholesky(R)
+    if L is None:
+        return None
+    n = R.shape[0]
+    limit = 0.5 * min(math.exp(a), 0.125 / (n * np.finfo(float).eps))
+    rows = R.sum(axis=1)
+    if max(float(rows.sum()) / n, 1.0) > limit * float(L.diagonal().min()) ** 2:
+        return None
+    inverse, info = dtrtri(L, lower=1)
+    if info != 0:
+        return None
+    flat = inverse.ravel(order="K")
+    return L if float(rows.max()) * float(flat @ flat) <= limit else None
+
+
 @dataclass(frozen=True)
 class FactoredCorrelation:
     """Cholesky-factored nugget-regularized correlation matrix R + delta*I.
 
     A single lower-triangular factor serves both the inverse action and the
-    log-determinant needed by the deviance.  Instances are immutable.
+    log-determinant needed by the deviance.  kappa is the condition number
+    of R given to `factorize`; the deviance path gives it the exact one from
+    `nugget_and_kappa`, never a bound.  Instances are immutable.
     """
 
     delta: float
@@ -116,33 +184,37 @@ class FactoredCorrelation:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(R + delta*I)^-1 b via the triangular factor."""
-        return linalg.cho_solve((self.factor, True), b, check_finite=False)
+        return cholesky_solve(self.factor, b)
 
     def half_solve(self, b: np.ndarray) -> np.ndarray:
         """L^-1 b, so that ||half_solve(b)||^2 = b' (R + delta*I)^-1 b."""
-        return linalg.solve_triangular(self.factor, b, lower=True, check_finite=False)
+        return triangular_solve(self.factor, b)
 
 
 def factorize(R: np.ndarray, delta: float, kappa: float) -> FactoredCorrelation:
     """Triangular factorization of R + delta*I, recording kappa(R) alongside.
 
-    Raises IllConditionedError when the shifted matrix is numerically not
-    positive definite; callers treat the corresponding deviance as +inf.
+    Raises IllConditionedError when the shifted matrix has non-finite entries
+    or is numerically not positive definite; callers treat the corresponding
+    deviance as +inf.
     """
     if delta < 0.0:
         raise ValueError("nugget delta must be nonnegative")
     R = np.asarray(R, dtype=float)
-    if not np.all(np.isfinite(R)):
+    if delta > 0.0:
+        # A Fortran-ordered copy is the one LAPACK factors in place.
+        shifted = np.array(R, order="F")
+        shifted.flat[:: R.shape[0] + 1] += delta
+        L = _cholesky(shifted, overwrite=True)
+    else:
+        L = _cholesky(R)
+    if L is None:
+        raise IllConditionedError(f"factorization failed at delta={delta:g}")
+    # Every entry of the lower triangle feeds a diagonal pivot, so a NaN or
+    # infinity in R shows up here without a scan of the whole matrix.
+    log_det = cholesky_log_det(L)
+    if not math.isfinite(log_det):
         raise IllConditionedError("correlation matrix contains non-finite entries")
-    n = R.shape[0]
-    shifted = R + delta * np.eye(n) if delta > 0.0 else R
-    try:
-        L = linalg.cholesky(shifted, lower=True, check_finite=False)
-    except linalg.LinAlgError as exc:
-        raise IllConditionedError(
-            f"factorization failed at delta={delta:g}"
-        ) from exc
-    log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
     return FactoredCorrelation(
         delta=float(delta), log_det=log_det, factor=L, kappa=float(kappa)
     )

@@ -21,10 +21,14 @@ from .correlation import (
     DistanceCache,
     FactoredCorrelation,
     IllConditionedError,
+    certified_factor,
+    cholesky_log_det,
+    cholesky_solve,
     factorize,
     gaussian_kernel,
     nugget_and_kappa,
     powered_distances,
+    triangular_solve,
 )
 from .global_search import STRATEGIES, run_strategy
 from .optreport import OptReport
@@ -104,7 +108,7 @@ class DevianceInfo:
     factored: FactoredCorrelation | None
 
 
-def _gls_mean(factored: FactoredCorrelation, Y: np.ndarray):
+def _gls_mean(L: np.ndarray, Y: np.ndarray):
     """(shift, Y - shift, GLS mean of Y - shift) with shift the plain mean of Y.
 
     Centering Y first is exact for the estimate and avoids cancellation when
@@ -112,21 +116,24 @@ def _gls_mean(factored: FactoredCorrelation, Y: np.ndarray):
     """
     shift = float(Y.mean())
     centered = Y - shift
-    u = factored.solve(np.ones(Y.size))
+    u = cholesky_solve(L, np.ones(Y.size))
     return shift, centered, float(u @ centered) / float(u.sum())
 
 
-def _quadratic_form(factored: FactoredCorrelation, resid: np.ndarray) -> float:
-    """resid' (R + delta*I)^-1 resid through the triangular factor."""
-    z = factored.half_solve(resid)
+def _quadratic_form(L: np.ndarray, resid: np.ndarray) -> float:
+    """resid' (L L')^-1 resid through the triangular factor."""
+    z = triangular_solve(L, resid)
     return float(z @ z)
 
 
-def _profile(factored: FactoredCorrelation, Y: np.ndarray):
-    """Profile mean, variance, and the quadratic form, sharing one solve."""
-    shift, centered, mu_centered = _gls_mean(factored, Y)
-    qform = _quadratic_form(factored, centered - mu_centered)
-    return shift + mu_centered, max(qform / Y.size, 0.0), qform
+def _profile(L: np.ndarray, log_det: float, Y: np.ndarray):
+    """Deviance, profile mean and profile variance from the factor of R + delta*I."""
+    shift, centered, mu_centered = _gls_mean(L, Y)
+    qform = _quadratic_form(L, centered - mu_centered)
+    # A vanishing quadratic form (a constant or underflowing response)
+    # would give -inf, which would win any minimization.
+    value = log_det + Y.size * math.log(qform) if qform > 0.0 else math.inf
+    return value, shift + mu_centered, max(qform / Y.size, 0.0)
 
 
 def mean_estimate(factored: FactoredCorrelation, Y: np.ndarray) -> float:
@@ -134,7 +141,7 @@ def mean_estimate(factored: FactoredCorrelation, Y: np.ndarray) -> float:
     Y = np.asarray(Y, dtype=float)
     if Y.size != factored.factor.shape[0]:
         raise ValueError("output vector length does not match the factorization")
-    shift, _, mu_centered = _gls_mean(factored, Y)
+    shift, _, mu_centered = _gls_mean(factored.factor, Y)
     return shift + mu_centered
 
 
@@ -143,7 +150,7 @@ def variance_estimate(
 ) -> float:
     """Profile variance (Y - mu)' R^-1 (Y - mu) / n, clamped at zero."""
     Y = np.asarray(Y, dtype=float)
-    return max(_quadratic_form(factored, Y - mu_hat) / Y.size, 0.0)
+    return max(_quadratic_form(factored.factor, Y - mu_hat) / Y.size, 0.0)
 
 
 def evaluate_deviance(
@@ -165,8 +172,12 @@ class DevianceObjective:
 
     __call__ is the optimization objective: it evaluates the deviance and
     increments the evaluation counter by exactly one (even when the result
-    is +inf).  evaluate() is the uncounted path used for diagnostics and for
-    rebuilding the model at the optimum.
+    is +inf).  It first tries to certify a zero nugget from the Cholesky
+    factor of R (`certified_factor`) and runs the exact path only when that
+    fails.  evaluate() is the uncounted exact path, used for diagnostics and
+    for rebuilding the model at the optimum: it always computes the nugget
+    and the condition number from the eigenvalues of R.  Both give the same
+    deviance bit for bit.
     """
 
     def __init__(self, design: DesignSet, options: GpOptions | None = None):
@@ -177,11 +188,16 @@ class DevianceObjective:
 
     def __call__(self, beta: np.ndarray) -> float:
         self.fe_count += 1
-        return self.evaluate(beta)[0]
+        R = self._cache.correlation(np.asarray(beta, dtype=float))
+        L = certified_factor(R, self.options.a)
+        if L is None:
+            return self._exact(R)[0]
+        return _profile(L, cholesky_log_det(L), self.design.outputs)[0]
 
     def evaluate(self, beta: np.ndarray) -> tuple[float, DevianceInfo]:
-        Y = self.design.outputs
-        R = self._cache.correlation(np.asarray(beta, dtype=float))
+        return self._exact(self._cache.correlation(np.asarray(beta, dtype=float)))
+
+    def _exact(self, R: np.ndarray) -> tuple[float, DevianceInfo]:
         if not np.all(np.isfinite(R)):
             return math.inf, DevianceInfo(0.0, math.inf, math.nan, math.nan, None)
         try:
@@ -189,10 +205,9 @@ class DevianceObjective:
             factored = factorize(R, delta, kappa)
         except (IllConditionedError, np.linalg.LinAlgError):
             return math.inf, DevianceInfo(0.0, math.inf, math.nan, math.nan, None)
-        mu_hat, sigma2_hat, qform = _profile(factored, Y)
-        # A vanishing quadratic form (a constant or underflowing response)
-        # would give -inf, which would win any minimization.
-        value = factored.log_det + Y.size * math.log(qform) if qform > 0.0 else math.inf
+        value, mu_hat, sigma2_hat = _profile(
+            factored.factor, factored.log_det, self.design.outputs
+        )
         return value, DevianceInfo(delta, kappa, mu_hat, sigma2_hat, factored)
 
 

@@ -145,6 +145,34 @@ class TestPredictCommand:
         for got, want in zip(predict_many(loaded, points), predict_many(fitted, points)):
             assert np.array_equal(got, want)
 
+    def test_model_file_kappa_is_exact(self, tmp_path):
+        # The fit's evaluations may prove kappa small without computing it;
+        # the file still records the eigenvalue condition number of R.
+        from gpdevopt.correlation import DistanceCache, nugget_and_kappa
+
+        data = tmp_path / "train.csv"
+        goldstein_price_csv(data, n=30, seed=0)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--out", str(model_path)]) == 0
+        payload = json.loads(model_path.read_text())
+        points = np.array(payload["points"], dtype=float, order="F")
+        R = DistanceCache(points, payload["p"]).correlation(np.array(payload["beta"]))
+        assert payload["kappa"] == nugget_and_kappa(R, payload["condition_exponent"])[1]
+
+    def test_predict_output_feeds_back_as_points(self, tmp_path):
+        data = tmp_path / "train.csv"
+        native, _ = goldstein_price_csv(data, n=20, seed=0)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--out", str(model_path)]) == 0
+        points = tmp_path / "pts.csv"
+        write_csv(points, ["x1", "x2"], [list(row) for row in native[:5] * 0.99])
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        argv = ["predict", "--model", str(model_path), "--out"]
+        assert main(argv + [str(first), "--points", str(points)]) == 0
+        assert main(argv + [str(second), "--points", str(first)]) == 0
+        assert "np.float64" not in first.read_text()
+        assert second.read_bytes() == first.read_bytes()
+
     def test_tampered_model_rejected(self, tmp_path, capsys):
         model_path, native, _ = self.fit_hump(tmp_path)
         points = tmp_path / "pts.csv"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from gpdevopt.correlation import (
     DistanceCache,
     IllConditionedError,
+    certified_factor,
     factorize,
     nugget_and_kappa,
     nugget_lower_bound,
@@ -154,6 +156,13 @@ class TestFactorize:
         with pytest.raises(IllConditionedError):
             factorize(R, 0.0, nugget_and_kappa(R, 25.0)[1])
 
+    def test_non_finite_entries_rejected(self):
+        for bad, delta in itertools.product((np.nan, np.inf), (0.0, 0.1)):
+            R = np.eye(4)
+            R[3, 1] = R[1, 3] = bad
+            with pytest.raises(IllConditionedError):
+                factorize(R, delta, 1.0)
+
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             factorize(np.eye(2), -1e-3, 1.0)
@@ -165,3 +174,33 @@ class TestFactorize:
         fac = factorize(R, 0.0, np.linalg.cond(R))
         b = rng.standard_normal(5)
         assert fac.solve(b) == pytest.approx(np.linalg.solve(R, b), rel=1e-10)
+
+
+class TestCertifiedFactor:
+    def test_identity_is_certified(self):
+        L = certified_factor(np.eye(4), 25.0)
+        assert np.array_equal(L, factorize(np.eye(4), 0.0, 1.0).factor)
+
+    def test_certificate_implies_zero_nugget(self):
+        # Near-duplicate pairs at shrinking spacings sweep kappa(R) across
+        # every ceiling exp(a), a = 2..40; KAPPA_CLAMP binds from a = 33 on.
+        rng = np.random.default_rng(6)
+        base = np.sort(rng.random(12))
+        outcomes = set()
+        for beta, spacing in itertools.product([1.5, 2.5], 10.0 ** -np.arange(1.0, 8.5, 0.5)):
+            x = np.append(base, base[5] + spacing)
+            R = DistanceCache(x[:, None], np.full(1, 2.0)).correlation(np.array([beta]))
+            for a in np.arange(2.0, 41.0):
+                L = certified_factor(R, a)
+                delta, kappa = nugget_and_kappa(R, a)
+                outcomes.add((L is not None, delta > 0.0))
+                if L is not None:
+                    assert delta == 0.0
+                    assert np.array_equal(L, factorize(R, 0.0, kappa).factor)
+        assert outcomes == {(True, False), (False, False), (False, True)}
+
+    def test_non_finite_entries_are_not_certified(self):
+        for bad in (np.nan, np.inf):
+            R = np.eye(3)
+            R[0, 2] = R[2, 0] = bad
+            assert certified_factor(R, 25.0) is None

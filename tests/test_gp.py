@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from gpdevopt.boxes import SearchBox, default_beta_box
-from gpdevopt.correlation import DistanceCache, factorize
-from gpdevopt.global_search import lhd_maximin
+from gpdevopt.correlation import (
+    DistanceCache,
+    IllConditionedError,
+    certified_factor,
+    factorize,
+    nugget_and_kappa,
+)
+from gpdevopt.global_search import lhd_maximin, run_strategy
 from gpdevopt.gp import (
     DegenerateDataError,
     DesignSet,
     DevianceObjective,
     GpOptions,
+    _profile,
     evaluate_deviance,
     fit,
     mean_estimate,
@@ -321,3 +328,116 @@ class TestFit:
         y_hat, mse = predict_many(model, np.linspace(0, 1, 25)[:, None])
         assert np.all(np.isfinite(y_hat))
         assert np.all(mse >= 0.0)
+
+
+class _Recorder(DevianceObjective):
+    """Deviance objective that keeps every beta it is evaluated at."""
+
+    def __init__(self, design):
+        super().__init__(design)
+        self.betas = []
+
+    def __call__(self, beta):
+        self.betas.append(np.array(beta, dtype=float))
+        return super().__call__(beta)
+
+
+def _testbed_design(name, n):
+    fn = make_test_function(name)
+    pts = lhd_maximin(n, SearchBox(np.zeros(fn.d), np.ones(fn.d)), np.random.default_rng(0))
+    return DesignSet(pts, fn.evaluate(pts))
+
+
+def _near_duplicate_design():
+    x = np.sort(np.random.default_rng(0).random(8))
+    x = np.append(x, x[3] + 1e-7)
+    return DesignSet(x[:, None], np.sin(6.0 * x))
+
+
+@pytest.fixture(scope="module")
+def visited():
+    """Designs with up to 120 beta visited along their DIRECT-BFGS fits.
+
+    Rastrigin 10-D keeps a zero nugget along its whole fit; the dense 1-D
+    and 2-D designs and the near-duplicate pair need one at most beta.
+    """
+    designs = {
+        "rastrigin10-n100": _testbed_design("rastrigin10", 100),
+        "hump-n40": _testbed_design("hump", 40),
+        "goldstein-price-n100": _testbed_design("goldstein-price", 100),
+        "near-duplicate": _near_duplicate_design(),
+    }
+    out = {}
+    for name, ds in designs.items():
+        recorder = _Recorder(ds)
+        run_strategy(recorder, "DIRECT-BFGS", ds.d, np.random.default_rng(0))
+        stride = max(1, len(recorder.betas) // 120)
+        out[name] = (ds, recorder.betas[::stride])
+    return out
+
+
+def _exact_deviance(ds, beta, a):
+    """The deviance composed by hand from the eigenvalue path."""
+    R = DistanceCache(ds.points, np.full(ds.d, 2.0)).correlation(beta)
+    try:
+        factored = factorize(R, *nugget_and_kappa(R, a))
+    except IllConditionedError:
+        return math.inf
+    return _profile(factored.factor, factored.log_det, ds.outputs)[0]
+
+
+class _EigenCounter:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+
+
+class TestCertifiedDeviance:
+    @pytest.mark.parametrize("a", [5.0, 25.0, 40.0])
+    def test_counted_fe_matches_exact_path(self, visited, a):
+        # a = 40 puts exp(a) above KAPPA_CLAMP, where the eigen path never
+        # adds a nugget.
+        for name, (ds, betas) in visited.items():
+            objective = DevianceObjective(ds, GpOptions(a=a))
+            for beta in betas:
+                got = objective(beta)
+                assert got == _exact_deviance(ds, beta, a), (name, beta)
+                assert objective.evaluate(beta)[0] == got
+
+    def test_certified_fe_calls_no_eigen_routine(self, visited, monkeypatch):
+        ds, betas = visited["rastrigin10-n100"]
+        objective = DevianceObjective(ds)
+        counter = _EigenCounter(monkeypatch)
+        for beta in betas:
+            objective(beta)
+        assert counter.calls == 0
+        assert objective.fe_count == len(betas)
+
+    @pytest.mark.parametrize("name", ["hump-n40", "goldstein-price-n100", "near-duplicate"])
+    def test_nugget_heavy_fe_calls_eigen_routine(self, visited, monkeypatch, name):
+        ds, betas = visited[name]
+        objective = DevianceObjective(ds)
+        cache = DistanceCache(ds.points, np.full(ds.d, 2.0))
+        needs_nugget = [nugget_and_kappa(cache.correlation(b), 25.0)[0] > 0.0 for b in betas]
+        certified = [certified_factor(cache.correlation(b), 25.0) is not None for b in betas]
+        assert sum(needs_nugget) > len(betas) // 2
+        counter = _EigenCounter(monkeypatch)
+        for beta, nugget, proven in zip(betas, needs_nugget, certified):
+            before = counter.calls
+            objective(beta)
+            assert counter.calls - before == (0 if proven else 1)
+            assert not (nugget and proven)
+
+    def test_evaluate_reports_exact_kappa(self, visited):
+        ds, betas = visited["rastrigin10-n100"]
+        cache = DistanceCache(ds.points, np.full(ds.d, 2.0))
+        for beta in betas[:10]:
+            _, info = evaluate_deviance(ds, beta)
+            assert info.kappa == nugget_and_kappa(cache.correlation(beta), 25.0)[1]
+            assert model_at(ds, beta).correlation.kappa == info.kappa
