@@ -26,30 +26,51 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 # relative to the largest, so the nugget formula stays finite.
 KAPPA_CLAMP = 1e14
 
+# At or below this, sum_k 10**beta_k * |x_k - y_k|**p_k stays finite while
+# d * max |x_k - y_k|**p_k is below 1e8; in a design's unit cube it is d.
+_QUIET_BETA = 300.0
+
+_EPS = float(np.finfo(float).eps)
+
 
 class IllConditionedError(RuntimeError):
     """Correlation matrix could not be factorized, even after the nugget."""
 
 
 def powered_distances(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """|x_ik - y_jk|**p_k for every pair of rows, as a (d, m, n) array.
+    """|x_ik - y_jk|**p_k for every pair of rows, as a (d, m*n) array.
 
-    The result is a transposed view of an (m, n, d) array built in place.
-    That memory layout fixes the reduction order of `gaussian_kernel`, and
-    so the bits of every correlation matrix and vector the package computes.
+    Column i*n + j holds pair (i, j).  The array is built in place as
+    (m, n, d), in the memory order numpy derives from the layouts of x and y,
+    and its (d, m, n) transpose is reshaped: a view when x and y share a
+    layout (as a design does with itself), a copy otherwise.  That layout
+    fixes the reduction order of the (1, d) x (d, m*n) `dot` in
+    `gaussian_kernel`, and so the bits of every correlation matrix and vector
+    the package computes.
     """
+    m, n, d = x.shape[0], y.shape[0], x.shape[1]
     powered = x[:, None, :] - y[None, :, :]
     np.abs(powered, out=powered)
     powered **= p
-    return powered.transpose(2, 0, 1)
+    return powered.transpose(2, 0, 1).reshape(d, m * n)
 
 
 def gaussian_kernel(powered: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """exp(-sum_k 10**beta_k * powered[k]): the Gaussian product correlation."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.tensordot(10.0 ** beta, powered, axes=1)
-        np.negative(out, out=out)
-        return np.exp(out, out=out)
+    """exp(-sum_k 10**beta_k * powered[k]), the Gaussian product correlation,
+    for every column of the (d, m*n) `powered_distances`, as a (1, m*n) array.
+
+    Only a beta_k above `_QUIET_BETA` can make 10**beta_k or the `dot`
+    overflow (or multiply an infinity by a zero distance).  The floating-point
+    error state is switched only then: switching it costs microseconds, a
+    sizeable share of a small deviance evaluation.
+    """
+    if max(beta.tolist()) <= _QUIET_BETA:
+        out = np.dot((10.0 ** beta)[None, :], powered)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.dot((10.0 ** beta)[None, :], powered)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
 
 
 class DistanceCache:
@@ -79,7 +100,7 @@ class DistanceCache:
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (self.d,):
             raise ValueError(f"beta must have length {self.d}, got {beta.shape}")
-        return gaussian_kernel(self._powered, beta)
+        return gaussian_kernel(self._powered, beta).reshape(self.n, self.n)
 
 
 def nugget_and_kappa(R: np.ndarray, a: float) -> tuple[float, float]:
@@ -156,7 +177,7 @@ def certified_factor(R: np.ndarray, a: float) -> np.ndarray | None:
     if L is None:
         return None
     n = R.shape[0]
-    limit = 0.5 * min(math.exp(a), 0.125 / (n * np.finfo(float).eps))
+    limit = 0.5 * min(math.exp(a), 0.125 / (n * _EPS))
     rows = R.sum(axis=1)
     if max(float(rows.sum()) / n, 1.0) > limit * float(L.diagonal().min()) ** 2:
         return None
@@ -191,16 +212,12 @@ class FactoredCorrelation:
         return triangular_solve(self.factor, b)
 
 
-def factorize(R: np.ndarray, delta: float, kappa: float) -> FactoredCorrelation:
-    """Triangular factorization of R + delta*I, recording kappa(R) alongside.
+def shifted_factor(R: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of R + delta*I and its log-determinant.
 
     Raises IllConditionedError when the shifted matrix has non-finite entries
-    or is numerically not positive definite; callers treat the corresponding
-    deviance as +inf.
+    or is numerically not positive definite.
     """
-    if delta < 0.0:
-        raise ValueError("nugget delta must be nonnegative")
-    R = np.asarray(R, dtype=float)
     if delta > 0.0:
         # A Fortran-ordered copy is the one LAPACK factors in place.
         shifted = np.array(R, order="F")
@@ -215,6 +232,19 @@ def factorize(R: np.ndarray, delta: float, kappa: float) -> FactoredCorrelation:
     log_det = cholesky_log_det(L)
     if not math.isfinite(log_det):
         raise IllConditionedError("correlation matrix contains non-finite entries")
+    return L, log_det
+
+
+def factorize(R: np.ndarray, delta: float, kappa: float) -> FactoredCorrelation:
+    """Triangular factorization of R + delta*I, recording kappa(R) alongside.
+
+    Raises IllConditionedError when the shifted matrix has non-finite entries
+    or is numerically not positive definite; callers treat the corresponding
+    deviance as +inf.
+    """
+    if delta < 0.0:
+        raise ValueError("nugget delta must be nonnegative")
+    L, log_det = shifted_factor(np.asarray(R, dtype=float), delta)
     return FactoredCorrelation(
         delta=float(delta), log_det=log_det, factor=L, kappa=float(kappa)
     )

@@ -24,10 +24,10 @@ from .correlation import (
     certified_factor,
     cholesky_log_det,
     cholesky_solve,
-    factorize,
     gaussian_kernel,
     nugget_and_kappa,
     powered_distances,
+    shifted_factor,
     triangular_solve,
 )
 from .global_search import STRATEGIES, run_strategy
@@ -108,16 +108,33 @@ class DevianceInfo:
     factored: FactoredCorrelation | None
 
 
-def _gls_mean(L: np.ndarray, Y: np.ndarray):
-    """(shift, Y - shift, GLS mean of Y - shift) with shift the plain mean of Y.
+class _Profile:
+    """Profile estimates for one output vector Y, from a factor of R + delta*I.
 
-    Centering Y first is exact for the estimate and avoids cancellation when
-    the outputs carry a large common offset.
+    The shift (the plain mean of Y), Y centred on it and a ones vector are
+    computed once.  Centering Y first is exact for the estimate and avoids
+    cancellation when the outputs carry a large common offset.
     """
-    shift = float(Y.mean())
-    centered = Y - shift
-    u = cholesky_solve(L, np.ones(Y.size))
-    return shift, centered, float(u @ centered) / float(u.sum())
+
+    def __init__(self, Y: np.ndarray):
+        self.n = Y.size
+        self.shift = float(Y.mean())
+        self.centered = Y - self.shift
+        self.ones = np.ones(self.n)
+
+    def centered_mean(self, L: np.ndarray) -> float:
+        """GLS mean of the centred outputs, (1' R^-1 1)^-1 1' R^-1 (Y - shift)."""
+        u = cholesky_solve(L, self.ones)
+        return float(u @ self.centered) / float(u.sum())
+
+    def __call__(self, L: np.ndarray, log_det: float) -> tuple[float, float, float]:
+        """Deviance, profile mean and profile variance."""
+        mu_centered = self.centered_mean(L)
+        qform = _quadratic_form(L, self.centered - mu_centered)
+        # A vanishing quadratic form (a constant or underflowing response)
+        # would give -inf, which would win any minimization.
+        value = log_det + self.n * math.log(qform) if qform > 0.0 else math.inf
+        return value, self.shift + mu_centered, max(qform / self.n, 0.0)
 
 
 def _quadratic_form(L: np.ndarray, resid: np.ndarray) -> float:
@@ -128,12 +145,7 @@ def _quadratic_form(L: np.ndarray, resid: np.ndarray) -> float:
 
 def _profile(L: np.ndarray, log_det: float, Y: np.ndarray):
     """Deviance, profile mean and profile variance from the factor of R + delta*I."""
-    shift, centered, mu_centered = _gls_mean(L, Y)
-    qform = _quadratic_form(L, centered - mu_centered)
-    # A vanishing quadratic form (a constant or underflowing response)
-    # would give -inf, which would win any minimization.
-    value = log_det + Y.size * math.log(qform) if qform > 0.0 else math.inf
-    return value, shift + mu_centered, max(qform / Y.size, 0.0)
+    return _Profile(Y)(L, log_det)
 
 
 def mean_estimate(factored: FactoredCorrelation, Y: np.ndarray) -> float:
@@ -141,8 +153,8 @@ def mean_estimate(factored: FactoredCorrelation, Y: np.ndarray) -> float:
     Y = np.asarray(Y, dtype=float)
     if Y.size != factored.factor.shape[0]:
         raise ValueError("output vector length does not match the factorization")
-    shift, _, mu_centered = _gls_mean(factored.factor, Y)
-    return shift + mu_centered
+    profile = _Profile(Y)
+    return profile.shift + profile.centered_mean(factored.factor)
 
 
 def variance_estimate(
@@ -168,47 +180,57 @@ def evaluate_deviance(
 
 
 class DevianceObjective:
-    """Counting deviance evaluator with the distance cache built once.
+    """Counting deviance evaluator for one design.
 
-    __call__ is the optimization objective: it evaluates the deviance and
-    increments the evaluation counter by exactly one (even when the result
-    is +inf).  It first tries to certify a zero nugget from the Cholesky
-    factor of R (`certified_factor`) and runs the exact path only when that
-    fails.  evaluate() is the uncounted exact path, used for diagnostics and
-    for rebuilding the model at the optimum: it always computes the nugget
-    and the condition number from the eigenvalues of R.  Both give the same
-    deviance bit for bit.
+    Everything that does not depend on beta is built once, in __init__: the
+    powered distances of the design (`DistanceCache`) and, for the profile,
+    the plain mean of the outputs, the outputs centred on it and a ones
+    vector.  __call__ is the optimization objective: it evaluates the
+    deviance and increments the evaluation counter by exactly one (even when
+    the result is +inf).  It first tries to certify a zero nugget from the
+    Cholesky factor of R (`certified_factor`) and runs the exact path only
+    when that fails.  evaluate() is the uncounted exact path, used for
+    diagnostics and for rebuilding the model at the optimum: it always
+    computes the nugget and the condition number from the eigenvalues of R.
+    Both give the same deviance bit for bit.
     """
 
     def __init__(self, design: DesignSet, options: GpOptions | None = None):
         self.design = design
         self.options = options or GpOptions()
         self._cache = DistanceCache(design.points, self.options.p_vector(design.d))
+        self._profile = _Profile(design.outputs)
         self.fe_count = 0
 
     def __call__(self, beta: np.ndarray) -> float:
         self.fe_count += 1
-        R = self._cache.correlation(np.asarray(beta, dtype=float))
+        R = self._cache.correlation(beta)
         L = certified_factor(R, self.options.a)
-        if L is None:
-            return self._exact(R)[0]
-        return _profile(L, cholesky_log_det(L), self.design.outputs)[0]
+        if L is not None:
+            return self._profile(L, cholesky_log_det(L))[0]
+        exact = self._exact(R)
+        return math.inf if exact is None else self._profile(*exact[:2])[0]
 
     def evaluate(self, beta: np.ndarray) -> tuple[float, DevianceInfo]:
-        return self._exact(self._cache.correlation(np.asarray(beta, dtype=float)))
-
-    def _exact(self, R: np.ndarray) -> tuple[float, DevianceInfo]:
-        if not np.all(np.isfinite(R)):
+        exact = self._exact(self._cache.correlation(beta))
+        if exact is None:
             return math.inf, DevianceInfo(0.0, math.inf, math.nan, math.nan, None)
+        L, log_det, delta, kappa = exact
+        value, mu_hat, sigma2_hat = self._profile(L, log_det)
+        factored = FactoredCorrelation(delta, log_det, L, kappa)
+        return value, DevianceInfo(delta, kappa, mu_hat, sigma2_hat, factored)
+
+    def _exact(self, R: np.ndarray) -> tuple[np.ndarray, float, float, float] | None:
+        """(L, log det, delta, kappa) for R + delta*I with the nugget and the
+        condition number from the eigenvalues of R; None if it cannot be
+        factored."""
+        if not np.isfinite(R).all():
+            return None
         try:
             delta, kappa = nugget_and_kappa(R, self.options.a)
-            factored = factorize(R, delta, kappa)
+            return shifted_factor(R, delta) + (delta, kappa)
         except (IllConditionedError, np.linalg.LinAlgError):
-            return math.inf, DevianceInfo(0.0, math.inf, math.nan, math.nan, None)
-        value, mu_hat, sigma2_hat = _profile(
-            factored.factor, factored.log_det, self.design.outputs
-        )
-        return value, DevianceInfo(delta, kappa, mu_hat, sigma2_hat, factored)
+            return None
 
 
 @dataclass(frozen=True)
@@ -282,7 +304,7 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
     ones = np.ones(n)
     resid = model.design.outputs - model.mu_hat
     powered = powered_distances(points, model.design.points, model.p)
-    r = gaussian_kernel(powered, model.beta_star)  # (m, n)
+    r = gaussian_kernel(powered, model.beta_star).reshape(points.shape[0], n)
     u = factored.solve(ones)
     one_r_one = float(u.sum())
     z_resid = factored.half_solve(resid)
@@ -309,7 +331,7 @@ def prediction_weights(model: FittedGP, x_star: np.ndarray) -> np.ndarray:
     factored = model.correlation
     ones = np.ones(model.design.n)
     powered = powered_distances(x_star, model.design.points, model.p)
-    r = gaussian_kernel(powered, model.beta_star)[0]
+    r = gaussian_kernel(powered, model.beta_star).reshape(x_star.shape[0], -1)[0]
     u = factored.solve(ones)
     a_coef = (1.0 - float(r @ u)) / float(u.sum())
     return factored.solve(a_coef * ones + r)

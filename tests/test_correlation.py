@@ -9,8 +9,10 @@ from gpdevopt.correlation import (
     IllConditionedError,
     certified_factor,
     factorize,
+    gaussian_kernel,
     nugget_and_kappa,
     nugget_lower_bound,
+    powered_distances,
 )
 from gpdevopt.gp import DesignSet, GpOptions, fit
 
@@ -204,3 +206,45 @@ class TestCertifiedFactor:
             R = np.eye(3)
             R[0, 2] = R[2, 0] = bad
             assert certified_factor(R, 25.0) is None
+
+
+def _tensordot_kernel(x, y, p, beta):
+    """The kernel composed with np.tensordot over the (d, m, n) transpose of
+    the in-place (m, n, d) powered distances: the reference for its bits."""
+    powered = x[:, None, :] - y[None, :, :]
+    np.abs(powered, out=powered)
+    powered **= p
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.tensordot(10.0 ** beta, powered.transpose(2, 0, 1), axes=1)
+    return np.exp(-out)
+
+
+class TestKernelBits:
+    """The (1, d) x (d, m*n) dot must reproduce the tensordot kernel bit for
+    bit, for both memory layouts of the points."""
+
+    @pytest.mark.parametrize(
+        "m, n, d, order",
+        [(10201, 100, 2, "F"), (10201, 40, 1, "F"), (200, 20, 2, "C"), (1200, 120, 12, "C")],
+    )
+    def test_gaussian_kernel_matches_tensordot(self, m, n, d, order):
+        rng = np.random.default_rng(m + n + d)
+        x = np.array(rng.random((m, d)), order=order)
+        y = np.array(rng.random((n, d)), order=order)
+        p = np.full(d, 2.0)
+        powered = powered_distances(x, y, p)
+        for beta in (rng.uniform(-2.0, 2.0, d), np.full(d, -3.0), np.full(d, 1.5)):
+            got = gaussian_kernel(powered, beta).reshape(m, n)
+            want = _tensordot_kernel(x, y, p, beta)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_distance_cache_matches_tensordot_in_both_layouts(self):
+        rng = np.random.default_rng(7)
+        design = rng.random((30, 3))
+        p = np.array([2.0, 1.5, 1.9])
+        for points in (np.ascontiguousarray(design), np.asfortranarray(design)):
+            cache = DistanceCache(points, p)
+            for beta in (rng.uniform(-2.0, 2.0, 3), np.array([0.5, -1.0, 2.0])):
+                want = _tensordot_kernel(points, points, p, beta)
+                got = cache.correlation(beta)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))

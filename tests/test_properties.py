@@ -1,0 +1,48 @@
+"""Property tests of the counted deviance evaluation (the optimizers' hot path)."""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gpdevopt.gp import DesignSet, DevianceObjective
+
+# Ordinary log10 inverse lengthscales, plus values whose 10**beta underflows
+# to zero or overflows to infinity.
+BETA = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([-400.0, 400.0]))
+
+
+@st.composite
+def designs(draw):
+    n = draw(st.integers(2, 25))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.random((n, d))
+    if draw(st.booleans()):
+        # A near-duplicate pair makes R nearly singular, so a nugget is needed.
+        points[-1] = points[0] + np.where(points[0] < 0.5, 1e-7, -1e-7)
+    offset = draw(st.sampled_from([0.0, 1e6, -3e9]))
+    outputs = offset + np.sin(6.0 * points).sum(axis=1) + 0.1 * rng.standard_normal(n)
+    order = draw(st.sampled_from("CF"))
+    return DesignSet(np.array(points, order=order), outputs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_counted_fe_equals_exact_evaluation(data):
+    ds = data.draw(designs(), label="design")
+    betas = data.draw(
+        st.lists(st.lists(BETA, min_size=ds.d, max_size=ds.d), min_size=1, max_size=4),
+        label="betas",
+    )
+    objective = DevianceObjective(ds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for calls, beta in enumerate(betas, start=1):
+            got = objective(np.array(beta))
+            assert objective.fe_count == calls
+            want = objective.evaluate(np.array(beta))[0]
+            assert objective.fe_count == calls
+            # Bit for bit, which also covers both being +inf.
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
