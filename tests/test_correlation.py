@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from gpdevopt import correlation as correlation_module
 from gpdevopt.correlation import (
+    _COMPARISON_MIN_N,
     DistanceCache,
     IllConditionedError,
+    _comparison_bound,
     certified_factor,
     factorize,
     gaussian_kernel,
@@ -205,6 +208,85 @@ class TestCertifiedFactor:
         for bad in (np.nan, np.inf):
             R = np.eye(3)
             R[0, 2] = R[2, 0] = bad
+            assert certified_factor(R, 25.0) is None
+
+    def test_margin_covers_eigenvalue_rounding(self):
+        # At kappa(R) near 1/(n eps), eigvalsh overestimates kappa of this
+        # 4-point design by more than the slack of the trace bound: the row
+        # sum times ||L^-1||_F^2 lies 3.5% below the computed kappa.  Only the
+        # factor 1/2 in the certificate's limit keeps it sound here.
+        base = np.random.default_rng(28).random((3, 2))
+        R = correlation(np.vstack([base, base[0] + 10.0 ** -7.4]), [1.0, 1.0])
+        kappa = nugget_and_kappa(R, 40.0)[1]
+        inverse = np.linalg.inv(np.linalg.cholesky(R))
+        assert R.sum(axis=1).max() * np.sum(inverse**2) < kappa
+        certified = []
+        for a in math.log(kappa) + np.linspace(-0.05, 1.0, 22):
+            L = certified_factor(R, a)
+            certified.append(L is not None)
+            if L is not None:
+                assert nugget_and_kappa(R, a)[0] == 0.0
+        assert any(certified) and not all(certified)
+
+    def test_certificate_implies_zero_nugget_above_crossover(self, count_calls):
+        # The same sweep on a 3-D design of 61 points, where the
+        # comparison-matrix bound runs before L is inverted (dtrtri).
+        rng = np.random.default_rng(6)
+        base = rng.random((60, 3))
+        assert base.shape[0] + 1 >= _COMPARISON_MIN_N
+        inversions = count_calls(correlation_module, "dtrtri")
+        outcomes = set()
+        for beta, spacing in itertools.product([0.5, 1.0], 10.0 ** -np.arange(1.0, 8.5, 0.5)):
+            x = np.vstack([base, base[5] + spacing])
+            R = DistanceCache(x, np.full(3, 2.0)).correlation(np.full(3, beta))
+            for a in np.arange(2.0, 41.0):
+                before = inversions.calls
+                L = certified_factor(R, a)
+                delta, kappa = nugget_and_kappa(R, a)
+                outcomes.add((L is not None, inversions.calls > before, delta > 0.0))
+                if L is not None:
+                    assert delta == 0.0
+                    assert np.array_equal(L, factorize(R, 0.0, kappa).factor)
+        # Certified by the comparison bound; by the trace bound after the
+        # comparison bound failed; not certified, with and without a nugget.
+        assert {
+            (True, False, False),
+            (True, True, False),
+            (False, True, False),
+            (False, True, True),
+        } <= outcomes
+
+    def test_comparison_bound_covers_inverse_norm(self):
+        # max(z) * max(z') >= ||L^-1||_2^2 = 1 / sigma_min(L)^2.
+        rng = np.random.default_rng(9)
+        factors = []
+        for _ in range(20):
+            n, d = int(rng.integers(_COMPARISON_MIN_N, 100)), int(rng.integers(4, 11))
+            R = correlation(random_design(rng, n, d), rng.uniform(0.0, 1.5, d))
+            factors.append(np.linalg.cholesky(R))
+        # One heavy column: ||L^-1||_inf^2 = 11^2, far below ||L^-1||_2^2,
+        # which is about 10^2 * 59.
+        heavy = np.eye(60)
+        heavy[1:, 0] = 10.0
+        inverse = np.linalg.inv(heavy)
+        assert np.abs(inverse).sum(axis=1).max() ** 2 < 0.1 * np.linalg.norm(inverse, 2) ** 2
+        factors.append(heavy)
+        for L in factors:
+            norm2 = np.linalg.svd(L, compute_uv=False)[-1] ** -2.0
+            assert _comparison_bound(np.asfortranarray(L)) >= norm2 * (1.0 - 1e-12)
+
+    def test_non_finite_entries_above_crossover_are_not_certified(self, count_calls):
+        R0 = correlation(random_design(np.random.default_rng(10), 60, 3), [1.0, 1.0, 1.0])
+        inversions = count_calls(correlation_module, "dtrtri")
+        assert certified_factor(R0, 25.0) is not None
+        assert inversions.calls == 0
+        for bad, symmetric in itertools.product((np.nan, np.inf), (True, False)):
+            R = R0.copy()
+            # The upper triangle alone is never read by the Cholesky
+            # factorization, so only the row sums see it.
+            R[2, 40] = bad
+            if symmetric:
+                R[40, 2] = bad
             assert certified_factor(R, 25.0) is None
 
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from gpdevopt import correlation
 from gpdevopt.boxes import SearchBox, default_beta_box
 from gpdevopt.correlation import (
     DistanceCache,
@@ -386,16 +388,16 @@ def _exact_deviance(ds, beta, a):
     return _profile(factored.factor, factored.log_det, ds.outputs)[0]
 
 
-class _EigenCounter:
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        original = np.linalg.eigvalsh
-
-        def counting(*args, **kwargs):
-            self.calls += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+def _passes_pivot_test(R, a):
+    """Whether R factors and its pivots leave kappa(R) <= the certificate's
+    limit possible: max(1'R1/n, 1) <= limit * min_i L_ii^2."""
+    n = R.shape[0]
+    try:
+        L = scipy.linalg.cholesky(R, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return False
+    limit = 0.5 * min(math.exp(a), 0.125 / (n * np.finfo(float).eps))
+    return max(R.sum(axis=1).sum() / n, 1.0) <= limit * L.diagonal().min() ** 2
 
 
 class TestCertifiedDeviance:
@@ -410,29 +412,55 @@ class TestCertifiedDeviance:
                 assert got == _exact_deviance(ds, beta, a), (name, beta)
                 assert objective.evaluate(beta)[0] == got
 
-    def test_certified_fe_calls_no_eigen_routine(self, visited, monkeypatch):
+    def test_certified_fe_calls_no_eigen_routine(self, visited, count_calls):
         ds, betas = visited["rastrigin10-n100"]
         objective = DevianceObjective(ds)
-        counter = _EigenCounter(monkeypatch)
+        counter = count_calls(np.linalg, "eigvalsh")
         for beta in betas:
             objective(beta)
         assert counter.calls == 0
         assert objective.fe_count == len(betas)
 
     @pytest.mark.parametrize("name", ["hump-n40", "goldstein-price-n100", "near-duplicate"])
-    def test_nugget_heavy_fe_calls_eigen_routine(self, visited, monkeypatch, name):
+    def test_nugget_heavy_fe_calls_eigen_routine(self, visited, count_calls, name):
         ds, betas = visited[name]
         objective = DevianceObjective(ds)
         cache = DistanceCache(ds.points, np.full(ds.d, 2.0))
         needs_nugget = [nugget_and_kappa(cache.correlation(b), 25.0)[0] > 0.0 for b in betas]
         certified = [certified_factor(cache.correlation(b), 25.0) is not None for b in betas]
         assert sum(needs_nugget) > len(betas) // 2
-        counter = _EigenCounter(monkeypatch)
+        counter = count_calls(np.linalg, "eigvalsh")
         for beta, nugget, proven in zip(betas, needs_nugget, certified):
             before = counter.calls
             objective(beta)
             assert counter.calls - before == (0 if proven else 1)
             assert not (nugget and proven)
+
+    def test_large_design_skips_the_inversion(self, visited, count_calls):
+        # At n = 100 the O(n^2) comparison-matrix bound certifies most FEs,
+        # so L is inverted (dtrtri) only where that bound fails.
+        ds, betas = visited["rastrigin10-n100"]
+        assert ds.n >= correlation._COMPARISON_MIN_N
+        objective = DevianceObjective(ds)
+        eigen = count_calls(np.linalg, "eigvalsh")
+        inversions = count_calls(correlation, "dtrtri")
+        for beta in betas:
+            objective(beta)
+        assert inversions.calls <= 0.2 * len(betas)
+        assert eigen.calls == 0
+
+    def test_small_design_inverts_after_the_pivot_test(self, visited, count_calls):
+        # Below the crossover every FE whose pivots pass the pre-test inverts L.
+        ds, betas = visited["hump-n40"]
+        assert ds.n < correlation._COMPARISON_MIN_N
+        cache = DistanceCache(ds.points, np.full(ds.d, 2.0))
+        expected = sum(_passes_pivot_test(cache.correlation(b), 25.0) for b in betas)
+        assert 0 < expected < len(betas)
+        objective = DevianceObjective(ds)
+        inversions = count_calls(correlation, "dtrtri")
+        for beta in betas:
+            objective(beta)
+        assert inversions.calls == expected
 
     def test_evaluate_reports_exact_kappa(self, visited):
         ds, betas = visited["rastrigin10-n100"]

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpdevopt.correlation import _COMPARISON_MIN_N
 from gpdevopt.gp import DesignSet, DevianceObjective
 
 # Ordinary log10 inverse lengthscales, plus values whose 10**beta underflows
@@ -14,9 +15,9 @@ BETA = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([-400.0, 400.0]))
 
 
 @st.composite
-def designs(draw):
-    n = draw(st.integers(2, 25))
-    d = draw(st.integers(1, 3))
+def designs(draw, n=st.integers(2, 25), d=st.integers(1, 3)):
+    n = draw(n)
+    d = draw(d)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     points = rng.random((n, d))
     if draw(st.booleans()):
@@ -28,12 +29,10 @@ def designs(draw):
     return DesignSet(np.array(points, order=order), outputs)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_counted_fe_equals_exact_evaluation(data):
-    ds = data.draw(designs(), label="design")
+def _check_counted_fe(data, design_strategy, beta_strategy=BETA):
+    ds = data.draw(design_strategy, label="design")
     betas = data.draw(
-        st.lists(st.lists(BETA, min_size=ds.d, max_size=ds.d), min_size=1, max_size=4),
+        st.lists(st.lists(beta_strategy, min_size=ds.d, max_size=ds.d), min_size=1, max_size=4),
         label="betas",
     )
     objective = DevianceObjective(ds)
@@ -46,3 +45,22 @@ def test_counted_fe_equals_exact_evaluation(data):
             assert objective.fe_count == calls
             # Bit for bit, which also covers both being +inf.
             assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_counted_fe_equals_exact_evaluation(data):
+    _check_counted_fe(data, designs())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_counted_fe_equals_exact_evaluation_above_crossover(data):
+    # Designs large enough for the comparison-matrix bound to run first, and
+    # lengthscales at which many of them are well conditioned, so that it
+    # certifies some FEs and fails on others.
+    _check_counted_fe(
+        data,
+        designs(st.integers(_COMPARISON_MIN_N, 80), st.integers(1, 10)),
+        st.one_of(st.floats(-0.5, 2.0), BETA),
+    )
