@@ -52,10 +52,6 @@ class SearchBox:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= lo) and np.all(x <= hi))
 
-    def span(self) -> np.ndarray:
-        lo, hi = self.bounds()
-        return hi - lo
-
     def diagonal_point(self, t: float) -> np.ndarray:
         """Point at fraction t along the main diagonal (t=0 lower corner)."""
         lo, hi = self.bounds()

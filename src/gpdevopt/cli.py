@@ -42,6 +42,10 @@ from .testbed import (
 )
 
 MODEL_FORMAT_VERSION = 1
+_MODEL_KEYS = (
+    "format_version", "p", "condition_exponent", "beta", "deviance", "fe_count",
+    "input_min", "input_max", "points", "outputs",
+)
 
 
 def _read_table(path: str) -> tuple[list[str], list[list[float]]]:
@@ -118,7 +122,12 @@ def _model_payload(model: FittedGP, mins, maxs, strategy, seed, box_scale) -> di
 def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a model file must hold a JSON object")
+    missing = [key for key in _MODEL_KEYS if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: model file lacks {', '.join(missing)}")
+    if payload["format_version"] != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format")
     # Column-major, as `_load_training_csv` builds it: the kernel's reduction
     # order follows the layout of the points, so this rebuilds bit for bit the

@@ -258,12 +258,16 @@ class FactoredCorrelation:
         return triangular_solve(self.factor, b)
 
 
-def shifted_factor(R: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of R + delta*I and its log-determinant.
+def factorize(R: np.ndarray, delta: float, kappa: float) -> FactoredCorrelation:
+    """Triangular factorization of R + delta*I, recording kappa(R) alongside.
 
     Raises IllConditionedError when the shifted matrix has non-finite entries
-    or is numerically not positive definite.
+    or is numerically not positive definite; callers treat the corresponding
+    deviance as +inf.
     """
+    if delta < 0.0:
+        raise ValueError("nugget delta must be nonnegative")
+    R = np.asarray(R, dtype=float)
     if delta > 0.0:
         # A Fortran-ordered copy is the one LAPACK factors in place.
         shifted = np.array(R, order="F")
@@ -278,19 +282,6 @@ def shifted_factor(R: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
     log_det = cholesky_log_det(L)
     if not math.isfinite(log_det):
         raise IllConditionedError("correlation matrix contains non-finite entries")
-    return L, log_det
-
-
-def factorize(R: np.ndarray, delta: float, kappa: float) -> FactoredCorrelation:
-    """Triangular factorization of R + delta*I, recording kappa(R) alongside.
-
-    Raises IllConditionedError when the shifted matrix has non-finite entries
-    or is numerically not positive definite; callers treat the corresponding
-    deviance as +inf.
-    """
-    if delta < 0.0:
-        raise ValueError("nugget delta must be nonnegative")
-    L, log_det = shifted_factor(np.asarray(R, dtype=float), delta)
     return FactoredCorrelation(
         delta=float(delta), log_det=log_det, factor=L, kappa=float(kappa)
     )

@@ -10,7 +10,7 @@ deterministic: identical inputs and budget give identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -120,12 +120,7 @@ def direct_search(objective, box: SearchBox, fe_budget: int) -> OptReport:
     except BudgetExhausted:
         pass
     report = wrapped.report(fallback=center)
-    return OptReport(
-        beta_star=lo + report.beta_star * width,
-        value=report.value,
-        fe_used=report.fe_used,
-        trace=report.trace,
-    )
+    return replace(report, beta_star=lo + report.beta_star * width)
 
 
 def _divide(rect: Rectangle, wrapped: CountedObjective) -> list[Rectangle]:

@@ -16,14 +16,8 @@ from scipy.spatial.distance import pdist
 
 from .boxes import SearchBox, default_beta_box, if_beta_box
 from .direct import direct_search
-from .local_search import (
-    DEFAULT_SCALES,
-    BfgsOptions,
-    IfOptions,
-    bfgs_minimize,
-    implicit_filtering,
-)
-from .optreport import CountedObjective, OptReport, merge_traces
+from .local_search import IfOptions, bfgs_minimize, implicit_filtering
+from .optreport import CountedObjective, OptReport
 
 STRATEGIES = (
     "MS-BFGS-2d1",
@@ -100,13 +94,17 @@ def kmeans_best(
     return best_centers
 
 
+def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(m, k) squared Euclidean distances from every point to every center."""
+    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
 def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator):
     m = points.shape[0]
     centers = points[rng.choice(m, size=k, replace=False)].copy()
     assign: np.ndarray | None = None
     for _ in range(100):
-        dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = dist2.argmin(axis=1)
+        new_assign = _squared_distances(points, centers).argmin(axis=1)
         for j in range(k):
             members = new_assign == j
             if members.any():
@@ -117,8 +115,7 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator):
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-    dist2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    sse = float(dist2.min(axis=1).sum())
+    sse = float(_squared_distances(points, centers).min(axis=1).sum())
     return centers, sse
 
 
@@ -138,7 +135,7 @@ def cluster_starts(
     With include_diagonal, three equidistant interior points along the box
     diagonal are also evaluated (3 more calls) and the best is appended.
 
-    Returns (starts, fe_used, trace).
+    Returns (starts, fe_used).
     """
     k = n_starts - 1 if include_diagonal else n_starts
     if k < 1:
@@ -153,7 +150,7 @@ def cluster_starts(
         diag_points = [box.diagonal_point(t) for t in DIAGONAL_FRACTIONS]
         diag_values = [wrapped(point) for point in diag_points]
         starts.append(diag_points[int(np.argmin(diag_values))])
-    return starts, wrapped.count, tuple(wrapped.trace)
+    return starts, wrapped.count
 
 
 def multistart_count(strategy: str, d: int) -> int:
@@ -171,8 +168,6 @@ def run_strategy(
     d: int,
     rng: np.random.Generator,
     box_scale: float = 1.0,
-    bfgs_options: BfgsOptions | None = None,
-    if_scales: tuple[float, ...] = DEFAULT_SCALES,
 ) -> OptReport:
     """Dispatch one of the seven named strategies and merge the accounting.
 
@@ -180,58 +175,42 @@ def run_strategy(
     completion from each; IF2 caps each first-stage run at 20d evaluations
     and then reruns the best one to completion; the DIRECT hybrids give
     DIRECT a 200d budget and start a single local run from its best point.
-    The report's evaluation count is the exact sum over all phases.
+    The report's fe_used is exact: the sampling evaluations plus every
+    phase's fe_used.  Its beta_star and value are the best local or DIRECT
+    result, not the best sampled point.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     start_box = default_beta_box(d, scale=box_scale)
     pattern_box = if_beta_box(d, scale=box_scale)
-    bfgs_opts = bfgs_options or BfgsOptions()
 
     def run_if(start: np.ndarray, max_fe: int | None = None) -> OptReport:
-        return implicit_filtering(
-            objective, start, IfOptions(box=pattern_box, scales=if_scales, max_fe=max_fe)
-        )
+        return implicit_filtering(objective, start, IfOptions(box=pattern_box, max_fe=max_fe))
 
-    segments: list[tuple[int, tuple[tuple[int, float], ...]]] = []
-    reports: list[OptReport] = []
+    fe_sampling = 0
     if strategy.startswith("MS-") or strategy == "IF2":
         include_diagonal = strategy.endswith("2d1")
-        starts, fe_sampling, trace_sampling = cluster_starts(
+        starts, fe_sampling = cluster_starts(
             objective, start_box, d, multistart_count(strategy, d), include_diagonal, rng
         )
-        segments.append((fe_sampling, trace_sampling))
         if strategy == "IF2":
             stage1 = [run_if(start, max_fe=IF2_STAGE1_FE_PER_DIM * d) for start in starts]
-            for report in stage1:
-                segments.append((report.fe_used, report.trace))
             best_stage1 = min(stage1, key=lambda r: r.value)
-            final = run_if(best_stage1.beta_star)
-            segments.append((final.fe_used, final.trace))
-            reports = stage1 + [final]
+            reports = stage1 + [run_if(best_stage1.beta_star)]
+        elif "BFGS" in strategy:
+            reports = [bfgs_minimize(objective, start) for start in starts]
         else:
-            use_bfgs = "BFGS" in strategy
-            for start in starts:
-                if use_bfgs:
-                    report = bfgs_minimize(objective, start, bfgs_opts)
-                else:
-                    report = run_if(start)
-                segments.append((report.fe_used, report.trace))
-                reports.append(report)
+            reports = [run_if(start) for start in starts]
     else:
         global_report = direct_search(objective, start_box, SAMPLING_FE_PER_DIM * d)
-        segments.append((global_report.fe_used, global_report.trace))
         if strategy == "DIRECT-BFGS":
-            local_report = bfgs_minimize(objective, global_report.beta_star, bfgs_opts)
+            local_report = bfgs_minimize(objective, global_report.beta_star)
         else:
             local_report = run_if(global_report.beta_star)
-        segments.append((local_report.fe_used, local_report.trace))
         reports = [global_report, local_report]
     best = min(reports, key=lambda r: r.value)
-    total_fe = sum(fe for fe, _ in segments)
     return OptReport(
         beta_star=best.beta_star.copy(),
         value=best.value,
-        fe_used=total_fe,
-        trace=merge_traces(segments),
+        fe_used=fe_sampling + sum(report.fe_used for report in reports),
     )

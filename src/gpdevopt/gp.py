@@ -24,14 +24,13 @@ from .correlation import (
     certified_factor,
     cholesky_log_det,
     cholesky_solve,
+    factorize,
     gaussian_kernel,
     nugget_and_kappa,
     powered_distances,
-    shifted_factor,
     triangular_solve,
 )
 from .global_search import STRATEGIES, run_strategy
-from .optreport import OptReport
 
 DEFAULT_STRATEGY = "DIRECT-BFGS"
 
@@ -143,11 +142,6 @@ def _quadratic_form(L: np.ndarray, resid: np.ndarray) -> float:
     return float(z @ z)
 
 
-def _profile(L: np.ndarray, log_det: float, Y: np.ndarray):
-    """Deviance, profile mean and profile variance from the factor of R + delta*I."""
-    return _Profile(Y)(L, log_det)
-
-
 def mean_estimate(factored: FactoredCorrelation, Y: np.ndarray) -> float:
     """Generalized least squares mean (1' R^-1 1)^-1 (1' R^-1 Y)."""
     Y = np.asarray(Y, dtype=float)
@@ -209,26 +203,22 @@ class DevianceObjective:
         if L is not None:
             return self._profile(L, cholesky_log_det(L))[0]
         exact = self._exact(R)
-        return math.inf if exact is None else self._profile(*exact[:2])[0]
+        return math.inf if exact is None else self._profile(exact.factor, exact.log_det)[0]
 
     def evaluate(self, beta: np.ndarray) -> tuple[float, DevianceInfo]:
-        exact = self._exact(self._cache.correlation(beta))
-        if exact is None:
+        factored = self._exact(self._cache.correlation(beta))
+        if factored is None:
             return math.inf, DevianceInfo(0.0, math.inf, math.nan, math.nan, None)
-        L, log_det, delta, kappa = exact
-        value, mu_hat, sigma2_hat = self._profile(L, log_det)
-        factored = FactoredCorrelation(delta, log_det, L, kappa)
-        return value, DevianceInfo(delta, kappa, mu_hat, sigma2_hat, factored)
+        value, mu_hat, sigma2_hat = self._profile(factored.factor, factored.log_det)
+        return value, DevianceInfo(factored.delta, factored.kappa, mu_hat, sigma2_hat, factored)
 
-    def _exact(self, R: np.ndarray) -> tuple[np.ndarray, float, float, float] | None:
-        """(L, log det, delta, kappa) for R + delta*I with the nugget and the
-        condition number from the eigenvalues of R; None if it cannot be
-        factored."""
+    def _exact(self, R: np.ndarray) -> FactoredCorrelation | None:
+        """R + delta*I factored, with the nugget and the condition number from
+        the eigenvalues of R; None if it cannot be factored."""
         if not np.isfinite(R).all():
             return None
         try:
-            delta, kappa = nugget_and_kappa(R, self.options.a)
-            return shifted_factor(R, delta) + (delta, kappa)
+            return factorize(R, *nugget_and_kappa(R, self.options.a))
         except (IllConditionedError, np.linalg.LinAlgError):
             return None
 
@@ -251,7 +241,6 @@ class FittedGP:
     deviance: float
     fe_count: int
     options: GpOptions
-    trace: tuple[tuple[int, float], ...] = ()
 
     @property
     def d(self) -> int:
@@ -268,13 +257,12 @@ def model_at(
     options: GpOptions | None = None,
     *,
     fe_count: int = 0,
-    trace: tuple[tuple[int, float], ...] = (),
 ) -> FittedGP:
     """The emulator at one beta: its deviance, factorization and profile estimates.
 
-    `fe_count` and `trace` record how an optimizer reached beta; building the
-    model costs no counted evaluation.  Raises UnfittableError when the
-    deviance at beta is not finite.
+    `fe_count` records how many evaluations an optimizer spent reaching beta;
+    building the model costs no counted evaluation.  Raises UnfittableError
+    when the deviance at beta is not finite.
     """
     options = options or GpOptions()
     beta = np.array(beta, dtype=float)
@@ -290,7 +278,6 @@ def model_at(
         deviance=value,
         fe_count=fe_count,
         options=options,
-        trace=trace,
     )
 
 
@@ -299,6 +286,8 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != model.d:
         raise ValueError(f"points must have {model.d} columns")
+    if not np.isfinite(points).all():
+        raise ValueError("prediction points must be finite")
     factored = model.correlation
     n = model.design.n
     ones = np.ones(n)
@@ -363,15 +352,11 @@ def fit(
     objective = DevianceObjective(design, options)
     if rng is None:
         rng = np.random.default_rng(seed)
-    report: OptReport = run_strategy(
-        objective, strategy, design.d, rng, box_scale=box_scale
-    )
+    report = run_strategy(objective, strategy, design.d, rng, box_scale=box_scale)
     if report.fe_used != objective.fe_count:
         raise RuntimeError(
             f"evaluation accounting mismatch: {report.fe_used} != {objective.fe_count}"
         )
     if not math.isfinite(report.value):
         raise UnfittableError("every start produced a non-finite deviance")
-    return model_at(
-        design, report.beta_star, options, fe_count=report.fe_used, trace=report.trace
-    )
+    return model_at(design, report.beta_star, options, fe_count=report.fe_used)

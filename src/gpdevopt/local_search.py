@@ -45,18 +45,7 @@ class BfgsOptions:
 @dataclass(frozen=True)
 class IfOptions:
     box: SearchBox
-    scales: tuple[float, ...] = DEFAULT_SCALES
     max_fe: int | None = None
-
-    def __post_init__(self):
-        scales = tuple(float(s) for s in self.scales)
-        object.__setattr__(self, "scales", scales)
-        if not scales:
-            raise ValueError("at least one scale is required")
-        if any(not (0.0 < s < 1.0) for s in scales):
-            raise ValueError("scales must lie in (0, 1)")
-        if any(later >= earlier for later, earlier in zip(scales[1:], scales)):
-            raise ValueError("scales must be strictly decreasing")
 
 
 def central_gradient(objective, x: np.ndarray, rel_step: float) -> np.ndarray:
@@ -131,6 +120,14 @@ def _armijo_line_search(wrapped, x, f0, grad_slope, direction, alpha0):
     return None, None
 
 
+def _inverse_hessian_update(h_inv, s, y, sy):
+    """BFGS update of the inverse Hessian for the step s and gradient change y;
+    sy = s'y must be positive (each caller gates it on its own curvature test)."""
+    rho = 1.0 / sy
+    v = np.eye(s.size) - rho * np.outer(s, y)
+    return v @ h_inv @ v.T + rho * np.outer(s, s)
+
+
 def bfgs_minimize(objective, beta0: np.ndarray, opts: BfgsOptions | None = None) -> OptReport:
     """Unconstrained quasi-Newton descent with numerical gradients.
 
@@ -184,9 +181,7 @@ def bfgs_minimize(objective, beta0: np.ndarray, opts: BfgsOptions | None = None)
                     if not scaled:
                         h_inv = (sy / float(y @ y)) * np.eye(d)
                         scaled = True
-                    rho = 1.0 / sy
-                    v = np.eye(d) - rho * np.outer(s, y)
-                    h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
+                    h_inv = _inverse_hessian_update(h_inv, s, y, sy)
             x, f, grad = x_new, f_new, grad_new
     except BudgetExhausted:
         pass
@@ -235,8 +230,8 @@ def implicit_filtering(objective, beta0: np.ndarray, opts: IfOptions) -> OptRepo
         prev_x: np.ndarray | None = None
         scale_idx = 0
         samples: list[tuple[np.ndarray, float]] = [(x.copy(), f)]
-        while scale_idx < len(opts.scales):
-            h = opts.scales[scale_idx]
+        while scale_idx < len(DEFAULT_SCALES):
+            h = DEFAULT_SCALES[scale_idx]
             best_f = f
             best_pt: np.ndarray | None = None
             for j in range(d):
@@ -258,9 +253,7 @@ def implicit_filtering(objective, beta0: np.ndarray, opts: IfOptions) -> OptRepo
                     y = grad - prev_grad
                     sy = float(s @ y)
                     if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-                        rho = 1.0 / sy
-                        v = np.eye(d) - rho * np.outer(s, y)
-                        h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
+                        h_inv = _inverse_hessian_update(h_inv, s, y, sy)
                 prev_grad, prev_x = grad, x.copy()
                 trial = box.clamp(x - h_inv @ grad)
                 if not np.array_equal(trial, x):

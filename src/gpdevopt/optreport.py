@@ -13,16 +13,16 @@ class BudgetExhausted(Exception):
 
 @dataclass(frozen=True)
 class OptReport:
-    """Outcome of one optimizer run.
+    """Outcome of one optimizer run, or of a whole strategy (`run_strategy`).
 
-    trace holds (cumulative evaluations, best value so far) pairs; best_value
-    is nonincreasing along the trace and the last entry equals `value`.
+    fe_used counts every evaluation made.  For a strategy it is the sampling
+    evaluations plus the sum of the phases' fe_used, and beta_star/value is
+    the best local or DIRECT result, not the best sampled point.
     """
 
     beta_star: np.ndarray
     value: float
     fe_used: int
-    trace: tuple[tuple[int, float], ...]
 
 
 class CountedObjective:
@@ -39,7 +39,6 @@ class CountedObjective:
         self.count = 0
         self.best_value = np.inf
         self.best_point: np.ndarray | None = None
-        self.trace: list[tuple[int, float]] = []
 
     def __call__(self, x: np.ndarray) -> float:
         if self.max_fe is not None and self.count >= self.max_fe:
@@ -49,7 +48,6 @@ class CountedObjective:
         if value < self.best_value or self.best_point is None:
             self.best_value = value
             self.best_point = np.array(x, dtype=float, copy=True)
-            self.trace.append((self.count, value))
         return value
 
     def report(self, fallback: np.ndarray) -> OptReport:
@@ -59,31 +57,10 @@ class CountedObjective:
                 beta_star=np.array(fallback, dtype=float, copy=True),
                 value=np.inf,
                 fe_used=self.count,
-                trace=(),
             )
         return OptReport(
             beta_star=self.best_point.copy(),
             value=self.best_value,
             fe_used=self.count,
-            trace=tuple(self.trace),
         )
 
-
-def merge_traces(
-    segments: list[tuple[int, tuple[tuple[int, float], ...]]],
-) -> tuple[tuple[int, float], ...]:
-    """Concatenate per-phase traces into one global running-best trace.
-
-    Each segment is (evaluations consumed by the phase, phase trace); phase
-    evaluation counts become cumulative offsets.
-    """
-    merged: list[tuple[int, float]] = []
-    offset = 0
-    best = np.inf
-    for fe_used, trace in segments:
-        for fe, value in trace:
-            if value < best or not merged:
-                best = min(best, value)
-                merged.append((offset + fe, best))
-        offset += fe_used
-    return tuple(merged)

@@ -184,6 +184,34 @@ class TestPredictCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("malformed", ["missing-points", "json-array", "json-number"])
+    def test_malformed_model_file_rejected(self, tmp_path, capsys, malformed):
+        model_path, native, _ = self.fit_hump(tmp_path)
+        points = tmp_path / "pts.csv"
+        write_csv(points, ["x1"], [[v] for v in native[:, 0]])
+        payload = json.loads(model_path.read_text())
+        if malformed == "missing-points":
+            del payload["points"]
+        elif malformed == "json-array":
+            payload = [payload]
+        else:
+            payload = 1.0
+        model_path.write_text(json.dumps(payload))
+        rc = main(["predict", "--model", str(model_path), "--points", str(points)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_non_finite_points_rejected(self, tmp_path, capsys):
+        model_path, native, _ = self.fit_hump(tmp_path)
+        points = tmp_path / "pts.csv"
+        write_csv(points, ["x1"], [[native[0, 0]], ["nan"]])
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--model", str(model_path), "--points", str(points), "--out", str(out)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_points_clamped_with_warning(self, tmp_path):
         model_path, native, _ = self.fit_hump(tmp_path)
         points = tmp_path / "far.csv"

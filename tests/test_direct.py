@@ -50,7 +50,6 @@ class TestDirectSearch:
         assert np.array_equal(first.beta_star, second.beta_star)
         assert first.value == second.value
         assert first.fe_used == second.fe_used
-        assert first.trace == second.trace
 
     def test_fe_count_exact(self):
         fn, calls = counting(lambda x: float(np.sum((x - 0.3) ** 2)))
@@ -61,14 +60,6 @@ class TestDirectSearch:
         box = SearchBox(np.array([-2.0]), np.array([3.0]))
         report = direct_search(lambda x: float(np.cos(3 * x[0])), box, fe_budget=80)
         assert box.contains(report.beta_star)
-
-    def test_trace_monotone(self):
-        report = direct_search(
-            lambda x: float(np.sin(9 * x[0])), unit_box(1), fe_budget=90
-        )
-        values = [v for _, v in report.trace]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-        assert values[-1] == report.value
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

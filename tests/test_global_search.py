@@ -139,7 +139,7 @@ class TestKmeans:
 class TestClusterStarts:
     def test_d1_two_d_plus_one(self):
         fn, calls = counting(lambda x: float(x @ x))
-        starts, fe, _ = cluster_starts(
+        starts, fe = cluster_starts(
             fn, default_beta_box(1), 1, 3, True, np.random.default_rng(0)
         )
         assert len(starts) == 3  # 2 cluster centers + best diagonal point
@@ -147,7 +147,7 @@ class TestClusterStarts:
 
     def test_d2_half_d(self):
         fn, calls = counting(lambda x: float(x @ x))
-        starts, fe, _ = cluster_starts(
+        starts, fe = cluster_starts(
             fn, default_beta_box(2), 2, 1, False, np.random.default_rng(1)
         )
         assert len(starts) == 1
@@ -155,7 +155,7 @@ class TestClusterStarts:
 
     def test_d10_half_d_sampling_budget(self):
         fn, calls = counting(lambda x: float(x @ x))
-        starts, fe, _ = cluster_starts(
+        starts, fe = cluster_starts(
             fn, default_beta_box(10), 10, 5, False, np.random.default_rng(3)
         )
         assert len(starts) == 5
@@ -163,7 +163,7 @@ class TestClusterStarts:
 
     def test_starts_inside_box(self):
         box = default_beta_box(2)
-        starts, _, _ = cluster_starts(
+        starts, _ = cluster_starts(
             lambda x: float(np.sin(x[0]) + x[1] ** 2),
             box,
             2,
@@ -231,13 +231,3 @@ class TestRunStrategy:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             run_strategy(lambda x: 0.0, "NEWTON", 1, np.random.default_rng(0))
-
-    def test_merged_trace_monotone(self):
-        obj = hump_objective(seed=13)
-        report = run_strategy(obj, "MS-BFGS-2d1", 1, np.random.default_rng(2))
-        values = [v for _, v in report.trace]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-        assert values[-1] == report.value
-        fes = [fe for fe, _ in report.trace]
-        assert all(a < b for a, b in zip(fes, fes[1:]))
-        assert fes[-1] <= report.fe_used

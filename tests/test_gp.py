@@ -19,7 +19,7 @@ from gpdevopt.gp import (
     DesignSet,
     DevianceObjective,
     GpOptions,
-    _profile,
+    _Profile,
     evaluate_deviance,
     fit,
     mean_estimate,
@@ -254,6 +254,14 @@ class TestPredict:
         _, mse = predict_many(model, grid)
         assert np.all(mse >= 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        model = self.build_model()
+        with pytest.raises(ValueError, match="finite"):
+            predict_many(model, np.array([[0.5], [bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            predict(model, np.array([bad]))
+
 
 class TestFit:
     def test_hump_matches_grid_oracle(self):
@@ -385,7 +393,7 @@ def _exact_deviance(ds, beta, a):
         factored = factorize(R, *nugget_and_kappa(R, a))
     except IllConditionedError:
         return math.inf
-    return _profile(factored.factor, factored.log_det, ds.outputs)[0]
+    return _Profile(ds.outputs)(factored.factor, factored.log_det)[0]
 
 
 def _passes_pivot_test(R, a):

@@ -7,8 +7,10 @@ from gpdevopt.boxes import SearchBox, if_beta_box
 from gpdevopt.global_search import lhd_maximin
 from gpdevopt.gp import DesignSet, DevianceObjective
 from gpdevopt.local_search import (
+    DEFAULT_SCALES,
     BfgsOptions,
     IfOptions,
+    _inverse_hessian_update,
     bfgs_minimize,
     central_gradient,
     implicit_filtering,
@@ -44,14 +46,30 @@ class TestOptionsValidation:
         with pytest.raises(ValueError):
             BfgsOptions(max_iters=0)
 
-    def test_if_options(self):
-        box = SearchBox(np.zeros(1), np.ones(1))
-        with pytest.raises(ValueError):
-            IfOptions(box=box, scales=(0.5, 0.5))
-        with pytest.raises(ValueError):
-            IfOptions(box=box, scales=(0.25, 0.5))
-        with pytest.raises(ValueError):
-            IfOptions(box=box, scales=(1.5, 0.5))
+
+class TestInverseHessianUpdate:
+    def test_symmetric_and_secant(self):
+        rng = np.random.default_rng(0)
+        checked = 0
+        for d in (1, 2, 3, 5, 8):
+            for _ in range(20):
+                a = rng.standard_normal((d, d))
+                h_inv = a @ a.T + 0.1 * np.eye(d)
+                s, y = rng.standard_normal(d), rng.standard_normal(d)
+                sy = float(s @ y)
+                if sy <= 1e-3 * np.linalg.norm(s) * np.linalg.norm(y):
+                    continue
+                checked += 1
+                updated = _inverse_hessian_update(h_inv, s, y, sy)
+                # Symmetric and secant up to rounding (the product v H v' is
+                # not formed symmetrically, so the two halves may differ in
+                # their last bits).
+                scale = np.abs(updated).max()
+                np.testing.assert_allclose(updated, updated.T, rtol=0, atol=1e-12 * scale)
+                np.testing.assert_allclose(updated @ y, s, rtol=1e-8, atol=1e-8 * np.abs(s).max())
+                # Positive definiteness survives a positive-curvature update.
+                assert np.linalg.eigvalsh(updated).min() > 0.0
+        assert checked >= 30
 
 
 class TestCentralGradient:
@@ -116,12 +134,6 @@ class TestBfgs:
         assert calls["n"] <= 37
         assert report.fe_used == calls["n"]
 
-    def test_trace_monotone_and_final(self):
-        report = bfgs_minimize(rosenbrock, np.array([-1.2, 1.0]))
-        values = [v for _, v in report.trace]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-        assert values[-1] == report.value
-
 
 class TestImplicitFiltering:
     def test_convex_bowl_converges_to_center(self):
@@ -133,7 +145,8 @@ class TestImplicitFiltering:
 
         report = implicit_filtering(bowl, np.array([-1.5, 2.5]), IfOptions(box=box))
         h_min = 2.0 ** -7
-        span = box.span()
+        lo, hi = box.bounds()
+        span = hi - lo
         assert np.all(np.abs(report.beta_star - center) <= h_min * span + 1e-12)
 
     def test_hump_deviance_beats_grid(self):
@@ -168,11 +181,13 @@ class TestImplicitFiltering:
 
     def test_boundary_stencil_points_clamped_and_counted(self):
         # Start on the boundary: half the stencil clamps onto the incumbent's
-        # side yet every probe still costs an evaluation.
+        # side yet every probe still costs an evaluation.  Neither probe
+        # improves and the model step clamps back onto the incumbent, so each
+        # scale costs exactly its two probes.
         box = SearchBox(np.zeros(1), np.ones(1))
         fn, calls = counting(lambda x: float(x[0]))
-        implicit_filtering(fn, np.array([0.0]), IfOptions(box=box, scales=(0.5,)))
-        assert calls["n"] >= 3  # start + two stencil probes at the single scale
+        report = implicit_filtering(fn, np.array([0.0]), IfOptions(box=box))
+        assert calls["n"] == report.fe_used == 1 + 2 * len(DEFAULT_SCALES)
 
     def test_fe_conservation_and_budget(self):
         obj = hump_deviance_objective(seed=3)
@@ -180,11 +195,3 @@ class TestImplicitFiltering:
         box = if_beta_box(1)
         report = implicit_filtering(fn, np.array([0.0]), IfOptions(box=box, max_fe=20))
         assert report.fe_used == calls["n"] <= 20
-
-    def test_trace_monotone(self):
-        obj = hump_deviance_objective(seed=5)
-        box = if_beta_box(1)
-        report = implicit_filtering(obj, np.array([1.0]), IfOptions(box=box))
-        values = [v for _, v in report.trace]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-        assert values[-1] == report.value
