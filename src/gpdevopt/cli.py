@@ -129,26 +129,36 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
         raise ValueError(f"{path}: model file lacks {', '.join(missing)}")
     if payload["format_version"] != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format")
-    # Column-major, as `_load_training_csv` builds it: the kernel's reduction
-    # order follows the layout of the points, so this rebuilds bit for bit the
-    # model that `fit` returned.
-    points = np.array(payload["points"], dtype=float, order="F")
-    design = DesignSet(points, np.array(payload["outputs"]))
-    p = np.array(payload["p"], dtype=float)
+    try:
+        # Column-major, as `_load_training_csv` builds it: the kernel's
+        # reduction order follows the layout of the points, so this rebuilds
+        # bit for bit the model that `fit` returned.
+        points = np.array(payload["points"], dtype=float, order="F")
+        outputs = np.array(payload["outputs"], dtype=float)
+        p = np.array(payload["p"], dtype=float)
+        a = float(payload["condition_exponent"])
+        beta = np.array(payload["beta"], dtype=float)
+        fe_count = int(payload["fe_count"])
+        stored_deviance = float(payload["deviance"])
+        mins = np.array(payload["input_min"], dtype=float)
+        maxs = np.array(payload["input_max"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{path}: a model file value has the wrong type ({exc})") from None
+    design = DesignSet(points, outputs)
     if p.shape != (design.d,) or np.any(p != p[0]):
         raise ValueError(f"{path}: p must repeat one exponent per input column")
-    options = GpOptions(p_exponent=float(p[0]), a=float(payload["condition_exponent"]))
-    model = model_at(design, payload["beta"], options, fe_count=int(payload["fe_count"]))
+    options = GpOptions(p_exponent=float(p[0]), a=a)
+    model = model_at(design, beta, options, fe_count=fe_count)
     # Recomputing the deviance verifies the file: the bound is the rounding
     # error of two float64 evaluations at the condition number of R + delta*I.
     kappa = min(model.correlation.kappa, math.exp(options.a))
     tol = 1e-8 * max(abs(model.deviance), 1.0) + (design.n + 1) * kappa * np.finfo(float).eps
-    if not abs(float(payload["deviance"]) - model.deviance) <= tol:
+    if not abs(stored_deviance - model.deviance) <= tol:
         raise ValueError(
             f"{path}: stored deviance {payload['deviance']!r} does not match "
             f"{model.deviance!r} recomputed from the file's data and beta"
         )
-    return model, np.array(payload["input_min"]), np.array(payload["input_max"])
+    return model, mins, maxs
 
 
 def _write_rows(path: str | None, header: list[str], rows: list[list]) -> None:
@@ -194,6 +204,9 @@ def _cmd_predict(args) -> int:
     if rows:
         data = np.array(rows)
         x_native = data[:, [header.index(name) for name in x_names]]
+        bad = np.flatnonzero(~np.isfinite(x_native).all(axis=1))
+        if bad.size:
+            raise ValueError(f"{args.points}: non-finite input coordinate in data row {bad[0] + 1}")
         x_scaled = (x_native - mins) / (maxs - mins)
         if np.any(x_scaled < 0.0) or np.any(x_scaled > 1.0):
             warnings.warn("inputs outside the training range; clamping to [0, 1]")

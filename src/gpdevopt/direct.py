@@ -5,12 +5,18 @@ algorithm repeatedly selects potentially optimal rectangles (the lower-right
 convex hull of size versus value, with the usual epsilon improvement
 condition) and trisects each along its longest sides.  Everything is
 deterministic: identical inputs and budget give identical output.
+
+Live rectangles are kept per size class (Gablonsky's DIRECT v2.0 lists), so
+an iteration reads one top per class rather than scanning every rectangle:
+each class is ordered by (value, insertion), and its top is exactly the
+rectangle a scan in insertion order would pick, first on ties.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,60 +33,82 @@ class Rectangle:
     """Hyper-rectangle in unit-cube coordinates.
 
     levels[j] counts trisections along dimension j, so the side length in
-    dimension j is 3**-levels[j].
+    dimension j is 3**-levels[j].  Rectangles share a size class (size_key)
+    iff their level multisets match.
     """
 
     center: np.ndarray
-    levels: np.ndarray
+    levels: tuple[int, ...]
     value: float
-    size_key: tuple[int, ...] = field(init=False)
-    measure: float = field(init=False)
-
-    def __post_init__(self):
-        # Rectangles share a size class iff their level multisets match.
-        self.size_key = tuple(sorted(int(v) for v in self.levels))
-        sides = 3.0 ** (-self.levels.astype(float))
-        self.measure = 0.5 * float(np.linalg.norm(sides))
+    size_key: tuple[int, ...]
+    measure: float
 
 
-def potentially_optimal(rects: list[Rectangle], f_min: float) -> list[Rectangle]:
-    """Rectangles on the lower-right hull of (measure, value).
+class SizeClasses:
+    """The live rectangles of a DIRECT run, kept per size class.
 
-    Within each size class only the lowest-value rectangle (first on ties)
-    can qualify.  A candidate must admit some K > 0 with
-    value - K * measure below every other candidate's bound and below
-    f_min - EPSILON * |f_min|.
+    Each class is a heap ordered by (value, insertion number), so its top is
+    the lowest-value rectangle and the first inserted on ties: the one a scan
+    of all rectangles in insertion order keeps with a strict `<`.  Values are
+    never NaN (`add` rejects one), so that order is total.  A rectangle's
+    measure, half the diagonal, is computed from its own levels as a norm
+    whose last bit can depend on their order, and is memoised per levels.
     """
-    by_size: dict[tuple[int, ...], Rectangle] = {}
-    for rect in rects:
-        cur = by_size.get(rect.size_key)
-        if cur is None or rect.value < cur.value:
-            by_size[rect.size_key] = rect
-    candidates = sorted(by_size.values(), key=lambda r: r.measure)
+
+    def __init__(self):
+        self._heaps: dict[tuple[int, ...], list] = {}
+        self._shapes: dict[tuple[int, ...], tuple[tuple[int, ...], float]] = {}
+        self._inserted = 0
+
+    def add(self, center: np.ndarray, levels: tuple[int, ...], value: float) -> Rectangle:
+        if math.isnan(value):
+            raise ValueError("DIRECT objective returned NaN")
+        shape = self._shapes.get(levels)
+        if shape is None:
+            sides = 3.0 ** (-np.array(levels, dtype=float))
+            shape = (tuple(sorted(levels)), 0.5 * float(np.linalg.norm(sides)))
+            self._shapes[levels] = shape
+        rect = Rectangle(center, levels, value, *shape)
+        self._inserted += 1
+        heapq.heappush(self._heaps.setdefault(rect.size_key, []), (value, self._inserted, rect))
+        return rect
+
+    def tops(self) -> list[Rectangle]:
+        """The top rectangle of every class, by increasing measure."""
+        return sorted((heap[0][2] for heap in self._heaps.values()), key=lambda r: r.measure)
+
+    def remove_top(self, rect: Rectangle) -> None:
+        """Remove `rect`, which must be the top of its class."""
+        heap = self._heaps[rect.size_key]
+        heapq.heappop(heap)
+        if not heap:
+            del self._heaps[rect.size_key]
+
+
+def potentially_optimal(tops: list[Rectangle], f_min: float) -> list[Rectangle]:
+    """Class tops on the lower-right hull of (measure, value).
+
+    Within each size class only the top (`SizeClasses.tops`) can qualify.  A
+    candidate must admit some K > 0 with value - K * measure below every
+    other candidate's bound and below f_min - EPSILON * |f_min|.  Values are
+    never NaN, so no slope below is NaN either.
+    """
     chosen: list[Rectangle] = []
-    measures = np.array([r.measure for r in candidates])
-    values = np.array([r.value for r in candidates])
-    for j, rect in enumerate(candidates):
+    for rect in tops:
         dj, fj = rect.measure, rect.value
         if not math.isfinite(fj):
             continue
-        smaller = values[measures < dj]
-        larger_mask = measures > dj
-        max_lower = -math.inf
-        if smaller.size:
-            max_lower = np.max((fj - smaller) / (dj - measures[measures < dj]))
-        min_upper = math.inf
-        if larger_mask.any():
-            min_upper = np.min((values[larger_mask] - fj) / (measures[larger_mask] - dj))
-        if max_lower > min_upper:
-            continue
-        if larger_mask.any():
+        larger = [(r.value - fj) / (r.measure - dj) for r in tops if r.measure > dj]
+        min_upper = min(larger, default=math.inf)
+        if larger:
             if f_min != 0.0:
                 bound = (f_min - fj) / abs(f_min) + (dj / abs(f_min)) * min_upper
                 if bound < EPSILON:
                     continue
             elif fj > dj * min_upper:
                 continue
+        if any((fj - r.value) / (dj - r.measure) > min_upper for r in tops if r.measure < dj):
+            continue
         chosen.append(rect)
     return chosen
 
@@ -90,7 +118,7 @@ def direct_search(objective, box: SearchBox, fe_budget: int) -> OptReport:
 
     The run halts as soon as the budget is consumed, mid-division if
     necessary, and reports the best center found together with the exact
-    number of evaluations used.
+    number of evaluations used.  The objective must not return NaN.
     """
     if fe_budget < 1:
         raise ValueError("fe_budget must be at least 1")
@@ -103,35 +131,32 @@ def direct_search(objective, box: SearchBox, fe_budget: int) -> OptReport:
 
     wrapped = CountedObjective(unit_objective, max_fe=fe_budget)
     center = np.full(d, 0.5)
-    rects: list[Rectangle] = []
+    classes = SizeClasses()
     try:
-        value = wrapped(center)
-        rects.append(Rectangle(center, np.zeros(d, dtype=int), value))
+        classes.add(center, (0,) * d, wrapped(center))
         while True:
-            selected = potentially_optimal(rects, wrapped.best_value)
+            selected = potentially_optimal(classes.tops(), wrapped.best_value)
             if not selected:
                 break
-            selected_ids = {id(r) for r in selected}
-            new_rects: list[Rectangle] = []
             for rect in selected:
-                new_rects.extend(_divide(rect, wrapped))
-            rects = [r for r in rects if id(r) not in selected_ids]
-            rects.extend(new_rects)
+                classes.remove_top(rect)
+            for rect in selected:
+                _divide(rect, wrapped, classes)
     except BudgetExhausted:
         pass
     report = wrapped.report(fallback=center)
     return replace(report, beta_star=lo + report.beta_star * width)
 
 
-def _divide(rect: Rectangle, wrapped: CountedObjective) -> list[Rectangle]:
-    """Trisect `rect` along all of its longest dimensions.
+def _divide(rect: Rectangle, wrapped: CountedObjective, classes: SizeClasses) -> None:
+    """Trisect `rect` along all of its longest dimensions into `classes`.
 
     The two offset centers of every longest dimension are sampled first;
     dimensions are then split in order of their best sampled value (ties to
     the lowest index), so better regions end up in larger children.
     """
-    min_level = int(rect.levels.min())
-    long_dims = [j for j in range(rect.levels.size) if rect.levels[j] == min_level]
+    min_level = min(rect.levels)
+    long_dims = [j for j, level in enumerate(rect.levels) if level == min_level]
     delta = 3.0 ** (-(min_level + 1))
     sampled: dict[int, tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]] = {}
     ranking: list[tuple[float, int]] = []
@@ -145,11 +170,9 @@ def _divide(rect: Rectangle, wrapped: CountedObjective) -> list[Rectangle]:
         sampled[j] = ((plus, f_plus), (minus, f_minus))
         ranking.append((min(f_plus, f_minus), j))
     ranking.sort()
-    children: list[Rectangle] = []
-    levels = rect.levels.copy()
+    levels = list(rect.levels)
     for _, j in ranking:
         levels[j] += 1
         for point, value in sampled[j]:
-            children.append(Rectangle(point, levels.copy(), value))
-    children.append(Rectangle(rect.center, levels, rect.value))
-    return children
+            classes.add(point, tuple(levels), value)
+    classes.add(rect.center, tuple(levels), rect.value)

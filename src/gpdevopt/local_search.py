@@ -238,7 +238,7 @@ def implicit_filtering(objective, beta0: np.ndarray, opts: IfOptions) -> OptRepo
                 for sign in (1.0, -1.0):
                     pt = x.copy()
                     pt[j] += sign * h * span[j]
-                    pt = box.clamp(pt)
+                    pt = np.clip(pt, lo, hi)
                     val = wrapped(pt)
                     samples.append((pt, val))
                     if val < best_f:
@@ -255,7 +255,7 @@ def implicit_filtering(objective, beta0: np.ndarray, opts: IfOptions) -> OptRepo
                     if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
                         h_inv = _inverse_hessian_update(h_inv, s, y, sy)
                 prev_grad, prev_x = grad, x.copy()
-                trial = box.clamp(x - h_inv @ grad)
+                trial = np.clip(x - h_inv @ grad, lo, hi)
                 if not np.array_equal(trial, x):
                     val = wrapped(trial)
                     samples.append((trial, val))

@@ -184,7 +184,9 @@ class TestPredictCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("malformed", ["missing-points", "json-array", "json-number"])
+    @pytest.mark.parametrize(
+        "malformed", ["missing-points", "json-array", "json-number", "fe-count-null", "beta-object"]
+    )
     def test_malformed_model_file_rejected(self, tmp_path, capsys, malformed):
         model_path, native, _ = self.fit_hump(tmp_path)
         points = tmp_path / "pts.csv"
@@ -194,6 +196,10 @@ class TestPredictCommand:
             del payload["points"]
         elif malformed == "json-array":
             payload = [payload]
+        elif malformed == "fe-count-null":
+            payload["fe_count"] = None
+        elif malformed == "beta-object":
+            payload["beta"] = {}
         else:
             payload = 1.0
         model_path.write_text(json.dumps(payload))
@@ -203,14 +209,16 @@ class TestPredictCommand:
         assert err.startswith("error:") and "Traceback" not in err
 
     def test_non_finite_points_rejected(self, tmp_path, capsys):
+        # Infinite coordinates are rejected too, not clamped into range.
         model_path, native, _ = self.fit_hump(tmp_path)
         points = tmp_path / "pts.csv"
-        write_csv(points, ["x1"], [[native[0, 0]], ["nan"]])
         out = tmp_path / "pred.csv"
-        rc = main(["predict", "--model", str(model_path), "--points", str(points), "--out", str(out)])
-        assert rc == 2
-        assert "finite" in capsys.readouterr().err
-        assert not out.exists()
+        for bad in ("nan", "inf", "-inf"):
+            write_csv(points, ["x1"], [[native[0, 0]], [bad]])
+            rc = main(["predict", "--model", str(model_path), "--points", str(points), "--out", str(out)])
+            assert rc == 2
+            assert "non-finite input coordinate in data row 2" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_out_of_range_points_clamped_with_warning(self, tmp_path):
         model_path, native, _ = self.fit_hump(tmp_path)

@@ -103,6 +103,27 @@ class TestLatinHypercube:
         with pytest.raises(ValueError):
             lhd_maximin(1, SearchBox(np.zeros(1), np.ones(1)), np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "count, d, candidates",
+        [(10, 1, 50), (40, 1, 50), (200, 1, 50), (20, 2, 50), (400, 2, 50), (50, 5, 50),
+         (100, 10, 50), (1000, 10, 50), (200, 1, 7), (400, 2, 300)],
+    )
+    def test_matches_full_pdist_scoring(self, count, d, candidates):
+        # Shapes on both sides of SWEEP_MIN_POINTS_PER_DIM2, against every
+        # candidate scored by pdist: the same design, bit for bit.
+        box = SearchBox(np.full(d, -1.5), np.full(d, 2.0))
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            lo, hi = box.bounds()
+            expected, best_score = None, -math.inf
+            for _ in range(candidates):
+                sample = lo + lhd_unit_sample(count, d, rng) * (hi - lo)
+                score = float(pdist(sample).min())
+                if score > best_score:
+                    expected, best_score = sample, score
+            got = lhd_maximin(count, box, np.random.default_rng(seed), candidates=candidates)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
 
 class TestKmeans:
     def test_identical_points_collapse_to_one_center(self):
