@@ -27,8 +27,6 @@ from .gp import (
     variance_estimate,
 )
 from .local_search import (
-    BfgsOptions,
-    IfOptions,
     OptReport,
     bfgs_minimize,
     central_gradient,
@@ -48,7 +46,6 @@ from .testbed import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BfgsOptions",
     "BenchmarkResult",
     "DegenerateDataError",
     "DesignSet",
@@ -57,7 +54,6 @@ __all__ = [
     "FactoredCorrelation",
     "FittedGP",
     "GpOptions",
-    "IfOptions",
     "IllConditionedError",
     "OptReport",
     "Prediction",

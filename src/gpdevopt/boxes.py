@@ -29,7 +29,11 @@ class SearchBox:
             raise ValueError("lower and upper must be 1-D vectors of equal length")
         if not self.scale > 0.0:
             raise ValueError("scale must be positive")
-        lo, hi = self.bounds()
+        # An overflowing scale yields infinite bounds; the check reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = self.bounds()
+        if not np.isfinite([lo, hi]).all():
+            raise ValueError("box bounds must be finite after scaling")
         if np.any(lo >= hi):
             raise ValueError("box is empty after scaling")
 
@@ -42,20 +46,6 @@ class SearchBox:
         center = 0.5 * (self.lower + self.upper)
         half = 0.5 * self.scale * (self.upper - self.lower)
         return center - half, center + half
-
-    def clamp(self, x: np.ndarray) -> np.ndarray:
-        lo, hi = self.bounds()
-        return np.clip(np.asarray(x, dtype=float), lo, hi)
-
-    def contains(self, x: np.ndarray) -> bool:
-        lo, hi = self.bounds()
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= lo) and np.all(x <= hi))
-
-    def diagonal_point(self, t: float) -> np.ndarray:
-        """Point at fraction t along the main diagonal (t=0 lower corner)."""
-        lo, hi = self.bounds()
-        return lo + t * (hi - lo)
 
 
 def default_beta_box(d: int, scale: float = 1.0) -> SearchBox:

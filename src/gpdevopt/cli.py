@@ -147,6 +147,12 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
     design = DesignSet(points, outputs)
     if p.shape != (design.d,) or np.any(p != p[0]):
         raise ValueError(f"{path}: p must repeat one exponent per input column")
+    if not (
+        mins.shape == maxs.shape == (design.d,)
+        and np.isfinite([mins, maxs]).all()
+        and np.all(maxs > mins)
+    ):
+        raise ValueError(f"{path}: input_min/input_max must be finite with max > min per column")
     options = GpOptions(p_exponent=float(p[0]), a=a)
     model = model_at(design, beta, options, fe_count=fe_count)
     # Recomputing the deviance verifies the file: the bound is the rounding
@@ -348,16 +354,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--strategy", default="DIRECT-BFGS", choices=STRATEGIES)
-        p.add_argument("--p", type=float, default=2.0, choices=[2.0, 1.99])
-        p.add_argument("--box-scale", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=0)
+    # Options shared by every subcommand that fits: fit, surface, benchmark.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p", type=float, default=2.0, choices=[2.0, 1.99])
+    common.add_argument("--box-scale", type=float, default=1.0)
+    common.add_argument("--seed", type=int, default=0)
+    one_strategy = argparse.ArgumentParser(add_help=False, parents=[common])
+    one_strategy.add_argument("--strategy", default="DIRECT-BFGS", choices=STRATEGIES)
 
-    p_fit = sub.add_parser("fit", help="fit a model from a training CSV")
+    p_fit = sub.add_parser("fit", parents=[one_strategy], help="fit a model from a training CSV")
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--out", required=True)
-    add_common(p_fit)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_pred = sub.add_parser("predict", help="predict at new points from a model file")
@@ -366,28 +373,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--out", default=None)
     p_pred.set_defaults(func=_cmd_predict)
 
-    p_bench = sub.add_parser("benchmark", help="benchmark strategies on test functions")
+    p_bench = sub.add_parser(
+        "benchmark", parents=[common], help="benchmark strategies on test functions"
+    )
     p_bench.add_argument(
         "--function", required=True, choices=list(TEST_FUNCTION_NAMES) + ["all"]
     )
     p_bench.add_argument("--strategies", default=",".join(STRATEGIES))
     p_bench.add_argument("--replicates", type=int, default=25)
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--format", default="markdown", choices=["csv", "json", "markdown"])
     p_bench.add_argument("--out", default=None)
     p_bench.add_argument("--raw-out", default=None, help="per-replicate CSV path")
-    p_bench.add_argument("--p", type=float, default=2.0, choices=[2.0, 1.99])
-    p_bench.add_argument("--box-scale", type=float, default=1.0)
     p_bench.set_defaults(func=_cmd_benchmark)
 
-    p_surf = sub.add_parser("surface", help="dump a deviance or prediction surface grid")
+    p_surf = sub.add_parser(
+        "surface", parents=[one_strategy], help="dump a deviance or prediction surface grid"
+    )
     source = p_surf.add_mutually_exclusive_group(required=True)
     source.add_argument("--function", choices=list(TEST_FUNCTION_NAMES))
     source.add_argument("--data")
     p_surf.add_argument("--grid", type=int, required=True)
     p_surf.add_argument("--out", default=None)
     p_surf.add_argument("--what", default="deviance", choices=["deviance", "prediction"])
-    add_common(p_surf)
     p_surf.set_defaults(func=_cmd_surface)
     return parser
 

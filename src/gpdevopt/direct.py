@@ -120,8 +120,6 @@ def direct_search(objective, box: SearchBox, fe_budget: int) -> OptReport:
     necessary, and reports the best center found together with the exact
     number of evaluations used.  The objective must not return NaN.
     """
-    if fe_budget < 1:
-        raise ValueError("fe_budget must be at least 1")
     lo, hi = box.bounds()
     width = hi - lo
     d = box.d
@@ -144,7 +142,7 @@ def direct_search(objective, box: SearchBox, fe_budget: int) -> OptReport:
                 _divide(rect, wrapped, classes)
     except BudgetExhausted:
         pass
-    report = wrapped.report(fallback=center)
+    report = wrapped.report()
     return replace(report, beta_star=lo + report.beta_star * width)
 
 

@@ -16,7 +16,7 @@ from scipy.spatial.distance import pdist
 
 from .boxes import SearchBox, default_beta_box, if_beta_box
 from .direct import direct_search
-from .local_search import IfOptions, bfgs_minimize, implicit_filtering
+from .local_search import bfgs_minimize, implicit_filtering
 from .optreport import CountedObjective, OptReport
 
 STRATEGIES = (
@@ -44,6 +44,7 @@ REJECT_MARGIN = 1e-9
 # 8 seeds per shape.
 SWEEP_MIN_POINTS_PER_DIM2 = 8
 
+# Lloyd runs per k-means clustering; the lowest within-cluster SSE wins.
 KMEANS_RESTARTS = 5
 
 # Fractions along the box diagonal probed for the extra multistart point.
@@ -67,13 +68,8 @@ def lhd_unit_sample(count: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return (strata + rng.random((count, d))) / count
 
 
-def lhd_maximin(
-    count: int,
-    box: SearchBox,
-    rng: np.random.Generator,
-    candidates: int = LHD_CANDIDATES,
-) -> np.ndarray:
-    """Maximin Latin hypercube design: best of `candidates` random samples.
+def lhd_maximin(count: int, box: SearchBox, rng: np.random.Generator) -> np.ndarray:
+    """Maximin Latin hypercube design: best of LHD_CANDIDATES random samples.
 
     The winner maximizes the minimum pairwise distance, measured in box
     coordinates (Morris & Mitchell's maximin criterion); the first of equal
@@ -92,7 +88,7 @@ def lhd_maximin(
     sweep = count >= SWEEP_MIN_POINTS_PER_DIM2 * box.d ** 2
     best: np.ndarray | None = None
     best_score = -math.inf
-    for _ in range(candidates):
+    for _ in range(LHD_CANDIDATES):
         sample = lo + lhd_unit_sample(count, box.d, rng) * (hi - lo)
         if sweep and best is not None and _has_closer_pair(
             sample, best_score * best_score * (1.0 - REJECT_MARGIN)
@@ -123,16 +119,11 @@ def _has_closer_pair(points: np.ndarray, limit: float) -> bool:
     return False
 
 
-def kmeans_best(
-    points: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    restarts: int = KMEANS_RESTARTS,
-) -> np.ndarray:
-    """Cluster centers from the best of `restarts` Lloyd runs (lowest SSE)."""
+def kmeans_best(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Cluster centers from the best of KMEANS_RESTARTS Lloyd runs (lowest SSE)."""
     best_centers: np.ndarray | None = None
     best_sse = math.inf
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers, sse = _lloyd(points, k, rng)
         if sse < best_sse:
             best_centers, best_sse = centers, sse
@@ -167,7 +158,6 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator):
 def cluster_starts(
     objective,
     box: SearchBox,
-    d: int,
     n_starts: int,
     include_diagonal: bool,
     rng: np.random.Generator,
@@ -185,6 +175,7 @@ def cluster_starts(
     k = n_starts - 1 if include_diagonal else n_starts
     if k < 1:
         raise ValueError("at least one cluster center is required")
+    d = box.d
     wrapped = CountedObjective(objective)
     sample = lhd_maximin(SAMPLING_FE_PER_DIM * d, box, rng)
     values = np.array([wrapped(point) for point in sample])
@@ -192,7 +183,8 @@ def cluster_starts(
     centers = kmeans_best(sample[keep], k, rng)
     starts = [centers[i].copy() for i in range(k)]
     if include_diagonal:
-        diag_points = [box.diagonal_point(t) for t in DIAGONAL_FRACTIONS]
+        lo, hi = box.bounds()
+        diag_points = [lo + t * (hi - lo) for t in DIAGONAL_FRACTIONS]
         diag_values = [wrapped(point) for point in diag_points]
         starts.append(diag_points[int(np.argmin(diag_values))])
     return starts, wrapped.count
@@ -229,29 +221,27 @@ def run_strategy(
     start_box = default_beta_box(d, scale=box_scale)
     pattern_box = if_beta_box(d, scale=box_scale)
 
-    def run_if(start: np.ndarray, max_fe: int | None = None) -> OptReport:
-        return implicit_filtering(objective, start, IfOptions(box=pattern_box, max_fe=max_fe))
-
     fe_sampling = 0
     if strategy.startswith("MS-") or strategy == "IF2":
         include_diagonal = strategy.endswith("2d1")
         starts, fe_sampling = cluster_starts(
-            objective, start_box, d, multistart_count(strategy, d), include_diagonal, rng
+            objective, start_box, multistart_count(strategy, d), include_diagonal, rng
         )
         if strategy == "IF2":
-            stage1 = [run_if(start, max_fe=IF2_STAGE1_FE_PER_DIM * d) for start in starts]
+            cap = IF2_STAGE1_FE_PER_DIM * d
+            stage1 = [implicit_filtering(objective, start, pattern_box, cap) for start in starts]
             best_stage1 = min(stage1, key=lambda r: r.value)
-            reports = stage1 + [run_if(best_stage1.beta_star)]
+            reports = stage1 + [implicit_filtering(objective, best_stage1.beta_star, pattern_box)]
         elif "BFGS" in strategy:
             reports = [bfgs_minimize(objective, start) for start in starts]
         else:
-            reports = [run_if(start) for start in starts]
+            reports = [implicit_filtering(objective, start, pattern_box) for start in starts]
     else:
         global_report = direct_search(objective, start_box, SAMPLING_FE_PER_DIM * d)
         if strategy == "DIRECT-BFGS":
             local_report = bfgs_minimize(objective, global_report.beta_star)
         else:
-            local_report = run_if(global_report.beta_star)
+            local_report = implicit_filtering(objective, global_report.beta_star, pattern_box)
         reports = [global_report, local_report]
     best = min(reports, key=lambda r: r.value)
     return OptReport(

@@ -89,8 +89,13 @@ class GpOptions:
     def __post_init__(self):
         if not 0.0 < self.p_exponent <= 2.0:
             raise ValueError("smoothness exponent must lie in (0, 2]")
-        if not self.a > 0.0:
-            raise ValueError("condition threshold exponent a must be positive")
+        # exp(a) - 1 divides the nugget bound: it must be finite and positive.
+        try:
+            ceiling_ok = 1.0 < math.exp(self.a) < math.inf
+        except OverflowError:
+            ceiling_ok = False
+        if not ceiling_ok:
+            raise ValueError("condition threshold exponent a must be positive with finite exp(a)")
 
     def p_vector(self, d: int) -> np.ndarray:
         return np.full(d, self.p_exponent)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,27 +24,14 @@ WOLFE_C1 = 1e-4
 # stencil fails to improve the incumbent.
 DEFAULT_SCALES = tuple(2.0 ** -m for m in range(1, 8))
 
+# Relative central-difference step of the BFGS gradient (see central_gradient).
+GRAD_STEP = 1e-6
 
-@dataclass(frozen=True)
-class BfgsOptions:
-    grad_step: float = 1e-6
-    grad_tol: float = 1e-6
-    max_iters: int = 400
-    max_fe: int | None = None
+# BFGS stops once every gradient component is below this in magnitude.
+GRAD_TOL = 1e-6
 
-    def __post_init__(self):
-        if not (0.0 < self.grad_step <= 1e-2):
-            raise ValueError("grad_step must lie in (0, 1e-2]")
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
-
-@dataclass(frozen=True)
-class IfOptions:
-    box: SearchBox
-    max_fe: int | None = None
+# Default cap on BFGS iterations (line searches).
+MAX_ITERS = 400
 
 
 def central_gradient(objective, x: np.ndarray, rel_step: float) -> np.ndarray:
@@ -128,7 +114,9 @@ def _inverse_hessian_update(h_inv, s, y, sy):
     return v @ h_inv @ v.T + rho * np.outer(s, s)
 
 
-def bfgs_minimize(objective, beta0: np.ndarray, opts: BfgsOptions | None = None) -> OptReport:
+def bfgs_minimize(
+    objective, beta0: np.ndarray, max_iters: int = MAX_ITERS, max_fe: int | None = None
+) -> OptReport:
     """Unconstrained quasi-Newton descent with numerical gradients.
 
     Uses the inverse-Hessian rank-two update, central-difference gradients
@@ -137,21 +125,20 @@ def bfgs_minimize(objective, beta0: np.ndarray, opts: BfgsOptions | None = None)
     on gradient norm, iteration count, evaluation budget, or a failed line
     search.
     """
-    opts = opts or BfgsOptions()
-    wrapped = CountedObjective(objective, max_fe=opts.max_fe)
+    wrapped = CountedObjective(objective, max_fe=max_fe)
     x = np.atleast_1d(np.asarray(beta0, dtype=float))
     d = x.size
     try:
         f = wrapped(x)
         if not math.isfinite(f):
-            return wrapped.report(fallback=x)
-        grad = central_gradient(wrapped, x, opts.grad_step)
+            return wrapped.report()
+        grad = central_gradient(wrapped, x, GRAD_STEP)
         h_inv = np.eye(d)
         scaled = False
-        for iteration in range(opts.max_iters):
+        for iteration in range(max_iters):
             if not np.all(np.isfinite(grad)):
                 break
-            if np.max(np.abs(grad)) < opts.grad_tol:
+            if np.max(np.abs(grad)) < GRAD_TOL:
                 break
             direction = -h_inv @ grad
             slope = float(grad @ direction)
@@ -169,7 +156,7 @@ def bfgs_minimize(objective, beta0: np.ndarray, opts: BfgsOptions | None = None)
             if alpha is None:
                 break
             x_new = x + alpha * direction
-            grad_new = central_gradient(wrapped, x_new, opts.grad_step)
+            grad_new = central_gradient(wrapped, x_new, GRAD_STEP)
             if np.all(np.isfinite(grad_new)):
                 s = x_new - x
                 y = grad_new - grad
@@ -185,7 +172,7 @@ def bfgs_minimize(objective, beta0: np.ndarray, opts: BfgsOptions | None = None)
             x, f, grad = x_new, f_new, grad_new
     except BudgetExhausted:
         pass
-    return wrapped.report(fallback=x)
+    return wrapped.report()
 
 
 def _affine_gradient(samples: list[tuple[np.ndarray, float]], d: int) -> np.ndarray | None:
@@ -204,7 +191,9 @@ def _affine_gradient(samples: list[tuple[np.ndarray, float]], d: int) -> np.ndar
     return grad
 
 
-def implicit_filtering(objective, beta0: np.ndarray, opts: IfOptions) -> OptReport:
+def implicit_filtering(
+    objective, beta0: np.ndarray, box: SearchBox, max_fe: int | None = None
+) -> OptReport:
     """Bound-constrained pattern search with a quasi-Newton model step.
 
     At each scale h the incumbent's 2d-point stencil (incumbent +- h * box
@@ -214,15 +203,14 @@ def implicit_filtering(objective, beta0: np.ndarray, opts: IfOptions) -> OptRepo
     sampled at the current scale and one quasi-Newton step on that model is
     tried, projected back into the box and discarded if it does not improve.
     """
-    box = opts.box
     lo, hi = box.bounds()
     span = hi - lo
     d = box.d
-    wrapped = CountedObjective(objective, max_fe=opts.max_fe)
+    wrapped = CountedObjective(objective, max_fe=max_fe)
     x = np.atleast_1d(np.asarray(beta0, dtype=float))
-    if not box.contains(x):
+    if not (np.all(x >= lo) and np.all(x <= hi)):
         warnings.warn("implicit filtering start outside the box; clamping", stacklevel=2)
-        x = box.clamp(x)
+        x = np.clip(x, lo, hi)
     try:
         f = wrapped(x)
         h_inv = np.eye(d)
@@ -267,4 +255,4 @@ def implicit_filtering(objective, beta0: np.ndarray, opts: IfOptions) -> OptRepo
                 prev_grad = prev_x = None
     except BudgetExhausted:
         pass
-    return wrapped.report(fallback=x)
+    return wrapped.report()

@@ -30,10 +30,13 @@ class CountedObjective:
 
     Every evaluation increments `count`; once `count` reaches `max_fe` the
     next call raises BudgetExhausted without evaluating, so the number of
-    true evaluations never exceeds the budget.
+    true evaluations never exceeds the budget.  A budget must allow at least
+    one evaluation, so every optimizer has a point to report.
     """
 
     def __init__(self, fn, max_fe: int | None = None):
+        if max_fe is not None and max_fe < 1:
+            raise ValueError("the evaluation budget must be at least 1")
         self._fn = fn
         self.max_fe = max_fe
         self.count = 0
@@ -50,17 +53,10 @@ class CountedObjective:
             self.best_point = np.array(x, dtype=float, copy=True)
         return value
 
-    def report(self, fallback: np.ndarray) -> OptReport:
-        """Report of the best point seen, or `fallback` if nothing was evaluated."""
-        if self.best_point is None:
-            return OptReport(
-                beta_star=np.array(fallback, dtype=float, copy=True),
-                value=np.inf,
-                fe_used=self.count,
-            )
+    def report(self) -> OptReport:
+        """Report of the best point seen."""
         return OptReport(
             beta_star=self.best_point.copy(),
             value=self.best_value,
             fe_used=self.count,
         )
-

@@ -128,22 +128,14 @@ _REGISTRY: dict[str, tuple[int, float, float, Callable[[np.ndarray], np.ndarray]
 TEST_FUNCTION_NAMES = tuple(_REGISTRY)
 
 
-def test_function(
-    name: str, native_bounds: tuple[float, float] | None = None
-) -> TestFunction:
-    """Registered test function by name.
-
-    `native_bounds` overrides the default native domain (one interval applied
-    to every dimension), since the absolute prediction error depends on it.
-    """
+def test_function(name: str) -> TestFunction:
+    """Registered test function by name, on its default native domain."""
     try:
         d, lo, hi, fn = _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown test function {name!r}; expected one of {TEST_FUNCTION_NAMES}"
         ) from None
-    if native_bounds is not None:
-        lo, hi = native_bounds
     return TestFunction(
         name=name,
         d=d,

@@ -23,7 +23,7 @@ from gpdevopt.gp import (
     predict_many,
     prediction_weights,
 )
-from gpdevopt.local_search import BfgsOptions, IfOptions, bfgs_minimize, central_gradient, implicit_filtering
+from gpdevopt.local_search import bfgs_minimize, central_gradient, implicit_filtering
 from gpdevopt.testbed import run_benchmark
 from gpdevopt.testbed import test_function as make_test_function
 
@@ -233,7 +233,7 @@ def test_criterion_8_optimizer_unit_gates():
     report = bfgs_minimize(
         lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2,
         np.array([-1.2, 1.0]),
-        BfgsOptions(max_iters=200),
+        max_iters=200,
     )
     assert report.value < 1e-6
 
@@ -252,7 +252,7 @@ def test_criterion_8_optimizer_unit_gates():
     grid_min = min(
         obj.evaluate(np.array([b]))[0] for b in np.linspace(lo[0], hi[0], 2001)
     )
-    report = implicit_filtering(obj, 0.5 * (lo + hi), IfOptions(box=wide))
+    report = implicit_filtering(obj, 0.5 * (lo + hi), wide)
     assert report.value <= grid_min + 1e-2
 
     # Numerical gradient agrees with a higher-order stencil.

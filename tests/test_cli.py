@@ -67,6 +67,18 @@ class TestFitCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_infinite_box_scale_rejected(self, tmp_path, capsys):
+        # Both scales give infinite search-box bounds; the fit must not start.
+        data = tmp_path / "train.csv"
+        hump_csv(data)
+        for scale in ("inf", "1e308"):
+            argv = ["fit", "--data", str(data), "--out", str(tmp_path / "m.json")]
+            assert main(argv + ["--box-scale", scale]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "finite" in err
+            assert "non-finite deviance" not in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_duplicate_rows_rejected(self, tmp_path, capsys):
         data = tmp_path / "dup.csv"
         write_csv(data, ["x1", "y"], [[0.1, 1.0], [0.1, 1.0], [0.9, 3.0]])
@@ -185,7 +197,9 @@ class TestPredictCommand:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "malformed", ["missing-points", "json-array", "json-number", "fe-count-null", "beta-object"]
+        "malformed",
+        ["missing-points", "json-array", "json-number", "fe-count-null", "beta-object",
+         "a-overflow", "a-tiny", "range-empty", "range-swapped", "range-shape", "range-inf"],
     )
     def test_malformed_model_file_rejected(self, tmp_path, capsys, malformed):
         model_path, native, _ = self.fit_hump(tmp_path)
@@ -200,6 +214,20 @@ class TestPredictCommand:
             payload["fe_count"] = None
         elif malformed == "beta-object":
             payload["beta"] = {}
+        elif malformed == "a-overflow":
+            payload["condition_exponent"] = 1000.0
+        elif malformed == "a-tiny":
+            payload["condition_exponent"] = 1e-17
+        elif malformed == "range-empty":
+            payload["input_max"] = payload["input_min"]
+        elif malformed == "range-swapped":
+            payload["input_min"], payload["input_max"] = payload["input_max"], payload["input_min"]
+        elif malformed == "range-shape":
+            # Shape (1, 1) would broadcast against the points without an error.
+            payload["input_min"] = [payload["input_min"]]
+            payload["input_max"] = [payload["input_max"]]
+        elif malformed == "range-inf":
+            payload["input_max"] = [float("inf")]
         else:
             payload = 1.0
         model_path.write_text(json.dumps(payload))

@@ -81,7 +81,10 @@ class TestBuildCorrelation:
     def test_spec_validation(self):
         # Out-of-range options are rejected before any deviance is evaluated.
         design = DesignSet(np.array([[0.0], [0.5], [1.0]]), np.array([0.0, 1.0, 0.3]))
-        for p_exponent, a in [(2.5, 25.0), (3.0, 25.0), (0.0, 25.0), (2.0, 0.0), (2.0, -1.0)]:
+        # exp(1000) overflows and exp(1e-17) - 1 == 0, so neither is a usable ceiling.
+        invalid = [(2.5, 25.0), (3.0, 25.0), (0.0, 25.0), (2.0, 0.0), (2.0, -1.0),
+                   (2.0, 1000.0), (2.0, 1e-17)]
+        for p_exponent, a in invalid:
             with pytest.raises(ValueError):
                 GpOptions(p_exponent=p_exponent, a=a)
             with pytest.raises(ValueError):

@@ -6,7 +6,10 @@ from scipy.spatial.distance import pdist
 
 from gpdevopt.boxes import SearchBox, default_beta_box, if_beta_box
 from gpdevopt.global_search import (
+    KMEANS_RESTARTS,
+    LHD_CANDIDATES,
     STRATEGIES,
+    _lloyd,
     cluster_starts,
     kmeans_best,
     lhd_maximin,
@@ -73,6 +76,14 @@ class TestBoxes:
         with pytest.raises(ValueError):
             SearchBox(np.array([1.0]), np.array([1.0]))
 
+    def test_non_finite_bounds_rejected(self):
+        # 1e308 overflows the scaled half-width; the check must not warn.
+        for scale in (math.inf, 1e308):
+            with pytest.raises(ValueError, match="finite"):
+                default_beta_box(2, scale=scale)
+        with pytest.raises(ValueError, match="finite"):
+            SearchBox(np.array([math.nan]), np.array([1.0]))
+
 
 class TestLatinHypercube:
     def test_two_points_in_distinct_halves(self):
@@ -91,11 +102,11 @@ class TestLatinHypercube:
 
     def test_winner_beats_every_candidate(self):
         box = SearchBox(np.zeros(2), np.ones(2))
-        best = lhd_maximin(12, box, np.random.default_rng(5), candidates=20)
+        best = lhd_maximin(12, box, np.random.default_rng(5))
         best_score = pdist(best).min()
         rng = np.random.default_rng(5)  # regenerate the same candidate stream
         lo, hi = box.bounds()
-        for _ in range(20):
+        for _ in range(LHD_CANDIDATES):
             candidate = lo + lhd_unit_sample(12, 2, rng) * (hi - lo)
             assert best_score >= pdist(candidate).min() - 1e-15
 
@@ -105,8 +116,8 @@ class TestLatinHypercube:
 
     @pytest.mark.parametrize(
         "count, d, candidates",
-        [(10, 1, 50), (40, 1, 50), (200, 1, 50), (20, 2, 50), (400, 2, 50), (50, 5, 50),
-         (100, 10, 50), (1000, 10, 50), (200, 1, 7), (400, 2, 300)],
+        [(count, d, LHD_CANDIDATES) for count, d in
+         [(10, 1), (40, 1), (200, 1), (20, 2), (400, 2), (50, 5), (100, 10), (1000, 10)]],
     )
     def test_matches_full_pdist_scoring(self, count, d, candidates):
         # Shapes on both sides of SWEEP_MIN_POINTS_PER_DIM2, against every
@@ -121,7 +132,7 @@ class TestLatinHypercube:
                 score = float(pdist(sample).min())
                 if score > best_score:
                     expected, best_score = sample, score
-            got = lhd_maximin(count, box, np.random.default_rng(seed), candidates=candidates)
+            got = lhd_maximin(count, box, np.random.default_rng(seed))
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
@@ -141,11 +152,11 @@ class TestKmeans:
             d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             return d2.min(axis=1).sum()
 
-        best = kmeans_best(points, 2, np.random.default_rng(9), restarts=5)
-        # Replaying the identical stream as five single-restart runs gives
-        # exactly the restarts the best-of-5 call compared internally.
+        best = kmeans_best(points, 2, np.random.default_rng(9))
+        # Replaying the identical stream as single Lloyd runs gives exactly
+        # the restarts the best-of call compared internally.
         replay = np.random.default_rng(9)
-        singles = [kmeans_best(points, 2, replay, restarts=1) for _ in range(5)]
+        singles = [_lloyd(points, 2, replay)[0] for _ in range(KMEANS_RESTARTS)]
         assert sse_of(best) <= min(sse_of(c) for c in singles) + 1e-12
 
     def test_separated_clusters_recovered(self):
@@ -161,7 +172,7 @@ class TestClusterStarts:
     def test_d1_two_d_plus_one(self):
         fn, calls = counting(lambda x: float(x @ x))
         starts, fe = cluster_starts(
-            fn, default_beta_box(1), 1, 3, True, np.random.default_rng(0)
+            fn, default_beta_box(1), 3, True, np.random.default_rng(0)
         )
         assert len(starts) == 3  # 2 cluster centers + best diagonal point
         assert fe == calls["n"] == 203
@@ -169,7 +180,7 @@ class TestClusterStarts:
     def test_d2_half_d(self):
         fn, calls = counting(lambda x: float(x @ x))
         starts, fe = cluster_starts(
-            fn, default_beta_box(2), 2, 1, False, np.random.default_rng(1)
+            fn, default_beta_box(2), 1, False, np.random.default_rng(1)
         )
         assert len(starts) == 1
         assert fe == calls["n"] == 400
@@ -177,7 +188,7 @@ class TestClusterStarts:
     def test_d10_half_d_sampling_budget(self):
         fn, calls = counting(lambda x: float(x @ x))
         starts, fe = cluster_starts(
-            fn, default_beta_box(10), 10, 5, False, np.random.default_rng(3)
+            fn, default_beta_box(10), 5, False, np.random.default_rng(3)
         )
         assert len(starts) == 5
         assert fe == calls["n"] == 2000
@@ -187,13 +198,13 @@ class TestClusterStarts:
         starts, _ = cluster_starts(
             lambda x: float(np.sin(x[0]) + x[1] ** 2),
             box,
-            2,
             5,
             True,
             np.random.default_rng(2),
         )
+        lo, hi = box.bounds()
         for start in starts:
-            assert box.contains(start)
+            assert np.all(start >= lo) and np.all(start <= hi)
 
     def test_multistart_count(self):
         assert multistart_count("MS-BFGS-2d1", 3) == 7
@@ -226,9 +237,9 @@ class TestRunStrategy:
         caps = []
         original = gs.implicit_filtering
 
-        def recording(objective, start, opts):
-            caps.append(opts.max_fe)
-            return original(objective, start, opts)
+        def recording(objective, start, box, max_fe=None):
+            caps.append(max_fe)
+            return original(objective, start, box, max_fe)
 
         monkeypatch.setattr(gs, "implicit_filtering", recording)
         fn = make_test_function("goldstein-price")

@@ -8,8 +8,6 @@ from gpdevopt.global_search import lhd_maximin
 from gpdevopt.gp import DesignSet, DevianceObjective
 from gpdevopt.local_search import (
     DEFAULT_SCALES,
-    BfgsOptions,
-    IfOptions,
     _inverse_hessian_update,
     bfgs_minimize,
     central_gradient,
@@ -37,14 +35,6 @@ def hump_deviance_objective(seed=11):
     fn = make_test_function("hump")
     pts = lhd_maximin(10, SearchBox(np.zeros(1), np.ones(1)), rng)
     return DevianceObjective(DesignSet(pts, fn.evaluate(pts)))
-
-
-class TestOptionsValidation:
-    def test_bfgs_options(self):
-        with pytest.raises(ValueError):
-            BfgsOptions(grad_step=0.5)
-        with pytest.raises(ValueError):
-            BfgsOptions(max_iters=0)
 
 
 class TestInverseHessianUpdate:
@@ -102,13 +92,12 @@ class TestBfgs:
         assert np.max(np.abs(report.beta_star)) < 1e-6
 
     def test_rosenbrock(self):
-        opts = BfgsOptions(max_iters=200)
-        report = bfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), opts)
+        report = bfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), max_iters=200)
         assert report.value < 1e-6
 
     def test_infinite_start_returns_unchanged(self):
         start = np.array([1.0, 2.0])
-        report = bfgs_minimize(lambda x: math.inf, start, BfgsOptions())
+        report = bfgs_minimize(lambda x: math.inf, start)
         assert report.value == math.inf
         assert np.array_equal(report.beta_star, start)
         assert report.fe_used == 1
@@ -128,9 +117,16 @@ class TestBfgs:
         report = bfgs_minimize(fn, np.array([0.5, 0.5]))
         assert report.fe_used == calls["n"]
 
+    def test_zero_budget_rejected(self):
+        # A budget must allow the first evaluation, so there is a point to report.
+        with pytest.raises(ValueError):
+            bfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), max_fe=0)
+        with pytest.raises(ValueError):
+            implicit_filtering(rosenbrock, np.zeros(2), SearchBox(-np.ones(2), np.ones(2)), max_fe=0)
+
     def test_max_fe_budget_respected(self):
         fn, calls = counting(rosenbrock)
-        report = bfgs_minimize(fn, np.array([-1.2, 1.0]), BfgsOptions(max_fe=37))
+        report = bfgs_minimize(fn, np.array([-1.2, 1.0]), max_fe=37)
         assert calls["n"] <= 37
         assert report.fe_used == calls["n"]
 
@@ -143,7 +139,7 @@ class TestImplicitFiltering:
         def bowl(x):
             return float((x - center) @ (x - center))
 
-        report = implicit_filtering(bowl, np.array([-1.5, 2.5]), IfOptions(box=box))
+        report = implicit_filtering(bowl, np.array([-1.5, 2.5]), box)
         h_min = 2.0 ** -7
         lo, hi = box.bounds()
         span = hi - lo
@@ -155,15 +151,13 @@ class TestImplicitFiltering:
         lo, hi = box.bounds()
         grid_vals = [obj.evaluate(np.array([b]))[0] for b in np.linspace(lo[0], hi[0], 2001)]
         start = 0.5 * (lo + hi)
-        report = implicit_filtering(obj, start, IfOptions(box=box))
+        report = implicit_filtering(obj, start, box)
         assert report.value <= min(grid_vals) + 1e-2
 
     def test_start_outside_box_clamped_with_warning(self):
         box = SearchBox(np.zeros(1), np.ones(1))
         with pytest.warns(UserWarning):
-            report = implicit_filtering(
-                lambda x: float(x[0] ** 2), np.array([5.0]), IfOptions(box=box)
-            )
+            report = implicit_filtering(lambda x: float(x[0] ** 2), np.array([5.0]), box)
         assert 0.0 <= report.beta_star[0] <= 1.0
 
     def test_all_evaluations_inside_box(self):
@@ -174,7 +168,7 @@ class TestImplicitFiltering:
             seen.append(np.array(x))
             return float(x @ x)
 
-        implicit_filtering(recording, np.array([0.9, 1.9]), IfOptions(box=box))
+        implicit_filtering(recording, np.array([0.9, 1.9]), box)
         lo, hi = box.bounds()
         for point in seen:
             assert np.all(point >= lo - 1e-12) and np.all(point <= hi + 1e-12)
@@ -186,12 +180,12 @@ class TestImplicitFiltering:
         # scale costs exactly its two probes.
         box = SearchBox(np.zeros(1), np.ones(1))
         fn, calls = counting(lambda x: float(x[0]))
-        report = implicit_filtering(fn, np.array([0.0]), IfOptions(box=box))
+        report = implicit_filtering(fn, np.array([0.0]), box)
         assert calls["n"] == report.fe_used == 1 + 2 * len(DEFAULT_SCALES)
 
     def test_fe_conservation_and_budget(self):
         obj = hump_deviance_objective(seed=3)
         fn, calls = counting(obj)
         box = if_beta_box(1)
-        report = implicit_filtering(fn, np.array([0.0]), IfOptions(box=box, max_fe=20))
+        report = implicit_filtering(fn, np.array([0.0]), box, max_fe=20)
         assert report.fe_used == calls["n"] <= 20

@@ -78,10 +78,6 @@ class TestFunctions:
                 expected += ((j ** i + 0.5) * (x[j - 1] / j) ** (i - 1)) ** 2
         assert fn.evaluate_native(x[None, :])[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_native_bounds_override(self):
-        fn = make_test_function("hump", native_bounds=(0.0, 1.0))
-        assert fn.evaluate(np.array([[0.0]]))[0] == pytest.approx(1.0316285)
-
     def test_all_finite_on_unit_cube(self):
         rng = np.random.default_rng(2)
         for name in tb.TEST_FUNCTION_NAMES:
