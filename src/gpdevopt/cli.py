@@ -35,7 +35,6 @@ from .gp import (
 from .testbed import (
     TEST_FUNCTION_NAMES,
     TRAIN_POINTS_PER_DIM,
-    BenchmarkResult,
     percent_deltas,
     run_benchmark,
     test_function,
@@ -167,14 +166,25 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
     return model, mins, maxs
 
 
-def _write_rows(path: str | None, header: list[str], rows: list[list]) -> None:
+def _write_rows(path: str | None, header: list[str], rows: list[list], fmt: str = "csv") -> None:
+    """Write a table to `path` (stdout when None) as CSV, JSON records or markdown."""
     handle = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            # float() first: under numpy 2, repr(np.float64(x)) is 'np.float64(x)'.
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        if fmt == "csv":
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                # float() first: under numpy 2, repr(np.float64(x)) is 'np.float64(x)'.
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        elif fmt == "json":
+            records = [dict(zip(header, row)) for row in rows]
+            handle.write(json.dumps(records, sort_keys=True, indent=2) + "\n")
+        else:
+            cells = [header] + [[str(v) for v in row] for row in rows]
+            widths = [max(map(len, column)) for column in zip(*cells)]
+            lines = ["| " + " | ".join(map(str.ljust, row, widths)) + " |" for row in cells]
+            lines.insert(1, "|-" + "-|-".join("-" * w for w in widths) + "-|")
+            handle.write("\n".join(lines) + "\n")
     finally:
         if path:
             handle.close()
@@ -205,7 +215,6 @@ def _cmd_predict(args) -> int:
     for name in x_names:
         if name not in header:
             raise ValueError(f"{args.points}: missing input column {name!r}")
-    out_header = x_names + ["y_hat", "mse"]
     out_rows: list[list] = []
     if rows:
         data = np.array(rows)
@@ -217,86 +226,49 @@ def _cmd_predict(args) -> int:
         if np.any(x_scaled < 0.0) or np.any(x_scaled > 1.0):
             warnings.warn("inputs outside the training range; clamping to [0, 1]")
             x_scaled = np.clip(x_scaled, 0.0, 1.0)
-        y_hat, mse = predict_many(model, x_scaled)
-        for i in range(x_native.shape[0]):
-            out_rows.append(list(x_native[i]) + [float(y_hat[i]), float(mse[i])])
-    _write_rows(args.out, out_header, out_rows)
+        out_rows = np.column_stack([x_native, *predict_many(model, x_scaled)]).tolist()
+    _write_rows(args.out, x_names + ["y_hat", "mse"], out_rows)
     return 0
 
 
-def _format_benchmark(
-    results_by_fn: list[tuple[str, list[BenchmarkResult]]], fmt: str
-) -> str:
-    rows = []
-    for fn_name, results in results_by_fn:
-        fitted = [r for r in results if r.deviances]
-        dev_deltas = percent_deltas([r.mean_deviance for r in fitted]) if fitted else []
-        rms_deltas = percent_deltas([r.mean_rmspe for r in fitted]) if fitted else []
-        delta_map = {
-            r.strategy: (dev_deltas[i], rms_deltas[i]) for i, r in enumerate(fitted)
-        }
-        for r in results:
-            dd, rd = delta_map.get(r.strategy, (math.nan, math.nan))
-            rows.append(
-                {
-                    "function": fn_name,
-                    "strategy": r.strategy,
-                    "pct_delta_deviance": round(float(dd), 3),
-                    "pct_delta_rmspe": round(float(rd), 3),
-                    "mean_fe": round(r.mean_fe, 1),
-                    "mean_deviance": r.mean_deviance,
-                    "mean_rmspe": r.mean_rmspe,
-                    "rmspe_std_err": r.rmspe_std_err,
-                    "replicates": r.replicates,
-                    "failed": r.failed_replicates,
-                }
-            )
-    if fmt == "json":
-        return json.dumps(rows, sort_keys=True, indent=2) + "\n"
-    columns = list(rows[0].keys()) if rows else []
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(str(row[c]) for c in columns) for row in rows]
-        return "\n".join(lines) + "\n"
-    # markdown
-    widths = {c: max(len(c), *(len(str(row[c])) for row in rows)) for c in columns}
-    header = "| " + " | ".join(c.ljust(widths[c]) for c in columns) + " |"
-    rule = "|-" + "-|-".join("-" * widths[c] for c in columns) + "-|"
-    lines = [header, rule]
-    lines += [
-        "| " + " | ".join(str(row[c]).ljust(widths[c]) for c in columns) + " |"
-        for row in rows
-    ]
-    return "\n".join(lines) + "\n"
+_TABLE_COLUMNS = (
+    "function", "strategy", "pct_delta_deviance", "pct_delta_rmspe", "mean_fe",
+    "mean_deviance", "mean_rmspe", "rmspe_std_err", "replicates", "failed",
+)
 
 
 def _cmd_benchmark(args) -> int:
     names = list(TEST_FUNCTION_NAMES) if args.function == "all" else [args.function]
     strategies = tuple(s.strip() for s in args.strategies.split(","))
-    results_by_fn = []
-    raw_rows = []
+    rows, raw_rows = [], []
     for name in names:
-        fn = test_function(name)
         results = run_benchmark(
-            fn,
+            test_function(name),
             strategies,
             replicates=args.replicates,
             rng_seed=args.seed,
             p_exponent=args.p,
             box_scale=args.box_scale,
         )
-        results_by_fn.append((name, results))
+        # Percent gaps are taken over the strategies with a fitted replicate.
+        fitted = [r for r in results if r.deviances]
+        gaps = {}
+        if fitted:
+            dev_gaps = percent_deltas([r.mean_deviance for r in fitted])
+            rms_gaps = percent_deltas([r.mean_rmspe for r in fitted])
+            gaps = {r.strategy: pair for r, pair in zip(fitted, zip(dev_gaps, rms_gaps))}
         for r in results:
-            for i in range(len(r.deviances)):
-                raw_rows.append(
-                    [name, r.strategy, i, r.deviances[i], r.rmspes[i], r.fe_counts[i]]
-                )
-    text = _format_benchmark(results_by_fn, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+            dd, rd = gaps.get(r.strategy, (math.nan, math.nan))
+            rows.append([
+                name, r.strategy, round(float(dd), 3), round(float(rd), 3),
+                round(r.mean_fe, 1), r.mean_deviance, r.mean_rmspe, r.rmspe_std_err,
+                r.replicates, r.failed_replicates,
+            ])
+            raw_rows += [
+                [name, r.strategy, i, *record]
+                for i, record in enumerate(zip(r.deviances, r.rmspes, r.fe_counts))
+            ]
+    _write_rows(args.out, list(_TABLE_COLUMNS), rows, args.format)
     if args.raw_out:
         _write_rows(
             args.raw_out,
@@ -337,12 +309,8 @@ def _cmd_surface(args) -> int:
         raise ValueError("prediction surfaces require exactly 2 input dimensions")
     model = _fit(design, args)
     axis = np.linspace(0.0, 1.0, args.grid)
-    grid = np.array([[u, v] for u in axis for v in axis])
-    y_hat, mse = predict_many(model, grid)
-    rows = [
-        [float(grid[i, 0]), float(grid[i, 1]), float(y_hat[i]), float(mse[i])]
-        for i in range(grid.shape[0])
-    ]
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    rows = np.column_stack([grid, *predict_many(model, grid)]).tolist()
     _write_rows(args.out, ["x1", "x2", "y_hat", "mse"], rows)
     return 0
 

@@ -64,7 +64,7 @@ def lhd_unit_sample(count: int, d: int, rng: np.random.Generator) -> np.ndarray:
     Each dimension's strata 0..count-1 are occupied exactly once, with a
     uniform draw inside each stratum.
     """
-    strata = np.column_stack([rng.permutation(count) for _ in range(d)])
+    strata = rng.permuted(np.tile(np.arange(count), (d, 1)), axis=1).T
     return (strata + rng.random((count, d))) / count
 
 
@@ -113,19 +113,24 @@ def _has_closer_pair(points: np.ndarray, limit: float) -> bool:
         diff = s[k:] - s[:-k]
         if np.einsum("ij,ij->i", diff, diff).min() < limit:
             return True
-        gap = diff[:, 0].min()
+        gap = float(diff[:, 0].min())  # a Python float overflows to inf silently
         if gap * gap >= limit:
             return False
     return False
 
 
 def kmeans_best(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Cluster centers from the best of KMEANS_RESTARTS Lloyd runs (lowest SSE)."""
+    """Cluster centers from the best of KMEANS_RESTARTS Lloyd runs (lowest SSE).
+
+    On a box so large that squared distances overflow, every SSE is inf and
+    the first run is kept.
+    """
     best_centers: np.ndarray | None = None
     best_sse = math.inf
     for _ in range(KMEANS_RESTARTS):
-        centers, sse = _lloyd(points, k, rng)
-        if sse < best_sse:
+        with np.errstate(over="ignore", invalid="ignore"):
+            centers, sse = _lloyd(points, k, rng)
+        if best_centers is None or sse < best_sse:
             best_centers, best_sse = centers, sse
     return best_centers
 

@@ -30,7 +30,7 @@ from .correlation import (
     powered_distances,
     triangular_solve,
 )
-from .global_search import STRATEGIES, run_strategy
+from .global_search import run_strategy
 
 DEFAULT_STRATEGY = "DIRECT-BFGS"
 
@@ -347,8 +347,6 @@ def fit(
     evaluation count includes all sampling, clustering, and DIRECT
     evaluations in addition to the local runs.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if design.output_range == 0.0:
         raise DegenerateDataError(
             "constant response: the profile variance is zero and the deviance is undefined"

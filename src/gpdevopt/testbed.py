@@ -21,8 +21,6 @@ from .boxes import SearchBox
 from .global_search import STRATEGIES, lhd_maximin
 from .gp import DesignSet, UnfittableError, fit, predict_many
 
-_STRATEGY_INDEX = {name: i for i, name in enumerate(STRATEGIES)}
-
 TRAIN_POINTS_PER_DIM = 10
 VALIDATION_POINTS_PER_DIM = 100
 
@@ -180,18 +178,43 @@ def percent_deltas(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BenchmarkResult:
-    """Per-strategy aggregate over the successful replicates."""
+    """One strategy's per-replicate records over the fitted replicates.
+
+    The aggregates are derived from the records: the means are NaN when no
+    replicate fitted, and the standard error is 0.0 for one fitted replicate.
+    """
 
     strategy: str
-    mean_deviance: float
-    mean_rmspe: float
-    rmspe_std_err: float
-    mean_fe: float
     replicates: int
-    failed_replicates: int
-    deviances: tuple[float, ...]
-    rmspes: tuple[float, ...]
-    fe_counts: tuple[int, ...]
+    deviances: tuple[float, ...] = ()
+    rmspes: tuple[float, ...] = ()
+    fe_counts: tuple[int, ...] = ()
+
+    @property
+    def failed_replicates(self) -> int:
+        return self.replicates - len(self.deviances)
+
+    @property
+    def mean_deviance(self) -> float:
+        return _mean(self.deviances)
+
+    @property
+    def mean_rmspe(self) -> float:
+        return _mean(self.rmspes)
+
+    @property
+    def mean_fe(self) -> float:
+        return _mean(self.fe_counts)
+
+    @property
+    def rmspe_std_err(self) -> float:
+        if len(self.rmspes) == 1:
+            return 0.0
+        return rmspe_std_err(self.rmspes) if self.rmspes else math.nan
+
+
+def _mean(values: tuple) -> float:
+    return float(np.mean(values)) if values else math.nan
 
 
 def _one_replicate(
@@ -210,7 +233,7 @@ def _one_replicate(
     y_valid = fn.evaluate(valid)
     rows = {}
     for strategy in strategies:
-        srng = np.random.default_rng((rng_seed, replicate, _STRATEGY_INDEX[strategy]))
+        srng = np.random.default_rng((rng_seed, replicate, STRATEGIES.index(strategy)))
         try:
             model = fit(
                 design, strategy, p_exponent=p_exponent, box_scale=box_scale, rng=srng
@@ -242,7 +265,7 @@ def run_benchmark(
     if replicates < 1:
         raise ValueError("at least one replicate is required")
     for strategy in strategies:
-        if strategy not in _STRATEGY_INDEX:
+        if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
     strategies = tuple(strategies)
     all_rows = [
@@ -252,37 +275,12 @@ def run_benchmark(
 
     results = []
     for strategy in strategies:
-        records = [rows[strategy] for rows in all_rows]
-        ok = [rec for rec in records if rec is not None]
-        failed = len(records) - len(ok)
+        ok = [rows[strategy] for rows in all_rows if rows[strategy] is not None]
+        failed = replicates - len(ok)
         if failed:
             warnings.warn(
                 f"{strategy}: {failed} unfittable replicate(s) excluded from means",
                 stacklevel=2,
             )
-        if not ok:
-            results.append(
-                BenchmarkResult(
-                    strategy, math.nan, math.nan, math.nan, math.nan,
-                    replicates, failed, (), (), (),
-                )
-            )
-            continue
-        deviances = tuple(rec[0] for rec in ok)
-        rmspes = tuple(rec[1] for rec in ok)
-        fes = tuple(rec[2] for rec in ok)
-        results.append(
-            BenchmarkResult(
-                strategy=strategy,
-                mean_deviance=float(np.mean(deviances)),
-                mean_rmspe=float(np.mean(rmspes)),
-                rmspe_std_err=rmspe_std_err(rmspes) if len(rmspes) > 1 else 0.0,
-                mean_fe=float(np.mean(fes)),
-                replicates=replicates,
-                failed_replicates=failed,
-                deviances=deviances,
-                rmspes=rmspes,
-                fe_counts=fes,
-            )
-        )
+        results.append(BenchmarkResult(strategy, replicates, *map(tuple, zip(*ok))))
     return results

@@ -79,6 +79,18 @@ class TestFitCommand:
             assert "non-finite deviance" not in err
         assert not (tmp_path / "m.json").exists()
 
+    def test_huge_finite_box_scale_fits(self, tmp_path, capsys):
+        # Squared distances between sampled betas overflow to inf in the
+        # k-means pick; the multistart fit must still finish, warning-free.
+        data = tmp_path / "train.csv"
+        goldstein_price_csv(data)
+        for scale in ("1e155", "1e300"):
+            out = tmp_path / f"m{scale}.json"
+            argv = ["fit", "--data", str(data), "--out", str(out), "--strategy", "MS-BFGS-2d1"]
+            assert main(argv + ["--box-scale", scale]) == 0
+            assert capsys.readouterr().err == ""
+            assert json.loads(out.read_text())["box_scale"] == float(scale)
+
     def test_duplicate_rows_rejected(self, tmp_path, capsys):
         data = tmp_path / "dup.csv"
         write_csv(data, ["x1", "y"], [[0.1, 1.0], [0.1, 1.0], [0.9, 3.0]])
@@ -272,7 +284,8 @@ class TestPredictCommand:
         points = tmp_path / "holdout.csv"
         write_csv(points, ["x1"], [[v] for v in holdout_native[:, 0]])
         out = tmp_path / "pred.csv"
-        assert main(["predict", "--model", str(model_path), "--points", str(points), "--out", str(out)]) == 0
+        with pytest.warns(UserWarning, match="clamping"):
+            assert main(["predict", "--model", str(model_path), "--points", str(points), "--out", str(out)]) == 0
         with open(out, newline="") as handle:
             y_csv = np.array([float(r["y_hat"]) for r in csv.DictReader(handle)])
         model, mins, maxs = _load_model(str(model_path))
@@ -296,7 +309,8 @@ class TestPredictCommand:
         points = tmp_path / "holdout.csv"
         write_csv(points, ["x1", "x2"], [list(row) for row in native])
         out = tmp_path / "pred.csv"
-        assert main(["predict", "--model", str(model_path), "--points", str(points), "--out", str(out)]) == 0
+        with pytest.warns(UserWarning, match="clamping"):
+            assert main(["predict", "--model", str(model_path), "--points", str(points), "--out", str(out)]) == 0
         with open(out, newline="") as handle:
             y_hat = np.array([float(r["y_hat"]) for r in csv.DictReader(handle)])
         cli_rmspe = rmspe(y_true, y_hat)
@@ -434,3 +448,52 @@ class TestSurfaceCommand:
             main(["surface", "--function", "hump", "--grid", "11", "--seed", "9", "--out", str(path)])
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("empty-csv", "empty file, a header row is required"),
+        ("field-count", "data.csv:2: expected 2 fields"),
+        ("no-y-column", "missing output column 'y'"),
+        ("header-only", "no data rows"),
+        ("zero-range-column", "input column x2 has zero range"),
+        ("format-version", "unsupported model format"),
+        ("p-not-repeated", "p must repeat one exponent per input column"),
+        ("points-missing-column", "missing input column 'x1'"),
+        ("1d-prediction-surface", "prediction surfaces require exactly 2 input dimensions"),
+    ],
+)
+def test_error_exits(tmp_path, capsys, case, message):
+    data = tmp_path / "data.csv"
+    model = tmp_path / "model.json"
+    points = tmp_path / "points.csv"
+    fit_argv = ["fit", "--data", str(data), "--out", str(model)]
+    training_texts = {
+        "empty-csv": "",
+        "field-count": "x1,y\n0.1,1.0,2.0\n",
+        "no-y-column": "x1,z\n0.1,1.0\n0.9,2.0\n",
+        "header-only": "x1,y\n",
+        "zero-range-column": "x1,x2,y\n0.1,0.5,1.0\n0.9,0.5,2.0\n",
+    }
+    if case in training_texts:
+        data.write_text(training_texts[case])
+        argv = fit_argv
+    elif case == "1d-prediction-surface":
+        argv = ["surface", "--function", "hump", "--grid", "3", "--what", "prediction"]
+    else:
+        hump_csv(data)
+        assert main(fit_argv) == 0
+        payload = json.loads(model.read_text())
+        if case == "format-version":
+            payload["format_version"] = 2
+        elif case == "p-not-repeated":
+            payload["p"] = [2.0, 1.99]
+        model.write_text(json.dumps(payload))
+        write_csv(points, ["x2" if case == "points-missing-column" else "x1"], [[0.5]])
+        argv = ["predict", "--model", str(model), "--points", str(points)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""

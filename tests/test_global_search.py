@@ -110,6 +110,26 @@ class TestLatinHypercube:
             candidate = lo + lhd_unit_sample(12, 2, rng) * (hi - lo)
             assert best_score >= pdist(candidate).min() - 1e-15
 
+    @pytest.mark.parametrize(
+        "count, d",
+        [(2, 1), (10, 1), (7, 3), (20, 2), (40, 1), (100, 2), (50, 5), (100, 10),
+         (120, 12), (300, 10), (1200, 12)],
+    )
+    def test_unit_sample_matches_per_column_permutations(self, count, d):
+        # The draws, the generator state after them and the C layout (which
+        # fixes the kernel's bits) all match one permutation per column.
+        def per_column(count, d, rng):
+            strata = np.column_stack([rng.permutation(count) for _ in range(d)])
+            return (strata + rng.random((count, d))) / count
+
+        for seed in range(5):
+            expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = per_column(count, d, expected_rng)
+            got = lhd_unit_sample(count, d, rng)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            assert rng.bit_generator.state == expected_rng.bit_generator.state
+
     def test_count_validation(self):
         with pytest.raises(ValueError):
             lhd_maximin(1, SearchBox(np.zeros(1), np.ones(1)), np.random.default_rng(0))
@@ -158,6 +178,17 @@ class TestKmeans:
         replay = np.random.default_rng(9)
         singles = [_lloyd(points, 2, replay)[0] for _ in range(KMEANS_RESTARTS)]
         assert sse_of(best) <= min(sse_of(c) for c in singles) + 1e-12
+
+    def test_overflowing_distances_keep_first_restart(self):
+        # Every squared distance and SSE is inf: the first restart's centers
+        # come back, and no overflow warning escapes.
+        points = np.array([[-1e200, 1e200], [1e200, -1e200], [5e199, 5e199], [-1e200, -1e200]])
+        centers = kmeans_best(points, 2, np.random.default_rng(0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            first, sse = _lloyd(points, 2, np.random.default_rng(0))
+        assert sse == math.inf
+        assert np.isfinite(centers).all()
+        assert np.array_equal(centers, first)
 
     def test_separated_clusters_recovered(self):
         rng = np.random.default_rng(3)

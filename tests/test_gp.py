@@ -309,7 +309,7 @@ class TestFit:
 
     def test_unknown_strategy_rejected(self):
         ds = DesignSet(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown strategy 'GRADIENT-DESCENT'; expected one of"):
             fit(ds, "GRADIENT-DESCENT")
 
     def test_box_scale_and_p_are_plumbed_through(self):

@@ -210,3 +210,39 @@ class TestRunBenchmark:
         assert res.failed_replicates == 1
         assert len(res.deviances) == 2
         assert res.replicates == 3
+
+    def test_all_replicates_unfittable(self, monkeypatch, capsys):
+        from gpdevopt.cli import main
+        from gpdevopt.gp import UnfittableError
+
+        original = tb.fit
+
+        def never_if2(design, strategy, **kwargs):
+            if strategy == "IF2":
+                raise UnfittableError("forced failure")
+            return original(design, strategy, **kwargs)
+
+        monkeypatch.setattr(tb, "fit", never_if2)
+        fn = make_test_function("hump")
+        with pytest.warns(UserWarning, match="IF2: 2 unfittable"):
+            direct, if2 = run_benchmark(fn, ("DIRECT-BFGS", "IF2"), replicates=2, rng_seed=0)
+        assert if2.replicates == if2.failed_replicates == 2
+        assert if2.deviances == if2.rmspes == if2.fe_counts == ()
+        for value in (if2.mean_deviance, if2.mean_rmspe, if2.mean_fe, if2.rmspe_std_err):
+            assert math.isnan(value)
+        assert direct.failed_replicates == 0
+
+        argv = ["benchmark", "--function", "hump", "--strategies", "DIRECT-BFGS,IF2",
+                "--replicates", "2", "--format", "csv"]
+        with pytest.warns(UserWarning, match="IF2: 2 unfittable"):
+            assert main(argv) == 0
+        header, direct_row, if2_row = capsys.readouterr().out.splitlines()
+        assert header.split(",")[2:4] == ["pct_delta_deviance", "pct_delta_rmspe"]
+        assert direct_row.split(",")[2:4] == ["0.0", "0.0"]
+        assert if2_row.split(",")[1:] == ["IF2"] + ["nan"] * 6 + ["2", "2"]
+
+    def test_one_fitted_replicate_has_zero_std_err(self):
+        fn = make_test_function("hump")
+        (res,) = run_benchmark(fn, ("DIRECT-BFGS",), replicates=1, rng_seed=0)
+        assert res.rmspe_std_err == 0.0
+        assert res.mean_rmspe == res.rmspes[0]
