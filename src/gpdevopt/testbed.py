@@ -260,14 +260,17 @@ def run_benchmark(
     Every replicate draws fresh training and validation designs (replicate r
     uses the stream seeded by rng_seed + r) and all strategies consume the
     identical data, so comparisons are paired.  Unfittable replicates are
-    excluded from the averages and counted per strategy.
+    excluded from the averages and counted per strategy.  A strategy listed
+    twice is rejected before any fit runs.
     """
     if replicates < 1:
         raise ValueError("at least one replicate is required")
+    strategies = tuple(strategies)
     for strategy in strategies:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-    strategies = tuple(strategies)
+        if strategies.count(strategy) > 1:
+            raise ValueError(f"strategy {strategy!r} is listed more than once")
     all_rows = [
         _one_replicate(fn, strategies, rng_seed, r, p_exponent, box_scale)
         for r in range(replicates)

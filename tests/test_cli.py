@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from gpdevopt import testbed
 from gpdevopt.boxes import SearchBox
 from gpdevopt.cli import main
 from gpdevopt.global_search import lhd_maximin
@@ -358,6 +359,20 @@ class TestBenchmarkCommand:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 6  # 2 strategies x 3 replicates
         assert {row["function"] for row in rows} == {"hump"}
+
+    def test_duplicate_strategy_exits_2_before_any_fit(self, monkeypatch, capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran")
+
+        monkeypatch.setattr(testbed, "fit", no_fit)
+        rc = main([
+            "benchmark", "--function", "all", "--strategies", "DIRECT-BFGS,DIRECT-BFGS",
+            "--replicates", "1", "--format", "csv",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: strategy 'DIRECT-BFGS' is listed more than once" in captured.err
 
     def test_seed_determinism_bytes(self, tmp_path):
         outputs = []

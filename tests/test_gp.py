@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from gpdevopt.correlation import (
     IllConditionedError,
     certified_factor,
     factorize,
+    gaussian_kernel,
     nugget_and_kappa,
+    powered_distances,
 )
 from gpdevopt.global_search import lhd_maximin, run_strategy
 from gpdevopt.gp import (
+    PREDICT_BLOCK,
     DegenerateDataError,
     DesignSet,
     DevianceObjective,
@@ -261,6 +265,58 @@ class TestPredict:
             predict_many(model, np.array([[0.5], [bad]]))
         with pytest.raises(ValueError, match="finite"):
             predict(model, np.array([bad]))
+
+    @pytest.mark.parametrize("d, n, beta", [(1, 7, 0.5), (2, 11, 0.3), (10, 13, -0.5)])
+    @pytest.mark.parametrize("design_order", ["C", "F"])
+    @pytest.mark.parametrize("points_order", ["C", "F"])
+    def test_blocked_matches_unblocked_bits(self, d, n, beta, design_order, points_order):
+        rng = np.random.default_rng(d)
+        pts = rng.random((n, d))
+        ds = DesignSet(np.array(pts, order=design_order), np.sin(3 * pts[:, 0]) + pts.sum(axis=1))
+        model = model_at(ds, np.full(d, beta))
+        B = PREDICT_BLOCK
+        for m in (1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1):
+            x = np.array(rng.random((m, d)), order=points_order)
+            for got, want in zip(predict_many(model, x), _unblocked_predict_many(model, x)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), m
+
+    def test_peak_memory_is_the_distance_operand(self):
+        # Goldstein-Price n=100 on a 101 x 101 grid: the (d, m*n) operand is
+        # 15.6 MiB, and the work after it may add at most 5 MiB.  Whole
+        # (n, m) temporaries would add about 31 MiB.
+        fn = make_test_function("goldstein-price")
+        pts = lhd_maximin(100, SearchBox(np.zeros(2), np.ones(2)), np.random.default_rng(0))
+        model = model_at(DesignSet(pts, fn.evaluate(pts)), np.array([0.3, 0.3]))
+        axis = np.linspace(0.0, 1.0, 101)
+        grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        assert grid.flags.c_contiguous and pts.flags.c_contiguous
+        tracemalloc.start()
+        try:
+            predict_many(model, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid.shape[0] * 100 * 2 * 8 + 5 * 2**20
+
+
+def _unblocked_predict_many(model, points):
+    """predict_many as it was before blocking: every (n, m) array at once."""
+    factored = model.correlation
+    n = model.design.n
+    ones = np.ones(n)
+    resid = model.design.outputs - model.mu_hat
+    powered = powered_distances(points, model.design.points, model.p)
+    r = gaussian_kernel(powered, model.beta_star).reshape(points.shape[0], n)
+    u = factored.solve(ones)
+    one_r_one = float(u.sum())
+    z_resid = factored.half_solve(resid)
+    z_ones = factored.half_solve(ones)
+    z_r = factored.half_solve(r.T)
+    y_hat = model.mu_hat + z_r.T @ z_resid
+    a_coef = (1.0 - z_ones @ z_r) / one_r_one
+    z_w = z_ones[:, None] * a_coef[None, :] + z_r
+    mse = model.sigma2_hat * (1.0 - 2.0 * np.sum(z_w * z_r, axis=0) + np.sum(z_w * z_w, axis=0))
+    return y_hat, np.maximum(mse, 0.0)
 
 
 class TestFit:

@@ -125,15 +125,16 @@ class TestMetrics:
 
 
 class TestRunBenchmark:
-    def test_duplicate_strategy_rows_identical(self):
+    def test_duplicate_strategy_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran")
+
+        monkeypatch.setattr(tb, "fit", no_fit)
         fn = make_test_function("hump")
-        results = run_benchmark(
-            fn, ("DIRECT-BFGS", "DIRECT-BFGS"), replicates=1, rng_seed=3
-        )
-        first, second = results
-        assert first.deviances == second.deviances
-        assert first.rmspes == second.rmspes
-        assert first.fe_counts == second.fe_counts
+        with pytest.raises(ValueError, match="strategy 'DIRECT-BFGS' is listed more than once"):
+            run_benchmark(
+                fn, ("DIRECT-BFGS", "IF2", "DIRECT-BFGS"), replicates=1, rng_seed=3
+            )
 
     def test_bit_reproducible(self):
         fn = make_test_function("hump")
