@@ -29,7 +29,6 @@ from .gp import (
     GpOptions,
     UnfittableError,
     fit,
-    model_at,
     predict_many,
 )
 from .testbed import (
@@ -153,7 +152,7 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
     ):
         raise ValueError(f"{path}: input_min/input_max must be finite with max > min per column")
     options = GpOptions(p_exponent=float(p[0]), a=a)
-    model = model_at(design, beta, options, fe_count=fe_count)
+    model = DevianceObjective(design, options).model(beta, fe_count)
     # Recomputing the deviance verifies the file: the bound is the rounding
     # error of two float64 evaluations at the condition number of R + delta*I.
     kappa = min(model.correlation.kappa, math.exp(options.a))
@@ -289,6 +288,8 @@ def _surface_design(args) -> DesignSet:
 
 
 def _cmd_surface(args) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     design = _surface_design(args)
     if args.what == "deviance":
         if design.d > 2:

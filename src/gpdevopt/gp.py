@@ -103,13 +103,20 @@ class GpOptions:
 
 @dataclass(frozen=True)
 class DevianceInfo:
-    """Diagnostics attached to one deviance evaluation."""
+    """Diagnostics attached to one deviance evaluation; `factored` is None
+    when R + delta*I could not be factored."""
 
-    delta: float
-    kappa: float
     mu_hat: float
     sigma2_hat: float
     factored: FactoredCorrelation | None
+
+    @property
+    def delta(self) -> float:
+        return 0.0 if self.factored is None else self.factored.delta
+
+    @property
+    def kappa(self) -> float:
+        return math.inf if self.factored is None else self.factored.kappa
 
 
 class _Profile:
@@ -164,20 +171,6 @@ def variance_estimate(
     return max(_quadratic_form(factored.factor, Y - mu_hat) / Y.size, 0.0)
 
 
-def evaluate_deviance(
-    design: DesignSet, beta: np.ndarray, options: GpOptions | None = None
-) -> tuple[float, DevianceInfo]:
-    """Profiled deviance of the design at one beta vector.
-
-    The nugget lower bound is recomputed from the correlation matrix at this
-    beta, and the same regularized factorization feeds both the mean estimate
-    and the quadratic form.  Ill-conditioning yields +inf rather than an
-    exception so optimizers can survive pathological beta.
-    """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    return DevianceObjective(design, options).evaluate(beta)
-
-
 class DevianceObjective:
     """Counting deviance evaluator for one design.
 
@@ -189,9 +182,9 @@ class DevianceObjective:
     the result is +inf).  It first tries to certify a zero nugget from the
     Cholesky factor of R (`certified_factor`) and runs the exact path only
     when that fails.  evaluate() is the uncounted exact path, used for
-    diagnostics and for rebuilding the model at the optimum: it always
-    computes the nugget and the condition number from the eigenvalues of R.
-    Both give the same deviance bit for bit.
+    diagnostics and by model(), which builds the emulator at one beta: it
+    always computes the nugget and the condition number from the eigenvalues
+    of R.  Both give the same deviance bit for bit.
     """
 
     def __init__(self, design: DesignSet, options: GpOptions | None = None):
@@ -213,9 +206,26 @@ class DevianceObjective:
     def evaluate(self, beta: np.ndarray) -> tuple[float, DevianceInfo]:
         factored = self._exact(self._cache.correlation(beta))
         if factored is None:
-            return math.inf, DevianceInfo(0.0, math.inf, math.nan, math.nan, None)
+            return math.inf, DevianceInfo(math.nan, math.nan, None)
         value, mu_hat, sigma2_hat = self._profile(factored.factor, factored.log_det)
-        return value, DevianceInfo(factored.delta, factored.kappa, mu_hat, sigma2_hat, factored)
+        return value, DevianceInfo(mu_hat, sigma2_hat, factored)
+
+    def model(self, beta: np.ndarray, fe_count: int = 0) -> FittedGP:
+        """The emulator at one beta: its deviance, factorization and profile estimates.
+
+        `fe_count` records how many evaluations an optimizer spent reaching
+        beta; building the model costs no counted evaluation.  Raises
+        UnfittableError when the deviance at beta is not finite.
+        """
+        beta = np.array(beta, dtype=float)
+        value, info = self.evaluate(beta)
+        if not math.isfinite(value):
+            raise UnfittableError(f"the deviance at beta={beta.tolist()} is not finite")
+        return FittedGP(
+            design=self.design, beta_star=beta, mu_hat=info.mu_hat,
+            sigma2_hat=info.sigma2_hat, correlation=info.factored, deviance=value,
+            fe_count=fe_count, options=self.options,
+        )
 
     def _exact(self, R: np.ndarray) -> FactoredCorrelation | None:
         """R + delta*I factored, with the nugget and the condition number from
@@ -254,36 +264,6 @@ class FittedGP:
     @property
     def p(self) -> np.ndarray:
         return self.options.p_vector(self.d)
-
-
-def model_at(
-    design: DesignSet,
-    beta: np.ndarray,
-    options: GpOptions | None = None,
-    *,
-    fe_count: int = 0,
-) -> FittedGP:
-    """The emulator at one beta: its deviance, factorization and profile estimates.
-
-    `fe_count` records how many evaluations an optimizer spent reaching beta;
-    building the model costs no counted evaluation.  Raises UnfittableError
-    when the deviance at beta is not finite.
-    """
-    options = options or GpOptions()
-    beta = np.array(beta, dtype=float)
-    value, info = evaluate_deviance(design, beta, options)
-    if not math.isfinite(value):
-        raise UnfittableError(f"the deviance at beta={beta.tolist()} is not finite")
-    return FittedGP(
-        design=design,
-        beta_star=beta,
-        mu_hat=info.mu_hat,
-        sigma2_hat=info.sigma2_hat,
-        correlation=info.factored,
-        deviance=value,
-        fe_count=fe_count,
-        options=options,
-    )
 
 
 # Points per block of `predict_many`.  On Goldstein-Price n=100 with a
@@ -387,4 +367,4 @@ def fit(
         )
     if not math.isfinite(report.value):
         raise UnfittableError("every start produced a non-finite deviance")
-    return model_at(design, report.beta_star, options, fe_count=report.fe_used)
+    return objective.model(report.beta_star, report.fe_used)

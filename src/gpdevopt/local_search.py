@@ -34,16 +34,16 @@ GRAD_TOL = 1e-6
 MAX_ITERS = 400
 
 
-def central_gradient(objective, x: np.ndarray, rel_step: float) -> np.ndarray:
+def central_gradient(objective, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient, 2 * len(x) objective calls.
 
-    The step in coordinate k is rel_step * max(1, |x_k|), which keeps the
+    The step in coordinate k is GRAD_STEP * max(1, |x_k|), which keeps the
     differences well scaled on log10 lengthscale surfaces.
     """
     x = np.asarray(x, dtype=float)
     grad = np.empty_like(x)
     for k in range(x.size):
-        h = rel_step * max(1.0, abs(x[k]))
+        h = GRAD_STEP * max(1.0, abs(x[k]))
         step = np.zeros_like(x)
         step[k] = h
         grad[k] = (objective(x + step) - objective(x - step)) / (2.0 * h)
@@ -132,7 +132,7 @@ def bfgs_minimize(
         f = wrapped(x)
         if not math.isfinite(f):
             return wrapped.report()
-        grad = central_gradient(wrapped, x, GRAD_STEP)
+        grad = central_gradient(wrapped, x)
         h_inv = np.eye(d)
         scaled = False
         for iteration in range(max_iters):
@@ -156,7 +156,7 @@ def bfgs_minimize(
             if alpha is None:
                 break
             x_new = x + alpha * direction
-            grad_new = central_gradient(wrapped, x_new, GRAD_STEP)
+            grad_new = central_gradient(wrapped, x_new)
             if np.all(np.isfinite(grad_new)):
                 s = x_new - x
                 y = grad_new - grad

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gpdevopt import testbed
+from gpdevopt import cli, testbed
 from gpdevopt.boxes import SearchBox
 from gpdevopt.cli import main
 from gpdevopt.global_search import lhd_maximin
@@ -451,6 +451,24 @@ class TestSurfaceCommand:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 16
         assert set(rows[0]) == {"x1", "x2", "y_hat", "mse"}
+
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "what, function", [("deviance", "hump"), ("prediction", "goldstein-price")]
+    )
+    def test_grid_below_one_exits_2_before_any_fit(
+        self, monkeypatch, capsys, grid, what, function
+    ):
+        def no_call(*args, **kwargs):
+            raise AssertionError("a design was built or fitted")
+
+        monkeypatch.setattr(cli, "fit", no_call)
+        monkeypatch.setattr(cli, "_surface_design", no_call)
+        rc = main(["surface", "--function", function, "--grid", grid, "--what", what])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --grid must be at least 1, got {grid}\n"
 
     def test_high_dimension_rejected(self, tmp_path):
         rc = main(["surface", "--function", "schwefel", "--grid", "3"])

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from gpdevopt import correlation
+from gpdevopt import gp as gp_module
 from gpdevopt.boxes import SearchBox, default_beta_box
 from gpdevopt.correlation import (
     DistanceCache,
@@ -23,11 +24,10 @@ from gpdevopt.gp import (
     DesignSet,
     DevianceObjective,
     GpOptions,
+    UnfittableError,
     _Profile,
-    evaluate_deviance,
     fit,
     mean_estimate,
-    model_at,
     predict,
     predict_many,
     prediction_weights,
@@ -91,7 +91,7 @@ class TestMeanAndVariance:
     def test_constant_output_recovered_exactly(self):
         rng = np.random.default_rng(0)
         ds = small_design(rng)
-        val, info = evaluate_deviance(ds, np.array([0.2, -0.3]))
+        val, info = DevianceObjective(ds).evaluate(np.array([0.2, -0.3]))
         fac = info.factored
         assert mean_estimate(fac, np.full(ds.n, 7.25)) == pytest.approx(7.25, abs=1e-12)
 
@@ -100,7 +100,7 @@ class TestMeanAndVariance:
         Y = np.array([1.0, -2.0, 0.5])
         ds = DesignSet(x, Y)
         beta = np.array([0.0])
-        _, info = evaluate_deviance(ds, beta)
+        _, info = DevianceObjective(ds).evaluate(beta)
         _, mu_oracle, _, _, _ = dense_deviance_oracle(x, Y, beta)
         assert info.mu_hat == pytest.approx(mu_oracle, rel=1e-10)
         assert mean_estimate(info.factored, Y) == pytest.approx(mu_oracle, rel=1e-10)
@@ -121,7 +121,7 @@ class TestMeanAndVariance:
         Y = rng.standard_normal(4)
         ds = DesignSet(pts, Y)
         beta = np.array([0.1, -0.2])
-        _, info = evaluate_deviance(ds, beta)
+        _, info = DevianceObjective(ds).evaluate(beta)
         _, mu, s2, _, _ = dense_deviance_oracle(pts, Y, beta)
         assert info.sigma2_hat == pytest.approx(s2, rel=1e-10)
         assert variance_estimate(info.factored, Y, mu) == pytest.approx(s2, rel=1e-10)
@@ -131,7 +131,7 @@ class TestEvaluateDeviance:
     def test_two_point_hand_case(self):
         # x = {0, 1}, Y = {0, 1}, beta = 0: R is 2x2 with off-diagonal e^-1.
         ds = DesignSet(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
-        val, info = evaluate_deviance(ds, np.array([0.0]))
+        val, info = DevianceObjective(ds).evaluate(np.array([0.0]))
         e1 = math.exp(-1.0)
         expected = math.log(1 - e1 ** 2) + 2 * math.log(1.0 / (2.0 * (1.0 - e1)))
         assert val == pytest.approx(expected, rel=1e-12)
@@ -142,20 +142,20 @@ class TestEvaluateDeviance:
         rng = np.random.default_rng(2)
         ds = small_design(rng)
         beta = np.array([0.3, 0.1])
-        base, _ = evaluate_deviance(ds, beta)
+        base, _ = DevianceObjective(ds).evaluate(beta)
         for c in (1.0, -17.0, 1e3):
             shifted = DesignSet(ds.points, ds.outputs + c)
-            val, _ = evaluate_deviance(shifted, beta)
+            val, _ = DevianceObjective(shifted).evaluate(beta)
             assert val == pytest.approx(base, abs=1e-9)
 
     def test_scaling_shifts_by_2n_log_s(self):
         rng = np.random.default_rng(3)
         ds = small_design(rng, n=5)
         beta = np.array([0.2, -0.1])
-        base, _ = evaluate_deviance(ds, beta)
+        base, _ = DevianceObjective(ds).evaluate(beta)
         for s in (2.0, 0.5, 13.0):
             scaled = DesignSet(ds.points, ds.outputs * s)
-            val, _ = evaluate_deviance(scaled, beta)
+            val, _ = DevianceObjective(scaled).evaluate(beta)
             assert val - base == pytest.approx(2 * ds.n * math.log(s), abs=1e-9)
 
     def test_counter_increments_exactly_once_per_call(self):
@@ -173,7 +173,7 @@ class TestEvaluateDeviance:
         rng = np.random.default_rng(5)
         ds = small_design(rng)
         with pytest.raises(ValueError):
-            evaluate_deviance(ds, np.array([0.0]))
+            DevianceObjective(ds).evaluate(np.array([0.0]))
 
     def test_constant_output_gives_positive_infinity(self):
         # A vanishing quadratic form must not yield -inf, which would win
@@ -181,9 +181,23 @@ class TestEvaluateDeviance:
         # quadratic form underflows.
         x = np.array([[0.0], [0.5], [1.0]])
         for Y in (np.full(3, 2.0), 1e-200 * np.array([0.0, 1.0, 0.3])):
-            val, info = evaluate_deviance(DesignSet(x, Y), np.array([0.0]))
+            val, info = DevianceObjective(DesignSet(x, Y)).evaluate(np.array([0.0]))
             assert val == math.inf
             assert info.sigma2_hat == 0.0
+
+    def test_failed_evaluation_contract(self):
+        # At beta=400 the kernel gives 0 * inf = NaN on the diagonal, so R is
+        # not finite: evaluate() reports +inf with no factor, and no model.
+        fn = make_test_function("hump")
+        pts = lhd_maximin(6, SearchBox(np.zeros(1), np.ones(1)), np.random.default_rng(0))
+        objective = DevianceObjective(DesignSet(pts, fn.evaluate(pts)))
+        val, info = objective.evaluate(np.array([400.0]))
+        assert val == math.inf
+        assert info.factored is None
+        assert info.delta == 0.0
+        assert info.kappa == math.inf
+        with pytest.raises(UnfittableError):
+            objective.model(np.array([400.0]))
 
     def test_smoothness_exponent_1_99(self):
         # Slightly lowering the exponent changes R off the p=2 values but
@@ -192,9 +206,9 @@ class TestEvaluateDeviance:
         Y = np.array([0.0, 1.0, 0.3])
         ds = DesignSet(x, Y)
         options = GpOptions(p_exponent=1.99)
-        val, info = evaluate_deviance(ds, np.array([0.0]), options)
+        val, info = DevianceObjective(ds, options).evaluate(np.array([0.0]))
         assert math.isfinite(val)
-        val2, _ = evaluate_deviance(ds, np.array([0.0]))
+        val2, _ = DevianceObjective(ds).evaluate(np.array([0.0]))
         assert val != val2
         R = DistanceCache(x, [1.99]).correlation(np.array([0.0]))
         assert R[0, 1] == pytest.approx(math.exp(-(0.5 ** 1.99)), rel=1e-14)
@@ -222,8 +236,9 @@ class TestPredict:
         x = np.array([[0.0], [0.05], [0.1]])
         Y = np.array([1.0, 3.0, 2.0])
         ds = DesignSet(x, Y)
-        _, info = evaluate_deviance(ds, np.array([2.6]))
-        model = model_at(ds, np.array([2.6]))
+        objective = DevianceObjective(ds)
+        _, info = objective.evaluate(np.array([2.6]))
+        model = objective.model(np.array([2.6]))
         pred = predict(model, np.array([1.0]))
         assert pred.y_hat == pytest.approx(info.mu_hat, abs=1e-8)
         ones = np.ones(3)
@@ -238,15 +253,15 @@ class TestPredict:
             d = int(rng.integers(1, 4))
             pts = rng.random((n, d))
             Y = rng.standard_normal(n)
-            ds = DesignSet(pts, Y)
+            objective = DevianceObjective(DesignSet(pts, Y))
             beta = rng.uniform(-0.5, 1.0, d)
-            val, info = evaluate_deviance(ds, beta)
+            val, info = objective.evaluate(beta)
             # The 1e-8 agreement only makes sense away from near-singular R,
             # where conditioning amplifies roundoff past the tolerance.
             if not math.isfinite(val) or info.kappa > 1e6:
                 continue
             checked += 1
-            model = model_at(ds, beta)
+            model = objective.model(beta)
             x_star = rng.random(d)
             direct_form = predict(model, x_star).y_hat
             weights = prediction_weights(model, x_star)
@@ -273,7 +288,7 @@ class TestPredict:
         rng = np.random.default_rng(d)
         pts = rng.random((n, d))
         ds = DesignSet(np.array(pts, order=design_order), np.sin(3 * pts[:, 0]) + pts.sum(axis=1))
-        model = model_at(ds, np.full(d, beta))
+        model = DevianceObjective(ds).model(np.full(d, beta))
         B = PREDICT_BLOCK
         for m in (1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1):
             x = np.array(rng.random((m, d)), order=points_order)
@@ -286,7 +301,7 @@ class TestPredict:
         # (n, m) temporaries would add about 31 MiB.
         fn = make_test_function("goldstein-price")
         pts = lhd_maximin(100, SearchBox(np.zeros(2), np.ones(2)), np.random.default_rng(0))
-        model = model_at(DesignSet(pts, fn.evaluate(pts)), np.array([0.3, 0.3]))
+        model = DevianceObjective(DesignSet(pts, fn.evaluate(pts))).model(np.array([0.3, 0.3]))
         axis = np.linspace(0.0, 1.0, 101)
         grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
         assert grid.flags.c_contiguous and pts.flags.c_contiguous
@@ -344,7 +359,7 @@ class TestFit:
         pts = lhd_maximin(10, SearchBox(np.zeros(1), np.ones(1)), rng)
         ds = DesignSet(pts, fn.evaluate(pts))
         model = fit(ds, "DIRECT-BFGS", seed=5)
-        val, _ = evaluate_deviance(ds, model.beta_star, GpOptions())
+        val, _ = DevianceObjective(ds, GpOptions()).evaluate(model.beta_star)
         assert model.deviance == pytest.approx(val, rel=1e-10)
 
     def test_fe_count_matches_injected_wrapper(self, monkeypatch):
@@ -362,6 +377,22 @@ class TestFit:
         ds = DesignSet(pts, fn.evaluate(pts))
         model = fit(ds, "MS-BFGS-2d1", seed=2)
         assert model.fe_count == calls["n"]
+
+    def test_one_distance_cache_per_fit(self, monkeypatch):
+        # The optimized objective also builds the model: one set of powered
+        # distances serves the whole fit.
+        built = []
+
+        class CountingCache(DistanceCache):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(gp_module, "DistanceCache", CountingCache)
+        fn = make_test_function("hump")
+        pts = lhd_maximin(6, SearchBox(np.zeros(1), np.ones(1)), np.random.default_rng(0))
+        fit(DesignSet(pts, fn.evaluate(pts)), "DIRECT-BFGS")
+        assert len(built) == 1
 
     def test_unknown_strategy_rejected(self):
         ds = DesignSet(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
@@ -389,7 +420,7 @@ class TestFit:
         x = np.concatenate([base, base + 1e-7])[:, None]
         Y = np.sin(3 * x[:, 0])
         ds = DesignSet(x, Y)
-        model = model_at(ds, np.array([0.5]))
+        model = DevianceObjective(ds).model(np.array([0.5]))
         assert model.correlation.delta > 0.0
         y_hat, mse = predict_many(model, np.linspace(0, 1, 25)[:, None])
         assert np.all(np.isfinite(y_hat))
@@ -529,7 +560,8 @@ class TestCertifiedDeviance:
     def test_evaluate_reports_exact_kappa(self, visited):
         ds, betas = visited["rastrigin10-n100"]
         cache = DistanceCache(ds.points, np.full(ds.d, 2.0))
+        objective = DevianceObjective(ds)
         for beta in betas[:10]:
-            _, info = evaluate_deviance(ds, beta)
+            _, info = objective.evaluate(beta)
             assert info.kappa == nugget_and_kappa(cache.correlation(beta), 25.0)[1]
-            assert model_at(ds, beta).correlation.kappa == info.kappa
+            assert objective.model(beta).correlation.kappa == info.kappa
