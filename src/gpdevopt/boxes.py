@@ -10,15 +10,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Axis-aligned box with an optional multiplicative expansion factor.
-
-    The stored bounds are the nominal ones; `bounds()` applies the scale
-    factor about the box center, which is how every consumer sees the box.
-    """
+    """Axis-aligned box with finite bounds, lower < upper in every dimension."""
 
     lower: np.ndarray
     upper: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -27,25 +22,28 @@ class SearchBox:
         object.__setattr__(self, "upper", upper)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("lower and upper must be 1-D vectors of equal length")
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
-        # An overflowing scale yields infinite bounds; the check reports it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi = self.bounds()
-        if not np.isfinite([lo, hi]).all():
-            raise ValueError("box bounds must be finite after scaling")
-        if np.any(lo >= hi):
-            raise ValueError("box is empty after scaling")
+        if not np.isfinite([lower, upper]).all():
+            raise ValueError("box bounds must be finite")
+        if np.any(lower >= upper):
+            raise ValueError("box is empty")
 
     @property
     def d(self) -> int:
         return self.lower.size
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Effective (lower, upper) after expanding about the center."""
-        center = 0.5 * (self.lower + self.upper)
-        half = 0.5 * self.scale * (self.upper - self.lower)
-        return center - half, center + half
+
+def _scaled_box(d: int, lo: float, hi: float, scale: float) -> SearchBox:
+    """[lo, hi]^d expanded by `scale` about its center.
+
+    A scale below 1 would shrink the start box out of the implicit-filtering
+    box; from 1 up both bounds move outward monotonically, so the two nest.
+    An overflowing scale gives infinite bounds, which SearchBox rejects.
+    """
+    if not scale >= 1.0:
+        raise ValueError("box scale must be at least 1")
+    center = 0.5 * (lo + hi)
+    half = 0.5 * scale * (hi - lo)
+    return SearchBox(np.full(d, center - half), np.full(d, center + half))
 
 
 def default_beta_box(d: int, scale: float = 1.0) -> SearchBox:
@@ -55,9 +53,7 @@ def default_beta_box(d: int, scale: float = 1.0) -> SearchBox:
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    lo = -2.0 - math.log10(d)
-    hi = math.log10(500.0) - math.log10(d)
-    return SearchBox(np.full(d, lo), np.full(d, hi), scale)
+    return _scaled_box(d, -2.0 - math.log10(d), math.log10(500.0) - math.log10(d), scale)
 
 
 def if_beta_box(d: int, scale: float = 1.0) -> SearchBox:
@@ -69,6 +65,4 @@ def if_beta_box(d: int, scale: float = 1.0) -> SearchBox:
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    lo = d * (-2.0 - math.log10(d))
-    hi = math.log10(500.0)
-    return SearchBox(np.full(d, lo), np.full(d, hi), scale)
+    return _scaled_box(d, d * (-2.0 - math.log10(d)), math.log10(500.0), scale)

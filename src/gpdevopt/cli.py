@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import sys
@@ -287,6 +286,11 @@ def _surface_design(args) -> DesignSet:
     return DesignSet(points, fn.evaluate(points))
 
 
+def _grid(axes: list[np.ndarray]) -> np.ndarray:
+    """Every combination of the axes' values, one per row, the last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def _cmd_surface(args) -> int:
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
@@ -296,12 +300,8 @@ def _cmd_surface(args) -> int:
             raise ValueError("deviance surfaces are limited to 1 or 2 input dimensions")
         objective = DevianceObjective(design, GpOptions(p_exponent=args.p))
         box = default_beta_box(design.d, scale=args.box_scale)
-        lo, hi = box.bounds()
-        axes = [np.linspace(lo[k], hi[k], args.grid) for k in range(design.d)]
-        rows = [
-            [*map(float, beta), objective.evaluate(np.array(beta))[0]]
-            for beta in itertools.product(*axes)
-        ]
+        betas = _grid([np.linspace(lo, hi, args.grid) for lo, hi in zip(box.lower, box.upper)])
+        rows = np.column_stack([betas, [objective(beta) for beta in betas]]).tolist()
         header = [f"beta{k + 1}" for k in range(design.d)] + ["L"]
         _write_rows(args.out, header, rows)
         return 0
@@ -310,7 +310,7 @@ def _cmd_surface(args) -> int:
         raise ValueError("prediction surfaces require exactly 2 input dimensions")
     model = _fit(design, args)
     axis = np.linspace(0.0, 1.0, args.grid)
-    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = _grid([axis, axis])
     rows = np.column_stack([grid, *predict_many(model, grid)]).tolist()
     _write_rows(args.out, ["x1", "x2", "y_hat", "mse"], rows)
     return 0

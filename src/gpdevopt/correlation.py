@@ -47,10 +47,6 @@ _EPS = float(np.finfo(float).eps)
 _COMPARISON_MIN_N = 50
 
 
-class IllConditionedError(RuntimeError):
-    """Correlation matrix could not be factorized, even after the nugget."""
-
-
 def powered_distances(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
     """|x_ik - y_jk|**p_k for every pair of rows, as a (d, m*n) array.
 
@@ -238,7 +234,8 @@ def certified_factor(R: np.ndarray, a: float) -> np.ndarray | None:
 class FactoredCorrelation:
     """Cholesky-factored nugget-regularized correlation matrix R + delta*I.
 
-    A single lower-triangular factor serves both the inverse action and the
+    A single lower-triangular factor serves both the inverse action
+    (`cholesky_solve` and `triangular_solve` on `factor`) and the
     log-determinant needed by the deviance.  kappa is the condition number
     of R given to `factorize`; the deviance path gives it the exact one from
     `nugget_and_kappa`, never a bound.  Instances are immutable.
@@ -249,21 +246,12 @@ class FactoredCorrelation:
     factor: np.ndarray
     kappa: float
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """(R + delta*I)^-1 b via the triangular factor."""
-        return cholesky_solve(self.factor, b)
 
-    def half_solve(self, b: np.ndarray) -> np.ndarray:
-        """L^-1 b, so that ||half_solve(b)||^2 = b' (R + delta*I)^-1 b."""
-        return triangular_solve(self.factor, b)
-
-
-def factorize(R: np.ndarray, delta: float, kappa: float) -> FactoredCorrelation:
+def factorize(R: np.ndarray, delta: float, kappa: float) -> FactoredCorrelation | None:
     """Triangular factorization of R + delta*I, recording kappa(R) alongside.
 
-    Raises IllConditionedError when the shifted matrix has non-finite entries
-    or is numerically not positive definite; callers treat the corresponding
-    deviance as +inf.
+    None when the shifted matrix has non-finite entries or is numerically not
+    positive definite; callers treat the corresponding deviance as +inf.
     """
     if delta < 0.0:
         raise ValueError("nugget delta must be nonnegative")
@@ -276,12 +264,12 @@ def factorize(R: np.ndarray, delta: float, kappa: float) -> FactoredCorrelation:
     else:
         L = _cholesky(R)
     if L is None:
-        raise IllConditionedError(f"factorization failed at delta={delta:g}")
+        return None
     # Every entry of the lower triangle feeds a diagonal pivot, so a NaN or
     # infinity in R shows up here without a scan of the whole matrix.
     log_det = cholesky_log_det(L)
     if not math.isfinite(log_det):
-        raise IllConditionedError("correlation matrix contains non-finite entries")
+        return None
     return FactoredCorrelation(
         delta=float(delta), log_det=log_det, factor=L, kappa=float(kappa)
     )

@@ -120,7 +120,7 @@ def direct_search(objective, box: SearchBox, fe_budget: int) -> OptReport:
     necessary, and reports the best center found together with the exact
     number of evaluations used.  The objective must not return NaN.
     """
-    lo, hi = box.bounds()
+    lo, hi = box.lower, box.upper
     width = hi - lo
     d = box.d
 

@@ -84,7 +84,7 @@ def lhd_maximin(count: int, box: SearchBox, rng: np.random.Generator) -> np.ndar
     """
     if count < 2:
         raise ValueError("count must be at least 2")
-    lo, hi = box.bounds()
+    lo, hi = box.lower, box.upper
     sweep = count >= SWEEP_MIN_POINTS_PER_DIM2 * box.d ** 2
     best: np.ndarray | None = None
     best_score = -math.inf
@@ -188,7 +188,7 @@ def cluster_starts(
     centers = kmeans_best(sample[keep], k, rng)
     starts = [centers[i].copy() for i in range(k)]
     if include_diagonal:
-        lo, hi = box.bounds()
+        lo, hi = box.lower, box.upper
         diag_points = [lo + t * (hi - lo) for t in DIAGONAL_FRACTIONS]
         diag_values = [wrapped(point) for point in diag_points]
         starts.append(diag_points[int(np.argmin(diag_values))])

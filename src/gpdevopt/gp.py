@@ -20,7 +20,6 @@ import numpy as np
 from .correlation import (
     DistanceCache,
     FactoredCorrelation,
-    IllConditionedError,
     certified_factor,
     cholesky_log_det,
     cholesky_solve,
@@ -234,7 +233,7 @@ class DevianceObjective:
             return None
         try:
             return factorize(R, *nugget_and_kappa(R, self.options.a))
-        except (IllConditionedError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             return None
 
 
@@ -282,30 +281,30 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
     block of `PREDICT_BLOCK` points, so the rest of the work holds a few
     (n, block) arrays instead of (n, m) ones.  The last partial block joins
     the one before it: a block of one point would be both C- and
-    F-contiguous, its column sums would take numpy's pairwise path, and its
-    last bits would differ from the same point in a larger call.
+    F-contiguous, and its column sums would take numpy's pairwise path.  Even
+    so, a row's last bits depend on the call it is in, not only for one
+    point: a 2-point and a 200-point call can round the same point apart.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != model.d:
         raise ValueError(f"points must have {model.d} columns")
     if not np.isfinite(points).all():
         raise ValueError("prediction points must be finite")
-    factored = model.correlation
+    L = model.correlation.factor
     m, n = points.shape[0], model.design.n
     ones = np.ones(n)
     resid = model.design.outputs - model.mu_hat
     powered = powered_distances(points, model.design.points, model.p)
-    u = factored.solve(ones)
-    one_r_one = float(u.sum())
-    z_resid = factored.half_solve(resid)
-    z_ones = factored.half_solve(ones)
+    one_r_one = float(cholesky_solve(L, ones).sum())
+    z_resid = triangular_solve(L, resid)
+    z_ones = triangular_solve(L, ones)
     y_hat = np.empty(m)
     mse = np.empty(m)
     start = 0
     while start < m:
         stop = m if m - start < 2 * PREDICT_BLOCK else start + PREDICT_BLOCK
         r = gaussian_kernel(powered[:, start * n : stop * n], model.beta_star)
-        z_r = factored.half_solve(r.reshape(stop - start, n).T)  # (n, block)
+        z_r = triangular_solve(L, r.reshape(stop - start, n).T)  # (n, block)
         y_hat[start:stop] = model.mu_hat + z_r.T @ z_resid
         # Weight vector C solves y_hat = C'Y; the MSE is sigma2 (1 - 2C'r + C'RC)
         # with both contractions done through the triangular factor.
@@ -327,13 +326,13 @@ def predict(model: FittedGP, x_star: np.ndarray) -> Prediction:
 def prediction_weights(model: FittedGP, x_star: np.ndarray) -> np.ndarray:
     """Weight vector C with y_hat = C' Y (the second algebraic form)."""
     x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
-    factored = model.correlation
+    L = model.correlation.factor
     ones = np.ones(model.design.n)
     powered = powered_distances(x_star, model.design.points, model.p)
     r = gaussian_kernel(powered, model.beta_star).reshape(x_star.shape[0], -1)[0]
-    u = factored.solve(ones)
+    u = cholesky_solve(L, ones)
     a_coef = (1.0 - float(r @ u)) / float(u.sum())
-    return factored.solve(a_coef * ones + r)
+    return cholesky_solve(L, a_coef * ones + r)
 
 
 def fit(

@@ -114,64 +114,58 @@ def _inverse_hessian_update(h_inv, s, y, sy):
     return v @ h_inv @ v.T + rho * np.outer(s, s)
 
 
-def bfgs_minimize(
-    objective, beta0: np.ndarray, max_iters: int = MAX_ITERS, max_fe: int | None = None
-) -> OptReport:
+def bfgs_minimize(objective, beta0: np.ndarray, max_iters: int = MAX_ITERS) -> OptReport:
     """Unconstrained quasi-Newton descent with numerical gradients.
 
     Uses the inverse-Hessian rank-two update, central-difference gradients
     (2d calls each), and an Armijo/cubic backtracking line search; the
     curvature side of the Wolfe conditions gates the Hessian update.  Stops
-    on gradient norm, iteration count, evaluation budget, or a failed line
-    search.
+    on gradient norm, iteration count, or a failed line search.
     """
-    wrapped = CountedObjective(objective, max_fe=max_fe)
+    wrapped = CountedObjective(objective)
     x = np.atleast_1d(np.asarray(beta0, dtype=float))
     d = x.size
-    try:
-        f = wrapped(x)
-        if not math.isfinite(f):
-            return wrapped.report()
-        grad = central_gradient(wrapped, x)
-        h_inv = np.eye(d)
-        scaled = False
-        for iteration in range(max_iters):
-            if not np.all(np.isfinite(grad)):
-                break
-            if np.max(np.abs(grad)) < GRAD_TOL:
-                break
-            direction = -h_inv @ grad
-            slope = float(grad @ direction)
-            if slope >= 0.0:
-                # Stale curvature made the direction non-descent; restart.
-                h_inv = np.eye(d)
-                scaled = False
-                direction = -grad
-                slope = -float(grad @ grad)
-            if iteration == 0:
-                alpha0 = min(1.0, 1.0 / max(1.0, float(np.max(np.abs(direction)))))
-            else:
-                alpha0 = 1.0
-            alpha, f_new = _armijo_line_search(wrapped, x, f, slope, direction, alpha0)
-            if alpha is None:
-                break
-            x_new = x + alpha * direction
-            grad_new = central_gradient(wrapped, x_new)
-            if np.all(np.isfinite(grad_new)):
-                s = x_new - x
-                y = grad_new - grad
-                sy = float(s @ y)
-                # Positive curvature keeps the update well defined; it holds
-                # whenever the Wolfe curvature condition (c2) does and also
-                # after the short backtracked steps that violate it.
-                if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-                    if not scaled:
-                        h_inv = (sy / float(y @ y)) * np.eye(d)
-                        scaled = True
-                    h_inv = _inverse_hessian_update(h_inv, s, y, sy)
-            x, f, grad = x_new, f_new, grad_new
-    except BudgetExhausted:
-        pass
+    f = wrapped(x)
+    if not math.isfinite(f):
+        return wrapped.report()
+    grad = central_gradient(wrapped, x)
+    h_inv = np.eye(d)
+    scaled = False
+    for iteration in range(max_iters):
+        if not np.all(np.isfinite(grad)):
+            break
+        if np.max(np.abs(grad)) < GRAD_TOL:
+            break
+        direction = -h_inv @ grad
+        slope = float(grad @ direction)
+        if slope >= 0.0:
+            # Stale curvature made the direction non-descent; restart.
+            h_inv = np.eye(d)
+            scaled = False
+            direction = -grad
+            slope = -float(grad @ grad)
+        if iteration == 0:
+            alpha0 = min(1.0, 1.0 / max(1.0, float(np.max(np.abs(direction)))))
+        else:
+            alpha0 = 1.0
+        alpha, f_new = _armijo_line_search(wrapped, x, f, slope, direction, alpha0)
+        if alpha is None:
+            break
+        x_new = x + alpha * direction
+        grad_new = central_gradient(wrapped, x_new)
+        if np.all(np.isfinite(grad_new)):
+            s = x_new - x
+            y = grad_new - grad
+            sy = float(s @ y)
+            # Positive curvature keeps the update well defined; it holds
+            # whenever the Wolfe curvature condition (c2) does and also
+            # after the short backtracked steps that violate it.
+            if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+                if not scaled:
+                    h_inv = (sy / float(y @ y)) * np.eye(d)
+                    scaled = True
+                h_inv = _inverse_hessian_update(h_inv, s, y, sy)
+        x, f, grad = x_new, f_new, grad_new
     return wrapped.report()
 
 
@@ -203,7 +197,7 @@ def implicit_filtering(
     sampled at the current scale and one quasi-Newton step on that model is
     tried, projected back into the box and discarded if it does not improve.
     """
-    lo, hi = box.bounds()
+    lo, hi = box.lower, box.upper
     span = hi - lo
     d = box.d
     wrapped = CountedObjective(objective, max_fe=max_fe)

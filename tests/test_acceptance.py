@@ -127,7 +127,8 @@ def test_criterion_3_invariance_suite():
     # the quadratic form away from zero, where the log would amplify noise.
     Y = np.sin(5.0 * points[:, 0]) + 0.4 * np.sin(29.0 * points[:, 0]) + 2.0
     ds = DesignSet(points, Y)
-    lo, hi = default_beta_box(1).bounds()
+    box = default_beta_box(1)
+    lo, hi = box.lower, box.upper
     grid = np.linspace(lo[0], hi[0], 101)
     shift = 1e3
     scale = 7.0
@@ -250,7 +251,7 @@ def test_criterion_8_optimizer_unit_gates():
     points = lhd_maximin(10, SearchBox(np.zeros(1), np.ones(1)), rng)
     obj = DevianceObjective(DesignSet(points, fn.evaluate(points)))
     wide = if_beta_box(1)
-    lo, hi = wide.bounds()
+    lo, hi = wide.lower, wide.upper
     grid_min = min(
         obj.evaluate(np.array([b]))[0] for b in np.linspace(lo[0], hi[0], 2001)
     )

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -8,6 +9,7 @@ from gpdevopt import cli, testbed
 from gpdevopt.boxes import SearchBox
 from gpdevopt.cli import main
 from gpdevopt.global_search import lhd_maximin
+from gpdevopt.gp import DevianceObjective
 from gpdevopt.testbed import rmspe, run_benchmark
 from gpdevopt.testbed import test_function as make_test_function
 
@@ -79,6 +81,23 @@ class TestFitCommand:
             assert err.startswith("error:") and "finite" in err
             assert "non-finite deviance" not in err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("scale", ["0.5", "0.999", "nan"])
+    def test_box_scale_below_one_exits_2_before_any_evaluation(
+        self, tmp_path, monkeypatch, capsys, scale
+    ):
+        # Below 1 the start box would not fit inside the implicit-filtering box.
+        def no_call(*args, **kwargs):
+            raise AssertionError("a deviance was evaluated")
+
+        data = tmp_path / "train.csv"
+        hump_csv(data)
+        monkeypatch.setattr(DevianceObjective, "__call__", no_call)
+        out = tmp_path / "m.json"
+        argv = ["fit", "--data", str(data), "--out", str(out), "--strategy", "MS-IF-2d1"]
+        assert main(argv + ["--box-scale", scale]) == 2
+        assert capsys.readouterr().err == "error: box scale must be at least 1\n"
+        assert not out.exists()
 
     def test_huge_finite_box_scale_fits(self, tmp_path, capsys):
         # Squared distances between sampled betas overflow to inf in the
@@ -469,6 +488,28 @@ class TestSurfaceCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --grid must be at least 1, got {grid}\n"
+
+    @pytest.mark.parametrize("function, grid", [("hump", 41), ("goldstein-price", 9)])
+    def test_deviance_surface_is_the_exact_path_deviance(
+        self, tmp_path, monkeypatch, function, grid
+    ):
+        # Each grid point costs one counted evaluation, which gives the exact
+        # path's deviance bit for bit without its eigenvalues.
+        def no_call(*args, **kwargs):
+            raise AssertionError("the exact path was evaluated")
+
+        surf = tmp_path / "surf.csv"
+        argv = ["surface", "--function", function, "--grid", str(grid), "--out", str(surf)]
+        with monkeypatch.context() as patch:
+            patch.setattr(DevianceObjective, "evaluate", no_call)
+            assert main(argv) == 0
+        design = cli._surface_design(argparse.Namespace(data=None, function=function, seed=0))
+        objective = DevianceObjective(design)
+        with open(surf, newline="") as handle:
+            rows = [[float(cell) for cell in row] for row in list(csv.reader(handle))[1:]]
+        assert len(rows) == grid ** design.d
+        for *beta, value in rows:
+            assert value == objective.evaluate(np.array(beta))[0], beta
 
     def test_high_dimension_rejected(self, tmp_path):
         rc = main(["surface", "--function", "schwefel", "--grid", "3"])

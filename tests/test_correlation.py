@@ -8,9 +8,9 @@ from gpdevopt import correlation as correlation_module
 from gpdevopt.correlation import (
     _COMPARISON_MIN_N,
     DistanceCache,
-    IllConditionedError,
     _comparison_bound,
     certified_factor,
+    cholesky_solve,
     factorize,
     gaussian_kernel,
     nugget_and_kappa,
@@ -158,18 +158,16 @@ class TestFactorize:
         fac = factorize(R, *nugget_and_kappa(R, 25.0))
         assert math.isfinite(fac.log_det)
 
-    def test_non_pd_without_nugget_raises(self):
+    def test_non_pd_without_nugget_fails(self):
         x = 0.5 + 1e-9 * np.arange(15.0)
         R = DistanceCache(x[:, None], np.full(1, 2.0)).correlation(np.array([0.0]))
-        with pytest.raises(IllConditionedError):
-            factorize(R, 0.0, nugget_and_kappa(R, 25.0)[1])
+        assert factorize(R, 0.0, nugget_and_kappa(R, 25.0)[1]) is None
 
     def test_non_finite_entries_rejected(self):
         for bad, delta in itertools.product((np.nan, np.inf), (0.0, 0.1)):
             R = np.eye(4)
             R[3, 1] = R[1, 3] = bad
-            with pytest.raises(IllConditionedError):
-                factorize(R, delta, 1.0)
+            assert factorize(R, delta, 1.0) is None
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
@@ -181,7 +179,7 @@ class TestFactorize:
         R = A @ A.T + 5 * np.eye(5)
         fac = factorize(R, 0.0, np.linalg.cond(R))
         b = rng.standard_normal(5)
-        assert fac.solve(b) == pytest.approx(np.linalg.solve(R, b), rel=1e-10)
+        assert cholesky_solve(fac.factor, b) == pytest.approx(np.linalg.solve(R, b), rel=1e-10)
 
 
 class TestCertifiedFactor:

@@ -65,7 +65,7 @@ class TestDirectSearch:
     def test_best_point_inside_box(self):
         box = SearchBox(np.array([-2.0]), np.array([3.0]))
         report = direct_search(lambda x: float(np.cos(3 * x[0])), box, fe_budget=80)
-        lo, hi = box.bounds()
+        lo, hi = box.lower, box.upper
         assert np.all(report.beta_star >= lo) and np.all(report.beta_star <= hi)
 
     def test_budget_validation(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -38,39 +39,70 @@ def hump_objective(seed=11):
     return DevianceObjective(DesignSet(pts, fn.evaluate(pts)))
 
 
+def _reference_bounds(lo, hi, d, scale):
+    """The nominal box [lo, hi]^d as arrays, expanded by `scale` about its
+    center in numpy, the arithmetic every fit's box has always come from."""
+    lower, upper = np.full(d, lo), np.full(d, hi)
+    center = 0.5 * (lower + upper)
+    half = 0.5 * scale * (upper - lower)
+    return center - half, center + half
+
+
 class TestBoxes:
     def test_default_box_d1(self):
-        lo, hi = default_beta_box(1).bounds()
-        assert lo[0] == pytest.approx(-2.0)
-        assert hi[0] == pytest.approx(math.log10(500.0))
+        box = default_beta_box(1)
+        assert box.lower[0] == pytest.approx(-2.0)
+        assert box.upper[0] == pytest.approx(math.log10(500.0))
 
     def test_default_box_d10(self):
-        lo, hi = default_beta_box(10).bounds()
-        assert lo[0] == pytest.approx(-3.0)
-        assert hi[0] == pytest.approx(math.log10(50.0))
+        box = default_beta_box(10)
+        assert box.lower[0] == pytest.approx(-3.0)
+        assert box.upper[0] == pytest.approx(math.log10(50.0))
 
     def test_scale_doubles_about_center(self):
         box = default_beta_box(2)
         scaled = default_beta_box(2, scale=2.0)
-        lo, hi = box.bounds()
-        slo, shi = scaled.bounds()
+        lo, hi = box.lower, box.upper
         center = 0.5 * (lo + hi)
-        assert slo == pytest.approx(center - 2.0 * (center - lo))
-        assert shi == pytest.approx(center + 2.0 * (hi - center))
+        assert scaled.lower == pytest.approx(center - 2.0 * (center - lo))
+        assert scaled.upper == pytest.approx(center + 2.0 * (hi - center))
 
     def test_if_box_values(self):
-        lo, hi = if_beta_box(1).bounds()
-        assert lo[0] == pytest.approx(-2.0)
-        assert hi[0] == pytest.approx(math.log10(500.0))
-        lo4, hi4 = if_beta_box(4).bounds()
-        assert lo4[0] == pytest.approx(4 * (-2 - math.log10(4)))
-        assert hi4[0] == pytest.approx(math.log10(500.0))
+        box = if_beta_box(1)
+        assert box.lower[0] == pytest.approx(-2.0)
+        assert box.upper[0] == pytest.approx(math.log10(500.0))
+        box4 = if_beta_box(4)
+        assert box4.lower[0] == pytest.approx(4 * (-2 - math.log10(4)))
+        assert box4.upper[0] == pytest.approx(math.log10(500.0))
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5, 2.0, 3.0, 1e155, 1e300])
+    def test_bounds_bits_match_scaled_nominal_box(self, scale):
+        # Every fit trajectory starts from these bits: the builders must give
+        # exactly the bounds the nominal box expanded about its center gives.
+        for d in range(1, 21):
+            log_d = math.log10(d)
+            nominal = {
+                default_beta_box: (-2.0 - log_d, math.log10(500.0) - log_d),
+                if_beta_box: (d * (-2.0 - log_d), math.log10(500.0)),
+            }
+            for builder, (lo, hi) in nominal.items():
+                box = builder(d, scale=scale)
+                expected_lo, expected_hi = _reference_bounds(lo, hi, d, scale)
+                assert np.array_equal(box.lower, expected_lo), (builder, d)
+                assert np.array_equal(box.upper, expected_hi), (builder, d)
 
     def test_default_box_nested_in_if_box(self):
-        for d in range(1, 21):
-            lo_s, hi_s = default_beta_box(d).bounds()
-            lo_if, hi_if = if_beta_box(d).bounds()
-            assert np.all(lo_if <= lo_s) and np.all(hi_s <= hi_if)
+        for scale, d in itertools.product((1.0, 1.5, 2.0, 10.0, 1e155), range(1, 21)):
+            start, pattern = default_beta_box(d, scale), if_beta_box(d, scale)
+            assert np.all(pattern.lower <= start.lower), (scale, d)
+            assert np.all(start.upper <= pattern.upper), (scale, d)
+
+    def test_scale_below_one_rejected(self):
+        # Below 1 the start box no longer fits inside the implicit-filtering box.
+        for builder in (default_beta_box, if_beta_box):
+            for scale in (0.999, 0.5, 0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match="at least 1"):
+                    builder(3, scale=scale)
 
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):
@@ -105,7 +137,7 @@ class TestLatinHypercube:
         best = lhd_maximin(12, box, np.random.default_rng(5))
         best_score = pdist(best).min()
         rng = np.random.default_rng(5)  # regenerate the same candidate stream
-        lo, hi = box.bounds()
+        lo, hi = box.lower, box.upper
         for _ in range(LHD_CANDIDATES):
             candidate = lo + lhd_unit_sample(12, 2, rng) * (hi - lo)
             assert best_score >= pdist(candidate).min() - 1e-15
@@ -145,7 +177,7 @@ class TestLatinHypercube:
         box = SearchBox(np.full(d, -1.5), np.full(d, 2.0))
         for seed in range(2):
             rng = np.random.default_rng(seed)
-            lo, hi = box.bounds()
+            lo, hi = box.lower, box.upper
             expected, best_score = None, -math.inf
             for _ in range(candidates):
                 sample = lo + lhd_unit_sample(count, d, rng) * (hi - lo)
@@ -233,7 +265,7 @@ class TestClusterStarts:
             True,
             np.random.default_rng(2),
         )
-        lo, hi = box.bounds()
+        lo, hi = box.lower, box.upper
         for start in starts:
             assert np.all(start >= lo) and np.all(start <= hi)
 
@@ -247,7 +279,8 @@ class TestClusterStarts:
 class TestRunStrategy:
     def test_all_strategies_match_grid_on_1d(self):
         obj = hump_objective()
-        lo, hi = default_beta_box(1).bounds()
+        box = default_beta_box(1)
+        lo, hi = box.lower, box.upper
         grid_vals = [obj.evaluate(np.array([b]))[0] for b in np.linspace(lo[0], hi[0], 2001)]
         grid_min = min(grid_vals)
         for strategy in STRATEGIES:
