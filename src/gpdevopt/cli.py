@@ -45,25 +45,41 @@ _MODEL_KEYS = (
 )
 
 
-def _read_table(path: str) -> tuple[list[str], list[list[float]]]:
-    with open(path, newline="", encoding="utf-8") as handle:
+def _read_table(path: str) -> tuple[list[str], np.ndarray]:
+    """Header names and the non-blank data rows as an (m, width) float array.
+
+    A leading UTF-8 byte-order mark is dropped.  Errors give the record
+    number, the header being record 1; it is the file's line number unless
+    a quoted cell spans lines.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = [name.strip() for name in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file, a header row is required") from None
-        header = [name.strip() for name in header]
-        rows = []
+        for k, name in enumerate(header):
+            if name in header[:k]:
+                raise ValueError(f"{path}: duplicate column name {name!r}")
+        cells, linenos = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
+            cells += row
+            linenos.append(lineno)
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        width = len(header)
+        for k, lineno in enumerate(linenos):
             try:
-                rows.append([float(cell) for cell in row])
+                list(map(float, cells[k * width:(k + 1) * width]))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric value") from None
-    return header, rows
+        raise
+    return header, np.reshape(values, (len(linenos), len(header)))
 
 
 def _input_columns(header: list[str], path: str) -> list[str]:
@@ -77,13 +93,12 @@ def _input_columns(header: list[str], path: str) -> list[str]:
 
 def _load_training_csv(path: str) -> tuple[DesignSet, np.ndarray, np.ndarray]:
     """Design with inputs min-max scaled to [0, 1], plus the column minima and maxima."""
-    header, rows = _read_table(path)
+    header, data = _read_table(path)
     x_names = _input_columns(header, path)
     if "y" not in header:
         raise ValueError(f"{path}: missing output column 'y'")
-    if not rows:
+    if not len(data):
         raise ValueError(f"{path}: no data rows")
-    data = np.array(rows)
     x = data[:, [header.index(name) for name in x_names]]
     y = data[:, header.index("y")]
     mins = x.min(axis=0)
@@ -169,11 +184,10 @@ def _write_rows(path: str | None, header: list[str], rows: list[list], fmt: str 
     handle = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         if fmt == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                # float() first: under numpy 2, repr(np.float64(x)) is 'np.float64(x)'.
-                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+            # Cells are Python scalars and fixed identifiers, so no cell needs
+            # quoting; str(float) is the shortest round-trip repr.
+            lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
+            handle.write("\n".join(lines) + "\n")
         elif fmt == "json":
             records = [dict(zip(header, row)) for row in rows]
             handle.write(json.dumps(records, sort_keys=True, indent=2) + "\n")
@@ -208,14 +222,13 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     model, mins, maxs = _load_model(args.model)
-    header, rows = _read_table(args.points)
+    header, data = _read_table(args.points)
     x_names = [f"x{k + 1}" for k in range(model.d)]
     for name in x_names:
         if name not in header:
             raise ValueError(f"{args.points}: missing input column {name!r}")
     out_rows: list[list] = []
-    if rows:
-        data = np.array(rows)
+    if len(data):
         x_native = data[:, [header.index(name) for name in x_names]]
         bad = np.flatnonzero(~np.isfinite(x_native).all(axis=1))
         if bad.size:

@@ -1,6 +1,8 @@
 import argparse
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ import pytest
 from gpdevopt import cli, testbed
 from gpdevopt.boxes import SearchBox
 from gpdevopt.cli import main
-from gpdevopt.global_search import lhd_maximin
+from gpdevopt.global_search import STRATEGIES, lhd_maximin
 from gpdevopt.gp import DevianceObjective
-from gpdevopt.testbed import rmspe, run_benchmark
+from gpdevopt.testbed import TEST_FUNCTION_NAMES, rmspe, run_benchmark
 from gpdevopt.testbed import test_function as make_test_function
 
 
@@ -19,6 +21,32 @@ def write_csv(path, header, rows):
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def legacy_read_table(path):
+    """The row-at-a-time reader the CLI used before it parsed in bulk."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = [name.strip() for name in next(reader)]
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric value") from None
+    return header, rows
+
+
+def legacy_write_csv(handle, header, rows):
+    """The csv.writer table the CLI wrote before it joined rows itself."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def goldstein_price_csv(path, n=20, seed=0):
@@ -117,11 +145,47 @@ class TestFitCommand:
         rc = main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")])
         assert rc == 2
 
-    def test_malformed_csv_rejected(self, tmp_path):
+    def test_malformed_csv_rejected(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text("x1,y\n0.1,oops\n")
         rc = main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")])
         assert rc == 2
+        assert "bad.csv:2: non-numeric value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # Blank lines count: the bad row is the file's fourth line.
+            ("x1,y\n0.1,1.0\n\n0.5,oops\n", "bad.csv:4: non-numeric value"),
+            ("x1,y\n0.1,1.0\n0.5,2.0,3.0\n", "bad.csv:3: expected 2 fields"),
+            ("x1,y\n\n\n0.1,1.0\n0.2,2.0\n\n0.3,\n", "bad.csv:7: non-numeric value"),
+        ],
+    )
+    def test_malformed_csv_names_its_line(self, tmp_path, capsys, text, message):
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == f"error: {data.parent}/{message}\n"
+        with pytest.raises(ValueError) as legacy:
+            legacy_read_table(str(data))
+        assert str(legacy.value).endswith(message)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        hump_csv(plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        models = [tmp_path / "plain.json", tmp_path / "marked.json"]
+        for data, model in zip((plain, marked), models):
+            assert main(["fit", "--data", str(data), "--out", str(model)]) == 0
+        assert models[0].read_bytes() == models[1].read_bytes()
+
+    def test_duplicate_column_rejected(self, tmp_path, capsys):
+        data = tmp_path / "dup.csv"
+        write_csv(data, ["x1", "x1", "y"], [[0.1, 0.9, 1.0], [0.5, 0.2, 2.0], [0.9, 0.4, 3.0]])
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
+        assert "duplicate column name 'x1'" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_columns_rejected(self, tmp_path):
         data = tmp_path / "cols.csv"
@@ -163,6 +227,42 @@ class TestPredictCommand:
         for row, target in zip(rows, y):
             assert abs(float(row["y_hat"]) - target) < 1e-6 * span
             assert float(row["mse"]) >= 0.0
+
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        model_path, native, _ = self.fit_hump(tmp_path)
+        points = tmp_path / "pts.csv"
+        write_csv(points, ["x1"], [[v] for v in np.linspace(native.min(), native.max(), 7)])
+        out = tmp_path / "pred.csv"
+        argv = ["predict", "--model", str(model_path), "--points", str(points)]
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.encode("utf-8") == out.read_bytes()
+        assert len(captured.out.splitlines()) == 8
+
+    def test_byte_order_mark_points_accepted(self, tmp_path):
+        model_path, native, _ = self.fit_hump(tmp_path)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(plain, ["x1"], [[v] for v in native[:, 0]])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = [tmp_path / "plain.pred.csv", tmp_path / "marked.pred.csv"]
+        for points, out in zip((plain, marked), outs):
+            argv = ["predict", "--model", str(model_path), "--points", str(points)]
+            assert main(argv + ["--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_duplicate_point_column_rejected(self, tmp_path, capsys):
+        model_path, native, _ = self.fit_hump(tmp_path)
+        points = tmp_path / "pts.csv"
+        write_csv(points, ["x1", "x1"], [[native[0, 0], native[1, 0]]])
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model_path), "--points", str(points)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "duplicate column name 'x1'" in captured.err
+        assert captured.out == ""
 
     def test_empty_points_gives_header_only(self, tmp_path):
         model_path, _, _ = self.fit_hump(tmp_path)
@@ -571,3 +671,59 @@ def test_error_exits(tmp_path, capsys, case, message):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and message in captured.err
     assert captured.out == ""
+
+
+def test_read_table_matches_row_reader_bit_for_bit(tmp_path):
+    data = tmp_path / "mixed.csv"
+    data.write_text(
+        " x1 ,x2, y\n"
+        "\n"
+        "0.1, 2.5E-7 ,-0.0\n"
+        '"1.5","-3e+2",1e-320\n'
+        "\n"
+        "\n"
+        "  -7 ,1E3,4.9406564584124654e-324\n"
+        "0.30000000000000004,+.5,1.7976931348623157e308\n"
+        "inf,-inf,nan\n"
+    )
+    header, values = cli._read_table(str(data))
+    want_header, want_rows = legacy_read_table(str(data))
+    assert header == want_header == ["x1", "x2", "y"]
+    want = np.array(want_rows)
+    assert values.shape == want.shape == (5, 3) and values.dtype == np.float64
+    assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+    assert values.flags.c_contiguous
+
+
+def test_read_table_header_only_gives_empty_array(tmp_path):
+    data = tmp_path / "head.csv"
+    data.write_text("x1,x2\n\n")
+    header, values = cli._read_table(str(data))
+    assert header == ["x1", "x2"] and values.shape == (0, 2)
+
+
+# Every fixed identifier a CLI table can hold: strategy and function names
+# in benchmark rows, and the column names of every command's header.
+IDENTIFIERS = [
+    *STRATEGIES, *TEST_FUNCTION_NAMES, *cli._TABLE_COLUMNS,
+    "replicate", "deviance", "rmspe", "fe", "x1", "x12", "y_hat", "mse", "beta1", "L",
+]
+
+
+def test_table_identifiers_need_no_csv_quoting():
+    for name in IDENTIFIERS:
+        assert not set(name) & set(',"\r\n'), name
+
+
+def test_write_rows_csv_matches_csv_writer(tmp_path):
+    floats = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e22, 0.1 + 0.2,
+              1e-5, 123456789.125, -2.5e-310, 1.7976931348623157e308]
+    rows = [[name, 3, -1, *floats] for name in IDENTIFIERS]
+    rows += [[0, 1.0, round(2.0 / 3.0, 3), float(np.mean([1.0, 2.0])), *floats[::-1]]]
+    header = [f"c{k}" for k in range(len(rows[0]))]
+    for table in (rows, []):
+        path = tmp_path / "table.csv"
+        cli._write_rows(str(path), header, table, "csv")
+        want = io.StringIO()
+        legacy_write_csv(want, header, table)
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
