@@ -32,31 +32,24 @@ class SearchBox:
         return self.lower.size
 
 
-def _scaled_box(d: int, lo: float, hi: float, scale: float) -> SearchBox:
-    """[lo, hi]^d expanded by `scale` about its center.
-
-    A scale below 1 would shrink the start box out of the implicit-filtering
-    box; from 1 up both bounds move outward monotonically, so the two nest.
-    An overflowing scale gives infinite bounds, which SearchBox rejects.
-    """
-    if not scale >= 1.0:
-        raise ValueError("box scale must be at least 1")
+def _box(d: int, lo: float, hi: float) -> SearchBox:
+    # Bounds as center -+ half, not lo/hi: the two differ in the last bit at some d, d = 12 too.
     center = 0.5 * (lo + hi)
-    half = 0.5 * scale * (hi - lo)
+    half = 0.5 * (hi - lo)
     return SearchBox(np.full(d, center - half), np.full(d, center + half))
 
 
-def default_beta_box(d: int, scale: float = 1.0) -> SearchBox:
+def default_beta_box(d: int) -> SearchBox:
     """Default search box for start generation.
 
     Per dimension: -2 - log10(d) <= beta_k <= log10(500) - log10(d).
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    return _scaled_box(d, -2.0 - math.log10(d), math.log10(500.0) - math.log10(d), scale)
+    return _box(d, -2.0 - math.log10(d), math.log10(500.0) - math.log10(d))
 
 
-def if_beta_box(d: int, scale: float = 1.0) -> SearchBox:
+def if_beta_box(d: int) -> SearchBox:
     """Wider box used as the bound constraint for implicit filtering.
 
     Per dimension: d * (-2 - log10(d)) <= beta_k <= log10(500).  The negative
@@ -65,4 +58,4 @@ def if_beta_box(d: int, scale: float = 1.0) -> SearchBox:
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    return _scaled_box(d, d * (-2.0 - math.log10(d)), math.log10(500.0), scale)
+    return _box(d, d * (-2.0 - math.log10(d)), math.log10(500.0))

@@ -21,7 +21,7 @@ import numpy as np
 from .boxes import SearchBox, default_beta_box
 from .global_search import STRATEGIES, lhd_maximin
 from .gp import (
-    DegenerateDataError,
+    DEFAULT_STRATEGY,
     DesignSet,
     DevianceObjective,
     FittedGP,
@@ -48,9 +48,8 @@ _MODEL_KEYS = (
 def _read_table(path: str) -> tuple[list[str], np.ndarray]:
     """Header names and the non-blank data rows as an (m, width) float array.
 
-    A leading UTF-8 byte-order mark is dropped.  Errors give the record
-    number, the header being record 1; it is the file's line number unless
-    a quoted cell spans lines.
+    A leading UTF-8 byte-order mark is dropped.  Errors give the file's
+    line number of the record's last line.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -62,13 +61,13 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
             if name in header[:k]:
                 raise ValueError(f"{path}: duplicate column name {name!r}")
         cells, linenos = [], []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
+                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields")
             cells += row
-            linenos.append(lineno)
+            linenos.append(reader.line_num)
     try:
         values = list(map(float, cells))
     except ValueError:
@@ -109,12 +108,11 @@ def _load_training_csv(path: str) -> tuple[DesignSet, np.ndarray, np.ndarray]:
     return DesignSet((x - mins) / (maxs - mins), y), mins, maxs
 
 
-def _model_payload(model: FittedGP, mins, maxs, strategy, seed, box_scale) -> dict:
+def _model_payload(model: FittedGP, mins, maxs, strategy, seed) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "strategy": strategy,
         "seed": seed,
-        "box_scale": box_scale,
         "p": model.p.tolist(),
         "condition_exponent": model.options.a,
         "beta": model.beta_star.tolist(),
@@ -154,7 +152,7 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
         stored_deviance = float(payload["deviance"])
         mins = np.array(payload["input_min"], dtype=float)
         maxs = np.array(payload["input_max"], dtype=float)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: a model file value has the wrong type ({exc})") from None
     design = DesignSet(points, outputs)
     if p.shape != (design.d,) or np.any(p != p[0]):
@@ -203,13 +201,13 @@ def _write_rows(path: str | None, header: list[str], rows: list[list], fmt: str 
 
 
 def _fit(design: DesignSet, args) -> FittedGP:
-    return fit(design, args.strategy, p_exponent=args.p, box_scale=args.box_scale, seed=args.seed)
+    return fit(design, args.strategy, p_exponent=args.p, seed=args.seed)
 
 
 def _cmd_fit(args) -> int:
     design, mins, maxs = _load_training_csv(args.data)
     model = _fit(design, args)
-    payload = _model_payload(model, mins, maxs, args.strategy, args.seed, args.box_scale)
+    payload = _model_payload(model, mins, maxs, args.strategy, args.seed)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
@@ -259,7 +257,6 @@ def _cmd_benchmark(args) -> int:
             replicates=args.replicates,
             rng_seed=args.seed,
             p_exponent=args.p,
-            box_scale=args.box_scale,
         )
         # Percent gaps are taken over the strategies with a fitted replicate.
         fitted = [r for r in results if r.deviances]
@@ -312,7 +309,7 @@ def _cmd_surface(args) -> int:
         if design.d > 2:
             raise ValueError("deviance surfaces are limited to 1 or 2 input dimensions")
         objective = DevianceObjective(design, GpOptions(p_exponent=args.p))
-        box = default_beta_box(design.d, scale=args.box_scale)
+        box = default_beta_box(design.d)
         betas = _grid([np.linspace(lo, hi, args.grid) for lo, hi in zip(box.lower, box.upper)])
         rows = np.column_stack([betas, [objective(beta) for beta in betas]]).tolist()
         header = [f"beta{k + 1}" for k in range(design.d)] + ["L"]
@@ -339,10 +336,9 @@ def _build_parser() -> argparse.ArgumentParser:
     # Options shared by every subcommand that fits: fit, surface, benchmark.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=float, default=2.0, choices=[2.0, 1.99])
-    common.add_argument("--box-scale", type=float, default=1.0)
     common.add_argument("--seed", type=int, default=0)
     one_strategy = argparse.ArgumentParser(add_help=False, parents=[common])
-    one_strategy.add_argument("--strategy", default="DIRECT-BFGS", choices=STRATEGIES)
+    one_strategy.add_argument("--strategy", default=DEFAULT_STRATEGY, choices=STRATEGIES)
 
     p_fit = sub.add_parser("fit", parents=[one_strategy], help="fit a model from a training CSV")
     p_fit.add_argument("--data", required=True)
@@ -385,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, DegenerateDataError, UnfittableError, OSError) as exc:
+    except (ValueError, UnfittableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

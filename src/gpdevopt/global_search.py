@@ -120,17 +120,12 @@ def _has_closer_pair(points: np.ndarray, limit: float) -> bool:
 
 
 def kmeans_best(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Cluster centers from the best of KMEANS_RESTARTS Lloyd runs (lowest SSE).
-
-    On a box so large that squared distances overflow, every SSE is inf and
-    the first run is kept.
-    """
+    """Cluster centers from the best of KMEANS_RESTARTS Lloyd runs (lowest SSE)."""
     best_centers: np.ndarray | None = None
     best_sse = math.inf
     for _ in range(KMEANS_RESTARTS):
-        with np.errstate(over="ignore", invalid="ignore"):
-            centers, sse = _lloyd(points, k, rng)
-        if best_centers is None or sse < best_sse:
+        centers, sse = _lloyd(points, k, rng)
+        if sse < best_sse:
             best_centers, best_sse = centers, sse
     return best_centers
 
@@ -209,7 +204,6 @@ def run_strategy(
     strategy: str,
     d: int,
     rng: np.random.Generator,
-    box_scale: float = 1.0,
 ) -> OptReport:
     """Dispatch one of the seven named strategies and merge the accounting.
 
@@ -223,8 +217,8 @@ def run_strategy(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    start_box = default_beta_box(d, scale=box_scale)
-    pattern_box = if_beta_box(d, scale=box_scale)
+    start_box = default_beta_box(d)
+    pattern_box = if_beta_box(d)
 
     fe_sampling = 0
     if strategy.startswith("MS-") or strategy == "IF2":

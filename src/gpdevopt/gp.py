@@ -341,7 +341,6 @@ def fit(
     *,
     p_exponent: float = 2.0,
     a: float = 25.0,
-    box_scale: float = 1.0,
     seed: int = 0,
     rng: np.random.Generator | None = None,
 ) -> FittedGP:
@@ -359,7 +358,7 @@ def fit(
     objective = DevianceObjective(design, options)
     if rng is None:
         rng = np.random.default_rng(seed)
-    report = run_strategy(objective, strategy, design.d, rng, box_scale=box_scale)
+    report = run_strategy(objective, strategy, design.d, rng)
     if report.fe_used != objective.fe_count:
         raise RuntimeError(
             f"evaluation accounting mismatch: {report.fe_used} != {objective.fe_count}"

@@ -223,7 +223,6 @@ def _one_replicate(
     rng_seed: int,
     replicate: int,
     p_exponent: float,
-    box_scale: float,
 ):
     rng = np.random.default_rng(rng_seed + replicate)
     unit = SearchBox(np.zeros(fn.d), np.ones(fn.d))
@@ -235,9 +234,7 @@ def _one_replicate(
     for strategy in strategies:
         srng = np.random.default_rng((rng_seed, replicate, STRATEGIES.index(strategy)))
         try:
-            model = fit(
-                design, strategy, p_exponent=p_exponent, box_scale=box_scale, rng=srng
-            )
+            model = fit(design, strategy, p_exponent=p_exponent, rng=srng)
         except UnfittableError:
             rows[strategy] = None
             continue
@@ -253,7 +250,6 @@ def run_benchmark(
     rng_seed: int = 0,
     *,
     p_exponent: float = 2.0,
-    box_scale: float = 1.0,
 ) -> list[BenchmarkResult]:
     """Benchmark the strategies on one test function.
 
@@ -271,10 +267,7 @@ def run_benchmark(
             raise ValueError(f"unknown strategy {strategy!r}")
         if strategies.count(strategy) > 1:
             raise ValueError(f"strategy {strategy!r} is listed more than once")
-    all_rows = [
-        _one_replicate(fn, strategies, rng_seed, r, p_exponent, box_scale)
-        for r in range(replicates)
-    ]
+    all_rows = [_one_replicate(fn, strategies, rng_seed, r, p_exponent) for r in range(replicates)]
 
     results = []
     for strategy in strategies:

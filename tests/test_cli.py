@@ -23,21 +23,21 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def legacy_read_table(path):
-    """The row-at-a-time reader the CLI used before it parsed in bulk."""
+def row_read_table(path):
+    """A row-at-a-time reader: one float per cell, errors at the file's line."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = [name.strip() for name in next(reader)]
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
+                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields")
             try:
                 rows.append([float(cell) for cell in row])
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from None
+                raise ValueError(f"{path}:{reader.line_num}: non-numeric value") from None
     return header, rows
 
 
@@ -98,46 +98,17 @@ class TestFitCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_infinite_box_scale_rejected(self, tmp_path, capsys):
-        # Both scales give infinite search-box bounds; the fit must not start.
-        data = tmp_path / "train.csv"
-        hump_csv(data)
-        for scale in ("inf", "1e308"):
-            argv = ["fit", "--data", str(data), "--out", str(tmp_path / "m.json")]
-            assert main(argv + ["--box-scale", scale]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and "finite" in err
-            assert "non-finite deviance" not in err
-        assert not (tmp_path / "m.json").exists()
-
-    @pytest.mark.parametrize("scale", ["0.5", "0.999", "nan"])
-    def test_box_scale_below_one_exits_2_before_any_evaluation(
-        self, tmp_path, monkeypatch, capsys, scale
-    ):
-        # Below 1 the start box would not fit inside the implicit-filtering box.
-        def no_call(*args, **kwargs):
-            raise AssertionError("a deviance was evaluated")
-
-        data = tmp_path / "train.csv"
-        hump_csv(data)
-        monkeypatch.setattr(DevianceObjective, "__call__", no_call)
-        out = tmp_path / "m.json"
-        argv = ["fit", "--data", str(data), "--out", str(out), "--strategy", "MS-IF-2d1"]
-        assert main(argv + ["--box-scale", scale]) == 2
-        assert capsys.readouterr().err == "error: box scale must be at least 1\n"
-        assert not out.exists()
-
-    def test_huge_finite_box_scale_fits(self, tmp_path, capsys):
-        # Squared distances between sampled betas overflow to inf in the
-        # k-means pick; the multistart fit must still finish, warning-free.
-        data = tmp_path / "train.csv"
-        goldstein_price_csv(data)
-        for scale in ("1e155", "1e300"):
-            out = tmp_path / f"m{scale}.json"
-            argv = ["fit", "--data", str(data), "--out", str(out), "--strategy", "MS-BFGS-2d1"]
-            assert main(argv + ["--box-scale", scale]) == 0
-            assert capsys.readouterr().err == ""
-            assert json.loads(out.read_text())["box_scale"] == float(scale)
+    def test_box_scale_option_is_a_usage_error(self, capsys):
+        # Every strategy searches the fixed boxes; the option no longer parses.
+        for argv in (
+            ["fit", "--data", "train.csv", "--out", "m.json"],
+            ["surface", "--function", "hump", "--grid", "3"],
+            ["benchmark", "--function", "hump"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--box-scale", "2"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --box-scale 2" in capsys.readouterr().err
 
     def test_duplicate_rows_rejected(self, tmp_path, capsys):
         data = tmp_path / "dup.csv"
@@ -159,6 +130,9 @@ class TestFitCommand:
             ("x1,y\n0.1,1.0\n\n0.5,oops\n", "bad.csv:4: non-numeric value"),
             ("x1,y\n0.1,1.0\n0.5,2.0,3.0\n", "bad.csv:3: expected 2 fields"),
             ("x1,y\n\n\n0.1,1.0\n0.2,2.0\n\n0.3,\n", "bad.csv:7: non-numeric value"),
+            # A quoted cell spanning lines 2-3 puts the next record on line 4.
+            ('x1,y\n"0.1\n",1\n0.2,oops\n', "bad.csv:4: non-numeric value"),
+            ('x1,y\n"0.1\n",1\n0.2,2.0,3.0\n', "bad.csv:4: expected 2 fields"),
         ],
     )
     def test_malformed_csv_names_its_line(self, tmp_path, capsys, text, message):
@@ -166,9 +140,9 @@ class TestFitCommand:
         data.write_text(text)
         assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr().err == f"error: {data.parent}/{message}\n"
-        with pytest.raises(ValueError) as legacy:
-            legacy_read_table(str(data))
-        assert str(legacy.value).endswith(message)
+        with pytest.raises(ValueError) as by_row:
+            row_read_table(str(data))
+        assert str(by_row.value).endswith(message)
 
     def test_byte_order_mark_accepted(self, tmp_path):
         # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark.
@@ -331,7 +305,8 @@ class TestPredictCommand:
     @pytest.mark.parametrize(
         "malformed",
         ["missing-points", "json-array", "json-number", "fe-count-null", "beta-object",
-         "a-overflow", "a-tiny", "range-empty", "range-swapped", "range-shape", "range-inf"],
+         "a-overflow", "a-tiny", "range-empty", "range-swapped", "range-shape", "range-inf",
+         "fe-count-inf", "deviance-huge-int", "a-huge-int"],
     )
     def test_malformed_model_file_rejected(self, tmp_path, capsys, malformed):
         model_path, native, _ = self.fit_hump(tmp_path)
@@ -360,6 +335,12 @@ class TestPredictCommand:
             payload["input_max"] = [payload["input_max"]]
         elif malformed == "range-inf":
             payload["input_max"] = [float("inf")]
+        elif malformed == "fe-count-inf":
+            payload["fe_count"] = math.inf  # written as Infinity; 1e400 reads as inf too
+        elif malformed == "deviance-huge-int":
+            payload["deviance"] = 10**400
+        elif malformed == "a-huge-int":
+            payload["condition_exponent"] = 10**400
         else:
             payload = 1.0
         model_path.write_text(json.dumps(payload))
@@ -367,6 +348,24 @@ class TestPredictCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        if malformed in ("fe-count-inf", "deviance-huge-int", "a-huge-int"):
+            assert "wrong type" in err
+
+    def test_model_file_with_box_scale_key_loads(self, tmp_path):
+        # Model files written before the box-scale option was removed carry
+        # a "box_scale" key; predict ignores it.
+        model_path, native, _ = self.fit_hump(tmp_path)
+        points = tmp_path / "pts.csv"
+        write_csv(points, ["x1"], [[v] for v in np.linspace(native.min(), native.max(), 7)])
+        old_model = tmp_path / "old.json"
+        payload = json.loads(model_path.read_text())
+        assert "box_scale" not in payload
+        old_model.write_text(json.dumps({**payload, "box_scale": 3.0}))
+        outs = [tmp_path / "new.csv", tmp_path / "old.csv"]
+        for model, out in zip((model_path, old_model), outs):
+            argv = ["predict", "--model", str(model), "--points", str(points), "--out", str(out)]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_non_finite_points_rejected(self, tmp_path, capsys):
         # Infinite coordinates are rejected too, not clamped into range.
@@ -687,7 +686,7 @@ def test_read_table_matches_row_reader_bit_for_bit(tmp_path):
         "inf,-inf,nan\n"
     )
     header, values = cli._read_table(str(data))
-    want_header, want_rows = legacy_read_table(str(data))
+    want_header, want_rows = row_read_table(str(data))
     assert header == want_header == ["x1", "x2", "y"]
     want = np.array(want_rows)
     assert values.shape == want.shape == (5, 3) and values.dtype == np.float64

@@ -401,17 +401,14 @@ class TestFit:
         with pytest.raises(ValueError, match="unknown strategy 'GRADIENT-DESCENT'; expected one of"):
             fit(ds, "GRADIENT-DESCENT")
 
-    def test_box_scale_and_p_are_plumbed_through(self):
+    def test_p_is_plumbed_through(self):
         rng = np.random.default_rng(17)
         fn = make_test_function("hump")
         pts = lhd_maximin(10, SearchBox(np.zeros(1), np.ones(1)), rng)
         ds = DesignSet(pts, fn.evaluate(pts))
         base = fit(ds, "DIRECT-BFGS", seed=1)
-        widened = fit(ds, "DIRECT-BFGS", seed=1, box_scale=2.0)
         rough = fit(ds, "DIRECT-BFGS", seed=1, p_exponent=1.99)
-        # A different sampling box changes the DIRECT trajectory; a different
-        # exponent changes the surface itself.
-        assert not np.array_equal(base.beta_star, widened.beta_star) or base.fe_count != widened.fe_count
+        # A different exponent changes the surface itself.
         assert rough.deviance != base.deviance
         assert np.all(rough.p == 1.99)
 

@@ -162,7 +162,7 @@ class TestRunBenchmark:
         original = tb.fit
 
         def recording(design, strategy, **kwargs):
-            seen.append((id(design), strategy))
+            seen.append((design, strategy))  # held, so no id is reused
             return original(design, strategy, **kwargs)
 
         monkeypatch.setattr(tb, "fit", recording)
@@ -170,8 +170,8 @@ class TestRunBenchmark:
         run_benchmark(fn, ("DIRECT-BFGS", "MS-BFGS-halfd"), replicates=2, rng_seed=0)
         by_replicate = [seen[0:2], seen[2:4]]
         for pair in by_replicate:
-            assert pair[0][0] == pair[1][0]  # identical design object
-        assert seen[0][0] != seen[2][0]
+            assert pair[0][0] is pair[1][0]  # identical design object
+        assert seen[0][0] is not seen[2][0]
 
     def test_result_shape(self):
         fn = make_test_function("hump")
