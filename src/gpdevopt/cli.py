@@ -129,6 +129,16 @@ def _model_payload(model: FittedGP, mins, maxs, strategy, seed) -> dict:
     }
 
 
+def _number_array(value, ndim: int = 1, order: str = "C") -> np.ndarray:
+    """A model file's list of JSON numbers (ndim 1), or list of such lists
+    (ndim 2), as a float array.  Any other JSON type is a TypeError, never
+    converted; comparing types also keeps out bool, an int subclass."""
+    rows = value if ndim == 2 and type(value) is list else [value]
+    if not all(type(row) is list and all(type(v) in (int, float) for v in row) for row in rows):
+        raise TypeError(f"expected numbers, got {json.dumps(value)[:40]}")
+    return np.array(value, dtype=float, order=order)
+
+
 def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -137,21 +147,21 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
     missing = [key for key in _MODEL_KEYS if key not in payload]
     if missing:
         raise ValueError(f"{path}: model file lacks {', '.join(missing)}")
-    if payload["format_version"] != MODEL_FORMAT_VERSION:
+    version = payload["format_version"]
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format")
     try:
         # Column-major, as `_load_training_csv` builds it: the kernel's
         # reduction order follows the layout of the points, so this rebuilds
         # bit for bit the model that `fit` returned.
-        points = np.array(payload["points"], dtype=float, order="F")
-        outputs = np.array(payload["outputs"], dtype=float)
-        p = np.array(payload["p"], dtype=float)
-        a = float(payload["condition_exponent"])
-        beta = np.array(payload["beta"], dtype=float)
-        fe_count = int(payload["fe_count"])
-        stored_deviance = float(payload["deviance"])
-        mins = np.array(payload["input_min"], dtype=float)
-        maxs = np.array(payload["input_max"], dtype=float)
+        points = _number_array(payload["points"], ndim=2, order="F")
+        outputs, p, beta = (_number_array(payload[key]) for key in ("outputs", "p", "beta"))
+        mins, maxs = _number_array(payload["input_min"]), _number_array(payload["input_max"])
+        scalars = [payload["condition_exponent"], payload["deviance"]]
+        a, stored_deviance = _number_array(scalars).tolist()
+        fe_count = payload["fe_count"]
+        if type(fe_count) is not int or fe_count < 0:
+            raise TypeError(f"fe_count must be a count, got {json.dumps(fe_count)[:40]}")
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: a model file value has the wrong type ({exc})") from None
     design = DesignSet(points, outputs)

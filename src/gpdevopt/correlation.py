@@ -16,6 +16,18 @@ inverse of L.  The eigenvalues (`nugget_and_kappa`) are computed only when
 all of these fail, and wherever kappa itself is reported.  The
 factorizations and solves call LAPACK directly, with the same arguments
 scipy.linalg would pass.
+
+A certificate also covers every beta >= beta' (in every coordinate) once it
+holds at beta': R(beta) = R(beta') o E, the Hadamard product with the
+power-exponential correlation matrix of the exponents 10**beta_k -
+10**beta'_k, which is positive semidefinite for p in (0, 2] with a unit
+diagonal.  So lmin can only rise and lmax only fall (Schur; Horn & Johnson,
+Topics in Matrix Analysis, Thm 5.3.4), and kappa(R(beta)) <= kappa(R(beta')).
+In floating point, the certificate at beta' proved kappa <= limit = exp(a)/2,
+capped at 1/(8 n eps); the computed R(beta) and R(beta') each differ from the
+exact Hadamard product by a few ulps per entry, which moves lmin by a small
+multiple of n eps lmax, and the factor 1/2 absorbs that as it absorbs the
+rounding of eigvalsh.  `DevianceObjective` uses this to skip the cascade.
 """
 
 from __future__ import annotations

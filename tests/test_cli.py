@@ -306,7 +306,9 @@ class TestPredictCommand:
         "malformed",
         ["missing-points", "json-array", "json-number", "fe-count-null", "beta-object",
          "a-overflow", "a-tiny", "range-empty", "range-swapped", "range-shape", "range-inf",
-         "fe-count-inf", "deviance-huge-int", "a-huge-int"],
+         "fe-count-inf", "deviance-huge-int", "a-huge-int", "p-string", "fe-count-string",
+         "fe-count-fraction", "fe-count-bool", "fe-count-negative", "beta-strings",
+         "deviance-string", "a-string", "points-bool", "outputs-nested", "format-version-bool"],
     )
     def test_malformed_model_file_rejected(self, tmp_path, capsys, malformed):
         model_path, native, _ = self.fit_hump(tmp_path)
@@ -341,6 +343,30 @@ class TestPredictCommand:
             payload["deviance"] = 10**400
         elif malformed == "a-huge-int":
             payload["condition_exponent"] = 10**400
+        elif malformed == "p-string":
+            payload["p"] = [str(v) for v in payload["p"]]
+        elif malformed == "fe-count-string":
+            payload["fe_count"] = str(payload["fe_count"])
+        elif malformed == "fe-count-fraction":
+            payload["fe_count"] += 0.5
+        elif malformed == "fe-count-bool":
+            payload["fe_count"] = True
+        elif malformed == "fe-count-negative":
+            payload["fe_count"] = -1
+        elif malformed == "beta-strings":
+            payload["beta"] = [repr(v) for v in payload["beta"]]
+        elif malformed == "deviance-string":
+            payload["deviance"] = repr(payload["deviance"])
+        elif malformed == "a-string":
+            payload["condition_exponent"] = repr(payload["condition_exponent"])
+        elif malformed == "points-bool":
+            # The largest scaled coordinate is exactly 1.0, which true converts to.
+            row = [point[0] for point in payload["points"]].index(1.0)
+            payload["points"][row] = [True]
+        elif malformed == "outputs-nested":
+            payload["outputs"] = [[v] for v in payload["outputs"]]
+        elif malformed == "format-version-bool":
+            payload["format_version"] = True
         else:
             payload = 1.0
         model_path.write_text(json.dumps(payload))
@@ -348,8 +374,11 @@ class TestPredictCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        if malformed in ("fe-count-inf", "deviance-huge-int", "a-huge-int"):
+        if malformed.startswith(("fe-count-", "p-", "beta-", "deviance-", "a-huge", "a-string",
+                                 "points-", "outputs-")):
             assert "wrong type" in err
+        if malformed == "format-version-bool":
+            assert "unsupported model format" in err
 
     def test_model_file_with_box_scale_key_loads(self, tmp_path):
         # Model files written before the box-scale option was removed carry

@@ -18,7 +18,7 @@ from gpdevopt.correlation import (
     powered_distances,
     triangular_solve,
 )
-from gpdevopt.global_search import lhd_maximin, run_strategy
+from gpdevopt.global_search import STRATEGIES, lhd_maximin, run_strategy
 from gpdevopt.gp import (
     PREDICT_BLOCK,
     DegenerateDataError,
@@ -427,15 +427,18 @@ class TestFit:
 
 
 class _Recorder(DevianceObjective):
-    """Deviance objective that keeps every beta it is evaluated at."""
+    """Deviance objective that keeps every beta it is evaluated at, and the
+    value it returned."""
 
     def __init__(self, design):
         super().__init__(design)
         self.betas = []
+        self.values = []
 
     def __call__(self, beta):
         self.betas.append(np.array(beta, dtype=float))
-        return super().__call__(beta)
+        self.values.append(super().__call__(beta))
+        return self.values[-1]
 
 
 def _testbed_design(name, n):
@@ -543,16 +546,17 @@ class TestCertifiedDeviance:
         assert eigen.calls == 0
 
     def test_small_design_inverts_after_the_pivot_test(self, visited, count_calls):
-        # Below the crossover every FE whose pivots pass the pre-test inverts L.
+        # Below the crossover every FE whose pivots pass the pre-test inverts
+        # L.  A fresh objective per beta has no anchors, so every FE runs the
+        # certificate.
         ds, betas = visited["hump-n40"]
         assert ds.n < correlation._COMPARISON_MIN_N
         cache = DistanceCache(ds.points, np.full(ds.d, 2.0))
         expected = sum(_passes_pivot_test(cache.correlation(b), 25.0) for b in betas)
         assert 0 < expected < len(betas)
-        objective = DevianceObjective(ds)
         inversions = count_calls(correlation, "dtrtri")
         for beta in betas:
-            objective(beta)
+            DevianceObjective(ds)(beta)
         assert inversions.calls == expected
 
     def test_evaluate_reports_exact_kappa(self, visited):
@@ -563,3 +567,127 @@ class TestCertifiedDeviance:
             _, info = objective.evaluate(beta)
             assert info.kappa == nugget_and_kappa(cache.correlation(beta), 25.0)[1]
             assert objective.model(beta).correlation.kappa == info.kappa
+
+
+def _bits(value):
+    return np.float64(value).view(np.int64)
+
+
+class _Paths:
+    """Per-FE record of which routines a counted evaluation called:
+    `certified_factor` (the certificate), the dominance step's own Cholesky
+    factorization and eigvalsh (the exact path)."""
+
+    def __init__(self, count_calls):
+        self.certificate = count_calls(gp_module, "certified_factor")
+        self.dominance = count_calls(gp_module, "_cholesky")
+        self.eigen = count_calls(np.linalg, "eigvalsh")
+        self.fes = []
+
+    def __call__(self, objective, beta):
+        counters = (self.certificate, self.dominance, self.eigen)
+        before = [c.calls for c in counters]
+        value = objective(np.array(beta, dtype=float))
+        self.fes.append(tuple(c.calls - b for c, b in zip(counters, before)))
+        return value
+
+
+@pytest.fixture(scope="module")
+def lowd_designs():
+    """The design shapes of the lowd-all benchmark workload."""
+    return {"hump-n10": _testbed_design("hump", 10),
+            "goldstein-price-n20": _testbed_design("goldstein-price", 20)}
+
+
+class TestDominanceAnchors:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_counted_fe_matches_fresh_exact_path_along_fits(self, lowd_designs, strategy):
+        for name, ds in lowd_designs.items():
+            recorder = _Recorder(ds)
+            run_strategy(recorder, strategy, ds.d, np.random.default_rng(0))
+            fresh = DevianceObjective(ds)
+            for beta, value in zip(recorder.betas, recorder.values):
+                assert _bits(value) == _bits(fresh.evaluate(beta)[0]), (name, beta)
+            assert fresh.fe_count == 0
+
+    @pytest.mark.parametrize("name", ["hump-n10", "goldstein-price-n20"])
+    def test_direct_bfgs_skips_most_certificates(self, lowd_designs, count_calls, name):
+        ds = lowd_designs[name]
+        paths, objective = _Paths(count_calls), DevianceObjective(ds)
+        run_strategy(lambda beta: paths(objective, beta), "DIRECT-BFGS", ds.d,
+                     np.random.default_rng(0))
+        assert len(paths.fes) == objective.fe_count
+        assert paths.certificate.calls <= 0.5 * objective.fe_count
+        dominance_certified = [fe for fe in paths.fes if fe == (0, 1, 0)]
+        assert len(dominance_certified) > 0.25 * objective.fe_count
+        # A dominance-certified FE never reaches the certificate or eigvalsh.
+        assert all(fe[2] == 0 for fe in paths.fes if fe[1])
+
+    def test_nugget_side_skips_most_certificates_on_dense_design(self, count_calls):
+        ds = _testbed_design("hump", 40)
+        paths, objective = _Paths(count_calls), DevianceObjective(ds)
+        run_strategy(lambda beta: paths(objective, beta), "DIRECT-BFGS", ds.d,
+                     np.random.default_rng(0))
+        nugget_side = sum(fe == (0, 0, 1) for fe in paths.fes)
+        assert nugget_side > 0.5 * objective.fe_count
+
+    # On hump n=10 with beta = b in every coordinate, b = 0.5 needs a nugget,
+    # b = 0.55 has delta = 0 from eigvalsh that the certificate cannot prove,
+    # and b = 0.6 is certified.
+    def test_only_certified_fe_becomes_a_certified_anchor(self, lowd_designs, count_calls):
+        paths = _Paths(count_calls)
+        control = DevianceObjective(lowd_designs["hump-n10"])
+        paths(control, [0.6])
+        paths(control, [0.7])
+        assert paths.fes == [(1, 0, 0), (0, 1, 0)]
+        paths.fes.clear()
+        objective = DevianceObjective(lowd_designs["hump-n10"])
+        paths(objective, [0.55])
+        paths(objective, [0.58])
+        assert paths.fes[0] == (1, 0, 1)
+        assert paths.fes[1][:2] == (1, 0)
+
+    def test_only_exact_path_nugget_becomes_a_nugget_anchor(self, lowd_designs, count_calls):
+        paths = _Paths(count_calls)
+        control = DevianceObjective(lowd_designs["hump-n10"])
+        paths(control, [0.5])
+        paths(control, [0.4])
+        assert paths.fes == [(1, 0, 1), (0, 0, 1)]
+        paths.fes.clear()
+        objective = DevianceObjective(lowd_designs["hump-n10"])
+        assert objective.evaluate(np.array([0.55]))[1].delta == 0.0
+        paths(objective, [0.55])
+        paths(objective, [0.5])
+        assert paths.fes == [(1, 0, 1), (1, 0, 1)]
+
+    def test_beta_above_quiet_bound_skips_the_anchors(self, lowd_designs, count_calls):
+        assert correlation._QUIET_BETA < 400.0
+        ds = lowd_designs["goldstein-price-n20"]
+        paths = _Paths(count_calls)
+        control = DevianceObjective(ds)
+        paths(control, [0.5, 0.5])
+        paths(control, [0.6, 0.6])
+        assert paths.fes == [(1, 0, 0), (0, 1, 0)]
+        paths.fes.clear()
+        objective = DevianceObjective(ds)
+        for beta in ([0.5, 0.5], [0.6, 400.0], [0.5, 400.0], [0.6, 500.0]):
+            value = paths(objective, beta)
+            assert _bits(value) == _bits(objective.evaluate(np.array(beta))[0])
+        # Certified, but neither uses an anchor nor becomes one.
+        assert paths.fes == [(1, 0, 0)] * 4
+
+    @pytest.mark.parametrize("failure", ["not-positive-definite", "infinite-log-det"])
+    def test_failed_dominance_factor_falls_back_to_the_cascade(
+        self, lowd_designs, count_calls, monkeypatch, failure
+    ):
+        ds = lowd_designs["hump-n10"]
+        objective = DevianceObjective(ds)
+        objective(np.array([0.6]))
+        if failure == "not-positive-definite":
+            monkeypatch.setattr(gp_module, "_cholesky", lambda R: None)
+        else:
+            monkeypatch.setattr(gp_module, "_cholesky", lambda R: np.diag(np.full(ds.n, np.inf)))
+        paths = _Paths(count_calls)
+        value = paths(objective, [0.7])
+        assert paths.fes == [(1, 1, 0)]
+        assert _bits(value) == _bits(objective.evaluate(np.array([0.7]))[0])

@@ -3,10 +3,18 @@
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
-from gpdevopt.correlation import _COMPARISON_MIN_N
+from gpdevopt.correlation import (
+    _COMPARISON_MIN_N,
+    DistanceCache,
+    certified_factor,
+    factorize,
+    nugget_and_kappa,
+)
 from gpdevopt.gp import DesignSet, DevianceObjective
 
 # Ordinary log10 inverse lengthscales, plus values whose 10**beta underflows
@@ -64,3 +72,30 @@ def test_counted_fe_equals_exact_evaluation_above_crossover(data):
         designs(st.integers(_COMPARISON_MIN_N, 80), st.integers(1, 10)),
         st.one_of(st.floats(-0.5, 2.0), BETA),
     )
+
+
+@pytest.mark.parametrize("a", [5.0, 25.0, 40.0])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_kappa_is_monotone_under_dominance(data, a):
+    # beta >= beta' in every coordinate makes R(beta) = R(beta') o E with a
+    # correlation matrix E, so kappa(R(beta)) <= kappa(R(beta')): a
+    # certificate at beta' carries over to beta, and a nugget at beta to
+    # beta'.  Steps along one coordinate are drawn as often as general ones,
+    # as DIRECT trisections and gradient probes make them.
+    ds = data.draw(designs(st.integers(2, 80), st.integers(1, 10)), label="design")
+    low = np.array(data.draw(st.lists(st.floats(-2.0, 2.5), min_size=ds.d, max_size=ds.d),
+                             label="beta'"))
+    step = st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 3.0))
+    high = low + np.array(data.draw(st.lists(step, min_size=ds.d, max_size=ds.d), label="step"))
+    cache = DistanceCache(ds.points, np.full(ds.d, 2.0))
+    R_low, R_high = cache.correlation(low), cache.correlation(high)
+    delta_low, _ = nugget_and_kappa(R_low, a)
+    delta_high, kappa_high = nugget_and_kappa(R_high, a)
+    if certified_factor(R_low, a) is not None:
+        assert delta_high == 0.0
+        L, info = dpotrf(R_high, lower=1, clean=1)
+        assert info == 0
+        assert np.array_equal(L, factorize(R_high, 0.0, kappa_high).factor)
+    if delta_high > 0.0:
+        assert delta_low > 0.0
