@@ -40,8 +40,8 @@ from .testbed import (
 
 MODEL_FORMAT_VERSION = 1
 _MODEL_KEYS = (
-    "format_version", "p", "condition_exponent", "beta", "deviance", "fe_count",
-    "input_min", "input_max", "points", "outputs",
+    "format_version", "strategy", "seed", "p", "condition_exponent", "beta", "mu", "sigma2",
+    "delta", "kappa", "deviance", "fe_count", "input_min", "input_max", "points", "outputs",
 )
 
 
@@ -157,13 +157,15 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
         points = _number_array(payload["points"], ndim=2, order="F")
         outputs, p, beta = (_number_array(payload[key]) for key in ("outputs", "p", "beta"))
         mins, maxs = _number_array(payload["input_min"]), _number_array(payload["input_max"])
-        scalars = [payload["condition_exponent"], payload["deviance"]]
-        a, stored_deviance = _number_array(scalars).tolist()
-        fe_count = payload["fe_count"]
-        if type(fe_count) is not int or fe_count < 0:
-            raise TypeError(f"fe_count must be a count, got {json.dumps(fe_count)[:40]}")
+        scalars = ("condition_exponent", "deviance", "mu", "sigma2", "delta", "kappa")
+        a, *stored = _number_array([payload[key] for key in scalars]).tolist()
+        for key in ("fe_count", "seed"):
+            if type(payload[key]) is not int or payload[key] < 0:
+                raise TypeError(f"{key} must be an int >= 0, got {json.dumps(payload[key])[:40]}")
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: a model file value has the wrong type ({exc})") from None
+    if payload["strategy"] not in STRATEGIES:
+        raise ValueError(f"{path}: unknown strategy {json.dumps(payload['strategy'])[:40]}")
     design = DesignSet(points, outputs)
     if p.shape != (design.d,) or np.any(p != p[0]):
         raise ValueError(f"{path}: p must repeat one exponent per input column")
@@ -174,16 +176,21 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
     ):
         raise ValueError(f"{path}: input_min/input_max must be finite with max > min per column")
     options = GpOptions(p_exponent=float(p[0]), a=a)
-    model = DevianceObjective(design, options).model(beta, fe_count)
-    # Recomputing the deviance verifies the file: the bound is the rounding
-    # error of two float64 evaluations at the condition number of R + delta*I.
+    model = DevianceObjective(design, options).model(beta, payload["fe_count"])
+    # Recomputing the model verifies the file.  The bound is the rounding error of two
+    # float64 evaluations at the condition number of R + delta*I, times each value's
+    # scale.  Past exp(a) kappa's bits do not carry across BLAS builds: it is clamped.
     kappa = min(model.correlation.kappa, math.exp(options.a))
-    tol = 1e-8 * max(abs(model.deviance), 1.0) + (design.n + 1) * kappa * np.finfo(float).eps
-    if not abs(stored_deviance - model.deviance) <= tol:
-        raise ValueError(
-            f"{path}: stored deviance {payload['deviance']!r} does not match "
-            f"{model.deviance!r} recomputed from the file's data and beta"
-        )
+    stored[-1] = min(stored[-1], math.exp(options.a))
+    rounding = (design.n + 1) * kappa * np.finfo(float).eps
+    recomputed = (model.deviance, model.mu_hat, model.sigma2_hat, model.correlation.delta, kappa)
+    scales = (1.0, design.output_range, model.sigma2_hat, design.n, kappa)
+    for key, got, want, scale in zip(scalars[1:], stored, recomputed, scales):
+        if not abs(got - want) <= 1e-8 * max(abs(want), scale) + rounding * scale:
+            raise ValueError(
+                f"{path}: stored {key} {payload[key]!r} does not match "
+                f"{want!r} recomputed from the file's data and beta"
+            )
     return model, mins, maxs
 
 
@@ -211,7 +218,7 @@ def _write_rows(path: str | None, header: list[str], rows: list[list], fmt: str 
 
 
 def _fit(design: DesignSet, args) -> FittedGP:
-    return fit(design, args.strategy, p_exponent=args.p, seed=args.seed)
+    return fit(design, args.strategy, p_exponent=args.p, rng=args.seed)
 
 
 def _cmd_fit(args) -> int:
@@ -268,15 +275,10 @@ def _cmd_benchmark(args) -> int:
             rng_seed=args.seed,
             p_exponent=args.p,
         )
-        # Percent gaps are taken over the strategies with a fitted replicate.
-        fitted = [r for r in results if r.deviances]
-        gaps = {}
-        if fitted:
-            dev_gaps = percent_deltas([r.mean_deviance for r in fitted])
-            rms_gaps = percent_deltas([r.mean_rmspe for r in fitted])
-            gaps = {r.strategy: pair for r, pair in zip(fitted, zip(dev_gaps, rms_gaps))}
-        for r in results:
-            dd, rd = gaps.get(r.strategy, (math.nan, math.nan))
+        # A strategy with no fitted replicate has NaN means, and so NaN gaps.
+        dev_gaps = percent_deltas([r.mean_deviance for r in results])
+        rms_gaps = percent_deltas([r.mean_rmspe for r in results])
+        for r, dd, rd in zip(results, dev_gaps, rms_gaps):
             rows.append([
                 name, r.strategy, round(float(dd), 3), round(float(rd), 3),
                 round(r.mean_fe, 1), r.mean_deviance, r.mean_rmspe, r.rmspe_std_err,

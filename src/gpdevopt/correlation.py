@@ -267,14 +267,10 @@ def factorize(R: np.ndarray, delta: float, kappa: float) -> FactoredCorrelation 
     """
     if delta < 0.0:
         raise ValueError("nugget delta must be nonnegative")
-    R = np.asarray(R, dtype=float)
-    if delta > 0.0:
-        # A Fortran-ordered copy is the one LAPACK factors in place.
-        shifted = np.array(R, order="F")
-        shifted.flat[:: R.shape[0] + 1] += delta
-        L = _cholesky(shifted, overwrite=True)
-    else:
-        L = _cholesky(R)
+    # LAPACK factors this Fortran-ordered copy in place; a zero delta adds exactly 0.
+    shifted = np.array(R, dtype=float, order="F")
+    shifted.flat[:: shifted.shape[0] + 1] += delta
+    L = _cholesky(shifted, overwrite=True)
     if L is None:
         return None
     # Every entry of the lower triangle feeds a diagonal pivot, so a NaN or

@@ -376,25 +376,23 @@ def fit(
     strategy: str = DEFAULT_STRATEGY,
     *,
     p_exponent: float = 2.0,
-    a: float = 25.0,
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
+    rng: int | tuple | np.random.Generator = 0,
 ) -> FittedGP:
     """Fit the emulator by global minimization of the profiled deviance.
 
     `strategy` names one of the seven optimization strategies; the reported
     evaluation count includes all sampling, clustering, and DIRECT
-    evaluations in addition to the local runs.
+    evaluations in addition to the local runs.  `rng` goes to `np.random.default_rng`:
+    an int, a tuple of ints or a Generator; None, a seed from OS entropy, is rejected.
     """
+    if rng is None:
+        raise ValueError("rng=None would seed the fit from OS entropy; pass a seed")
     if design.output_range == 0.0:
         raise DegenerateDataError(
             "constant response: the profile variance is zero and the deviance is undefined"
         )
-    options = GpOptions(p_exponent=p_exponent, a=a)
-    objective = DevianceObjective(design, options)
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    report = run_strategy(objective, strategy, design.d, rng)
+    objective = DevianceObjective(design, GpOptions(p_exponent=p_exponent))
+    report = run_strategy(objective, strategy, design.d, np.random.default_rng(rng))
     if report.fe_used != objective.fe_count:
         raise RuntimeError(
             f"evaluation accounting mismatch: {report.fe_used} != {objective.fe_count}"

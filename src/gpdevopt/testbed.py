@@ -158,21 +158,16 @@ def rmspe(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return math.sqrt(float(np.sum((y_true - y_pred) ** 2)) / denom)
 
 
-def rmspe_std_err(values: np.ndarray) -> float:
-    """Standard error of replicate errors: sample std dev / sqrt(count)."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise ValueError("at least two replicates are required")
-    return float(np.std(values, ddof=1)) / math.sqrt(values.size)
-
-
 def percent_deltas(values: np.ndarray) -> np.ndarray:
     """Percent relative difference of each value against the column best.
 
     The best (smallest) entry gets 0 and the rest 100 * (v - best) / |best|.
+    NaN entries stay NaN, and an all-NaN input is returned as it is.
     """
     values = np.asarray(values, dtype=float)
-    best = float(values.min())
+    if np.isnan(values).all():
+        return values
+    best = float(np.nanmin(values))
     return 100.0 * (values - best) / abs(best)
 
 
@@ -208,9 +203,11 @@ class BenchmarkResult:
 
     @property
     def rmspe_std_err(self) -> float:
-        if len(self.rmspes) == 1:
-            return 0.0
-        return rmspe_std_err(self.rmspes) if self.rmspes else math.nan
+        """Standard error of the replicate errors: sample std dev / sqrt(count)."""
+        count = len(self.rmspes)
+        if count < 2:
+            return 0.0 if count else math.nan
+        return float(np.std(self.rmspes, ddof=1)) / math.sqrt(count)
 
 
 def _mean(values: tuple) -> float:
@@ -232,9 +229,9 @@ def _one_replicate(
     y_valid = fn.evaluate(valid)
     rows = {}
     for strategy in strategies:
-        srng = np.random.default_rng((rng_seed, replicate, STRATEGIES.index(strategy)))
+        key = (rng_seed, replicate, STRATEGIES.index(strategy))
         try:
-            model = fit(design, strategy, p_exponent=p_exponent, rng=srng)
+            model = fit(design, strategy, p_exponent=p_exponent, rng=key)
         except UnfittableError:
             rows[strategy] = None
             continue

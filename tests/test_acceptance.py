@@ -292,6 +292,6 @@ def test_criterion_9_fe_accounting(monkeypatch):
     ds = DesignSet(points, fn.evaluate(points))
     for strategy in STRATEGIES:
         calls["n"] = 0
-        model = fit(ds, strategy, seed=3)
+        model = fit(ds, strategy, rng=3)
         assert model.fe_count == calls["n"], strategy
     print("criterion 9 (exact evaluation accounting for all strategies): PASS")

@@ -98,6 +98,20 @@ class TestFitCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unfittable_design_exits_2_without_a_model_file(self, tmp_path, monkeypatch, capsys):
+        def infinite(self, beta):
+            self.fe_count += 1
+            return math.inf
+
+        monkeypatch.setattr(DevianceObjective, "__call__", infinite)
+        data = tmp_path / "train.csv"
+        write_csv(data, ["x1", "y"], [[0.0, 1.0], [0.3, 0.2], [0.55, -0.5], [1.0, 0.8]])
+        model_path = tmp_path / "m.json"
+        rc = main(["fit", "--data", str(data), "--out", str(model_path)])
+        assert rc == 2
+        assert "error: every start produced a non-finite deviance" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_box_scale_option_is_a_usage_error(self, capsys):
         # Every strategy searches the fixed boxes; the option no longer parses.
         for argv in (
@@ -258,7 +272,7 @@ class TestPredictCommand:
         model_path = tmp_path / "model.json"
         assert main(["fit", "--data", str(data), "--out", str(model_path)]) == 0
         loaded, _, _ = _load_model(str(model_path))
-        fitted = fit(_load_training_csv(str(data))[0], "DIRECT-BFGS", seed=0)
+        fitted = fit(_load_training_csv(str(data))[0], "DIRECT-BFGS", rng=0)
         points = np.random.default_rng(1).random((50, 2))
         for got, want in zip(predict_many(loaded, points), predict_many(fitted, points)):
             assert np.array_equal(got, want)
@@ -291,6 +305,18 @@ class TestPredictCommand:
         assert "np.float64" not in first.read_text()
         assert second.read_bytes() == first.read_bytes()
 
+    @pytest.mark.parametrize("key", ["mu", "sigma2", "delta", "kappa"])
+    def test_one_ulp_edit_still_loads(self, tmp_path, key):
+        # The stored values are checked against the rebuilt model to within
+        # rounding, not bit for bit: they need not carry across BLAS builds.
+        model_path, native, _ = self.fit_hump(tmp_path)
+        points = tmp_path / "pts.csv"
+        write_csv(points, ["x1"], [[v] for v in native[:, 0]])
+        payload = json.loads(model_path.read_text())
+        payload[key] = float(np.nextafter(payload[key], math.inf))
+        model_path.write_text(json.dumps(payload))
+        assert main(["predict", "--model", str(model_path), "--points", str(points)]) == 0
+
     def test_tampered_model_rejected(self, tmp_path, capsys):
         model_path, native, _ = self.fit_hump(tmp_path)
         points = tmp_path / "pts.csv"
@@ -308,7 +334,9 @@ class TestPredictCommand:
          "a-overflow", "a-tiny", "range-empty", "range-swapped", "range-shape", "range-inf",
          "fe-count-inf", "deviance-huge-int", "a-huge-int", "p-string", "fe-count-string",
          "fe-count-fraction", "fe-count-bool", "fe-count-negative", "beta-strings",
-         "deviance-string", "a-string", "points-bool", "outputs-nested", "format-version-bool"],
+         "deviance-string", "a-string", "points-bool", "outputs-nested", "format-version-bool",
+         "kappa-banana", "delta-negative", "mu-null", "sigma2-list", "strategy-int",
+         "seed-string", "mu-off", "sigma2-off", "kappa-off"],
     )
     def test_malformed_model_file_rejected(self, tmp_path, capsys, malformed):
         model_path, native, _ = self.fit_hump(tmp_path)
@@ -367,6 +395,22 @@ class TestPredictCommand:
             payload["outputs"] = [[v] for v in payload["outputs"]]
         elif malformed == "format-version-bool":
             payload["format_version"] = True
+        elif malformed == "kappa-banana":
+            payload["kappa"] = "banana"
+        elif malformed == "delta-negative":
+            payload["delta"] = -5
+        elif malformed == "mu-null":
+            payload["mu"] = None
+        elif malformed == "sigma2-list":
+            payload["sigma2"] = [1]
+        elif malformed == "strategy-int":
+            payload["strategy"] = 7
+        elif malformed == "seed-string":
+            payload["seed"] = "x"
+        elif malformed.endswith("-off"):
+            # Well-typed, but not the value the file's data and beta give.
+            key = malformed[: -len("-off")]
+            payload[key] *= 1.0 + 1e-6
         else:
             payload = 1.0
         model_path.write_text(json.dumps(payload))
@@ -375,8 +419,11 @@ class TestPredictCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         if malformed.startswith(("fe-count-", "p-", "beta-", "deviance-", "a-huge", "a-string",
-                                 "points-", "outputs-")):
+                                 "points-", "outputs-", "kappa-banana", "mu-null", "sigma2-list",
+                                 "seed-")):
             assert "wrong type" in err
+        if malformed.endswith("-off") or malformed == "delta-negative":
+            assert f"stored {malformed.split('-')[0]} " in err
         if malformed == "format-version-bool":
             assert "unsupported model format" in err
 

@@ -87,8 +87,10 @@ class TestBuildCorrelation:
         for p_exponent, a in invalid:
             with pytest.raises(ValueError):
                 GpOptions(p_exponent=p_exponent, a=a)
+        # fit takes only the exponent; the ceiling is fixed at exp(25).
+        for p_exponent in (2.5, 3.0, 0.0):
             with pytest.raises(ValueError):
-                fit(design, p_exponent=p_exponent, a=a)
+                fit(design, p_exponent=p_exponent)
 
 
 class TestConditionNumber:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ class TestPredict:
         fn = make_test_function("hump") if d == 1 else make_test_function("goldstein-price")
         pts = lhd_maximin(n, SearchBox(np.zeros(d), np.ones(d)), rng)
         ds = DesignSet(pts, fn.evaluate(pts))
-        return fit(ds, "DIRECT-BFGS", seed=seed)
+        return fit(ds, "DIRECT-BFGS", rng=seed)
 
     def test_interpolates_design_points(self):
         model = self.build_model()
@@ -347,7 +348,7 @@ class TestFit:
         grid_vals = [obj.evaluate(np.array([b]))[0] for b in np.linspace(lo[0], hi[0], 2001)]
         grid_min = min(grid_vals)
         for strategy in ("MS-BFGS-2d1", "DIRECT-BFGS", "MS-IF-halfd"):
-            model = fit(ds, strategy, seed=1)
+            model = fit(ds, strategy, rng=1)
             assert model.deviance <= grid_min + 0.01 * abs(grid_min)
 
     def test_constant_output_rejected(self):
@@ -360,7 +361,7 @@ class TestFit:
         fn = make_test_function("hump")
         pts = lhd_maximin(10, SearchBox(np.zeros(1), np.ones(1)), rng)
         ds = DesignSet(pts, fn.evaluate(pts))
-        model = fit(ds, "DIRECT-BFGS", seed=5)
+        model = fit(ds, "DIRECT-BFGS", rng=5)
         val, _ = DevianceObjective(ds, GpOptions()).evaluate(model.beta_star)
         assert model.deviance == pytest.approx(val, rel=1e-10)
 
@@ -377,7 +378,7 @@ class TestFit:
         fn = make_test_function("hump")
         pts = lhd_maximin(10, SearchBox(np.zeros(1), np.ones(1)), rng)
         ds = DesignSet(pts, fn.evaluate(pts))
-        model = fit(ds, "MS-BFGS-2d1", seed=2)
+        model = fit(ds, "MS-BFGS-2d1", rng=2)
         assert model.fe_count == calls["n"]
 
     def test_one_distance_cache_per_fit(self, monkeypatch):
@@ -401,13 +402,57 @@ class TestFit:
         with pytest.raises(ValueError, match="unknown strategy 'GRADIENT-DESCENT'; expected one of"):
             fit(ds, "GRADIENT-DESCENT")
 
+    def test_seed_keyword_is_gone(self):
+        ds = DesignSet(np.array([[0.0], [0.5], [1.0]]), np.array([0.0, 1.0, 0.3]))
+        with pytest.raises(TypeError):
+            fit(ds, seed=1)
+
+    def test_rng_none_rejected_before_any_fe(self, monkeypatch):
+        # None would seed the fit from OS entropy.
+        def no_fe(self, beta):
+            raise AssertionError("an FE ran")
+
+        monkeypatch.setattr(DevianceObjective, "__call__", no_fe)
+        ds = DesignSet(np.array([[0.0], [0.5], [1.0]]), np.array([0.0, 1.0, 0.3]))
+        with pytest.raises(ValueError, match="rng=None"):
+            fit(ds, rng=None)
+
+    @pytest.mark.parametrize("seed", [4, (4, 1)], ids=["int", "tuple"])
+    def test_generator_gives_the_seed_bits(self, seed):
+        # default_rng returns a Generator as it is, so a Generator and its
+        # seed drive the same stream.
+        fn = make_test_function("hump")
+        pts = lhd_maximin(10, SearchBox(np.zeros(1), np.ones(1)), np.random.default_rng(18))
+        ds = DesignSet(pts, fn.evaluate(pts))
+        by_seed = fit(ds, "MS-IF-2d1", rng=seed)
+        by_generator = fit(ds, "MS-IF-2d1", rng=np.random.default_rng(seed))
+        assert by_seed.beta_star.tobytes() == by_generator.beta_star.tobytes()
+        assert np.float64(by_seed.deviance).tobytes() == np.float64(by_generator.deviance).tobytes()
+        assert by_seed.fe_count == by_generator.fe_count
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_all_infinite_deviances_are_unfittable(self, monkeypatch, strategy):
+        # Every FE is counted and +inf: each strategy must end in the typed
+        # error, not in the accounting check or a numpy warning.
+        def infinite(self, beta):
+            self.fe_count += 1
+            return math.inf
+
+        monkeypatch.setattr(DevianceObjective, "__call__", infinite)
+        rng = np.random.default_rng(0)
+        ds = DesignSet(rng.random((6, 2)), rng.random(6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnfittableError, match="every start produced a non-finite"):
+                fit(ds, strategy)
+
     def test_p_is_plumbed_through(self):
         rng = np.random.default_rng(17)
         fn = make_test_function("hump")
         pts = lhd_maximin(10, SearchBox(np.zeros(1), np.ones(1)), rng)
         ds = DesignSet(pts, fn.evaluate(pts))
-        base = fit(ds, "DIRECT-BFGS", seed=1)
-        rough = fit(ds, "DIRECT-BFGS", seed=1, p_exponent=1.99)
+        base = fit(ds, "DIRECT-BFGS", rng=1)
+        rough = fit(ds, "DIRECT-BFGS", rng=1, p_exponent=1.99)
         # A different exponent changes the surface itself.
         assert rough.deviance != base.deviance
         assert np.all(rough.p == 1.99)

@@ -1,6 +1,10 @@
-"""Property tests of the counted deviance evaluation (the optimizers' hot path)."""
+"""Property tests of the counted deviance evaluation (the optimizers' hot path)
+and of the whole path from a design to a model file."""
 
+import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from gpdevopt.correlation import (
     factorize,
     nugget_and_kappa,
 )
-from gpdevopt.gp import DesignSet, DevianceObjective
+from gpdevopt import cli
+from gpdevopt.gp import DesignSet, DevianceObjective, fit, predict_many
 
 # Ordinary log10 inverse lengthscales, plus values whose 10**beta underflows
 # to zero or overflows to infinity.
@@ -99,3 +104,44 @@ def test_kappa_is_monotone_under_dominance(data, a):
         assert np.array_equal(L, factorize(R_high, 0.0, kappa_high).factor)
     if delta_high > 0.0:
         assert delta_low > 0.0
+
+
+@st.composite
+def fit_designs(draw):
+    # Small designs at the numerical edges a fit meets: points 1e-6 apart
+    # overall, a pair 1e-9 apart, outputs far from zero relative to their
+    # range, and output scales far from one.
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([1.0, 1e-6]))
+    points = 0.5 + spread * (rng.random((n, d)) - 0.5)
+    if draw(st.booleans()):
+        points[-1] = points[0] + 1e-9
+    signal = np.sin(6.0 * (points - 0.5) / spread).sum(axis=1) + 0.1 * rng.standard_normal(n)
+    offset = draw(st.sampled_from([0.0, 1e3, -1e9, 1e9]))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    order = draw(st.sampled_from("CF"))
+    return DesignSet(np.array(points, order=order), scale * (offset + signal))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ds=fit_designs())
+def test_fit_predict_and_model_file_round_trip(ds):
+    model = fit(ds, rng=0)
+    probes = np.vstack([ds.points, np.random.default_rng(0).random((5, ds.d))])
+    y_hat, mse = predict_many(model, probes)
+    assert np.isfinite(y_hat).all()
+    assert np.isfinite(mse).all() and (mse >= 0.0).all()
+    span = ds.output_range
+    # With a nugget the predictor smooths rather than interpolates.
+    if model.correlation.delta == 0.0:
+        assert np.max(np.abs(y_hat[: ds.n] - ds.outputs)) < 1e-6 * span
+    mins, maxs = np.zeros(ds.d), np.ones(ds.d)
+    payload = cli._model_payload(model, mins, maxs, "DIRECT-BFGS", 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(payload))
+        loaded, _, _ = cli._load_model(str(path))
+    y_loaded, _ = predict_many(loaded, probes)
+    assert np.max(np.abs(y_loaded - y_hat)) <= 1e-6 * span

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from gpdevopt.testbed import (
     BenchmarkResult,
     percent_deltas,
     rmspe,
-    rmspe_std_err,
     run_benchmark,
 )
 
@@ -103,14 +103,11 @@ class TestMetrics:
             rmspe(np.zeros(3), np.ones(3))
 
     def test_std_err_all_equal(self):
-        assert rmspe_std_err(np.full(25, 0.31)) == pytest.approx(0.0, abs=1e-12)
+        result = BenchmarkResult("IF2", 25, rmspes=(0.31,) * 25)
+        assert result.rmspe_std_err == pytest.approx(0.0, abs=1e-12)
 
     def test_std_err_hand_case(self):
-        assert rmspe_std_err(np.array([0.0, 2.0])) == pytest.approx(1.0)
-
-    def test_std_err_needs_two(self):
-        with pytest.raises(ValueError):
-            rmspe_std_err(np.array([0.5]))
+        assert BenchmarkResult("IF2", 2, rmspes=(0.0, 2.0)).rmspe_std_err == pytest.approx(1.0)
 
     def test_percent_deltas(self):
         deltas = percent_deltas(np.array([10.0, 12.0, 15.0]))
@@ -122,6 +119,17 @@ class TestMetrics:
         deltas = percent_deltas(np.array([-10.0, -8.0]))
         assert deltas[0] == 0.0
         assert deltas[1] == pytest.approx(20.0)
+
+    def test_percent_deltas_keep_nan(self):
+        # A strategy with no fitted replicate has NaN means: its gaps stay
+        # NaN, and the best is taken over the others.
+        deltas = percent_deltas([12.0, math.nan, 10.0])
+        assert deltas[0] == pytest.approx(20.0)
+        assert math.isnan(deltas[1])
+        assert deltas[2] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(percent_deltas([math.nan, math.nan])).all()
 
 
 class TestRunBenchmark:
@@ -182,7 +190,8 @@ class TestRunBenchmark:
         assert res.failed_replicates == 0
         assert len(res.deviances) == 2
         assert res.mean_fe == pytest.approx(np.mean(res.fe_counts))
-        assert res.rmspe_std_err == pytest.approx(rmspe_std_err(np.array(res.rmspes)))
+        want = np.std(res.rmspes, ddof=1) / math.sqrt(2)
+        assert res.rmspe_std_err == pytest.approx(want)
 
     def test_replicate_count_validation(self):
         fn = make_test_function("hump")
