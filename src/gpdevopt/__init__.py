@@ -11,7 +11,6 @@ from .gp import (
     DevianceObjective,
     UnfittableError,
     fit,
-    predict,
     predict_many,
 )
 from .testbed import BenchmarkResult, run_benchmark, test_function
@@ -28,7 +27,6 @@ __all__ = [
     "UnfittableError",
     "fit",
     "lhd_maximin",
-    "predict",
     "predict_many",
     "run_benchmark",
     "test_function",

@@ -10,6 +10,7 @@ seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -129,14 +130,16 @@ def _model_payload(model: FittedGP, mins, maxs, strategy, seed) -> dict:
     }
 
 
-def _number_array(value, ndim: int = 1, order: str = "C") -> np.ndarray:
-    """A model file's list of JSON numbers (ndim 1), or list of such lists
-    (ndim 2), as a float array.  Any other JSON type is a TypeError, never
-    converted; comparing types also keeps out bool, an int subclass."""
-    rows = value if ndim == 2 and type(value) is list else [value]
-    if not all(type(row) is list and all(type(v) in (int, float) for v in row) for row in rows):
-        raise TypeError(f"expected numbers, got {json.dumps(value)[:40]}")
-    return np.array(value, dtype=float, order=order)
+def _number_array(payload: dict, key: str, ndim: int = 1, order: str = "C") -> np.ndarray:
+    """payload[key], a JSON number (ndim 0), list of them (ndim 1) or list of such lists
+    (ndim 2), as a float array.  Any other JSON type, or an int past float64's range, is
+    a TypeError that names the key; comparing types also keeps out bool, an int subclass."""
+    value = payload[key]
+    rows = [[value]] if ndim == 0 else value if ndim == 2 and type(value) is list else [value]
+    if all(type(row) is list and all(type(v) in (int, float) for v in row) for row in rows):
+        with contextlib.suppress(OverflowError):
+            return np.array(value, dtype=float, order=order)
+    raise TypeError(f"{key}: expected float64 numbers, got {json.dumps(value)[:40]}")
 
 
 def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
@@ -154,15 +157,15 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
         # Column-major, as `_load_training_csv` builds it: the kernel's
         # reduction order follows the layout of the points, so this rebuilds
         # bit for bit the model that `fit` returned.
-        points = _number_array(payload["points"], ndim=2, order="F")
-        outputs, p, beta = (_number_array(payload[key]) for key in ("outputs", "p", "beta"))
-        mins, maxs = _number_array(payload["input_min"]), _number_array(payload["input_max"])
+        points = _number_array(payload, "points", ndim=2, order="F")
+        outputs, p, beta = (_number_array(payload, key) for key in ("outputs", "p", "beta"))
+        mins, maxs = _number_array(payload, "input_min"), _number_array(payload, "input_max")
         scalars = ("condition_exponent", "deviance", "mu", "sigma2", "delta", "kappa")
-        a, *stored = _number_array([payload[key] for key in scalars]).tolist()
+        a, *stored = (float(_number_array(payload, key, ndim=0)) for key in scalars)
         for key in ("fe_count", "seed"):
             if type(payload[key]) is not int or payload[key] < 0:
-                raise TypeError(f"{key} must be an int >= 0, got {json.dumps(payload[key])[:40]}")
-    except (TypeError, OverflowError) as exc:
+                raise TypeError(f"{key}: expected an int >= 0, got {json.dumps(payload[key])[:40]}")
+    except TypeError as exc:
         raise ValueError(f"{path}: a model file value has the wrong type ({exc})") from None
     if payload["strategy"] not in STRATEGIES:
         raise ValueError(f"{path}: unknown strategy {json.dumps(payload['strategy'])[:40]}")
@@ -217,13 +220,9 @@ def _write_rows(path: str | None, header: list[str], rows: list[list], fmt: str 
             handle.close()
 
 
-def _fit(design: DesignSet, args) -> FittedGP:
-    return fit(design, args.strategy, p_exponent=args.p, rng=args.seed)
-
-
 def _cmd_fit(args) -> int:
     design, mins, maxs = _load_training_csv(args.data)
-    model = _fit(design, args)
+    model = fit(design, args.strategy, p_exponent=args.p, rng=args.seed)
     payload = _model_payload(model, mins, maxs, args.strategy, args.seed)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
@@ -238,7 +237,7 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     model, mins, maxs = _load_model(args.model)
     header, data = _read_table(args.points)
-    x_names = [f"x{k + 1}" for k in range(model.d)]
+    x_names = [f"x{k + 1}" for k in range(model.design.d)]
     for name in x_names:
         if name not in header:
             raise ValueError(f"{args.points}: missing input column {name!r}")
@@ -330,7 +329,7 @@ def _cmd_surface(args) -> int:
     # prediction surface
     if design.d != 2:
         raise ValueError("prediction surfaces require exactly 2 input dimensions")
-    model = _fit(design, args)
+    model = fit(design, args.strategy, p_exponent=args.p, rng=args.seed)
     axis = np.linspace(0.0, 1.0, args.grid)
     grid = _grid([axis, axis])
     rows = np.column_stack([grid, *predict_many(model, grid)]).tolist()

@@ -190,15 +190,6 @@ def cluster_starts(
     return starts, wrapped.count
 
 
-def multistart_count(strategy: str, d: int) -> int:
-    """Number of local-search starts the strategy uses at dimension d."""
-    if strategy in ("MS-BFGS-2d1", "MS-IF-2d1"):
-        return 2 * d + 1
-    if strategy in ("MS-BFGS-halfd", "MS-IF-halfd", "IF2"):
-        return math.ceil(0.5 * d)
-    return 1
-
-
 def run_strategy(
     objective,
     strategy: str,
@@ -223,9 +214,8 @@ def run_strategy(
     fe_sampling = 0
     if strategy.startswith("MS-") or strategy == "IF2":
         include_diagonal = strategy.endswith("2d1")
-        starts, fe_sampling = cluster_starts(
-            objective, start_box, multistart_count(strategy, d), include_diagonal, rng
-        )
+        n_starts = 2 * d + 1 if include_diagonal else math.ceil(0.5 * d)
+        starts, fe_sampling = cluster_starts(objective, start_box, n_starts, include_diagonal, rng)
         if strategy == "IF2":
             cap = IF2_STAGE1_FE_PER_DIM * d
             stage1 = [implicit_filtering(objective, start, pattern_box, cap) for start in starts]

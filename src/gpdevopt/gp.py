@@ -274,12 +274,6 @@ class DevianceObjective:
 
 
 @dataclass(frozen=True)
-class Prediction:
-    y_hat: float
-    mse: float
-
-
-@dataclass(frozen=True)
 class FittedGP:
     """Fitted emulator: optimal correlation parameters plus profile estimates."""
 
@@ -293,12 +287,8 @@ class FittedGP:
     options: GpOptions
 
     @property
-    def d(self) -> int:
-        return self.design.d
-
-    @property
     def p(self) -> np.ndarray:
-        return self.options.p_vector(self.d)
+        return self.options.p_vector(self.design.d)
 
 
 # Points per block of `predict_many`.  On Goldstein-Price n=100 with a
@@ -322,8 +312,8 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
     point: a 2-point and a 200-point call can round the same point apart.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != model.d:
-        raise ValueError(f"points must have {model.d} columns")
+    if points.shape[1] != model.design.d:
+        raise ValueError(f"points must have {model.design.d} columns")
     if not np.isfinite(points).all():
         raise ValueError("prediction points must be finite")
     L = model.correlation.factor
@@ -351,12 +341,6 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
         )
         start = stop
     return y_hat, np.maximum(mse, 0.0)
-
-
-def predict(model: FittedGP, x_star: np.ndarray) -> Prediction:
-    """Best linear unbiased prediction with its mean squared error."""
-    y_hat, mse = predict_many(model, np.atleast_2d(x_star))
-    return Prediction(y_hat=float(y_hat[0]), mse=float(mse[0]))
 
 
 def prediction_weights(model: FittedGP, x_star: np.ndarray) -> np.ndarray:

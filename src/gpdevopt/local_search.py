@@ -30,7 +30,7 @@ GRAD_STEP = 1e-6
 # BFGS stops once every gradient component is below this in magnitude.
 GRAD_TOL = 1e-6
 
-# Default cap on BFGS iterations (line searches).
+# Cap on BFGS iterations (line searches).
 MAX_ITERS = 400
 
 
@@ -114,13 +114,13 @@ def _inverse_hessian_update(h_inv, s, y, sy):
     return v @ h_inv @ v.T + rho * np.outer(s, s)
 
 
-def bfgs_minimize(objective, beta0: np.ndarray, max_iters: int = MAX_ITERS) -> OptReport:
+def bfgs_minimize(objective, beta0: np.ndarray) -> OptReport:
     """Unconstrained quasi-Newton descent with numerical gradients.
 
     Uses the inverse-Hessian rank-two update, central-difference gradients
     (2d calls each), and an Armijo/cubic backtracking line search; the
     curvature side of the Wolfe conditions gates the Hessian update.  Stops
-    on gradient norm, iteration count, or a failed line search.
+    on gradient norm, after MAX_ITERS iterations, or on a failed line search.
     """
     wrapped = CountedObjective(objective)
     x = np.atleast_1d(np.asarray(beta0, dtype=float))
@@ -131,7 +131,7 @@ def bfgs_minimize(objective, beta0: np.ndarray, max_iters: int = MAX_ITERS) -> O
     grad = central_gradient(wrapped, x)
     h_inv = np.eye(d)
     scaled = False
-    for iteration in range(max_iters):
+    for iteration in range(MAX_ITERS):
         if not np.all(np.isfinite(grad)):
             break
         if np.max(np.abs(grad)) < GRAD_TOL:

@@ -39,12 +39,9 @@ class TestFunction:
         unit_points = np.atleast_2d(np.asarray(unit_points, dtype=float))
         return self.native_lower + unit_points * (self.native_upper - self.native_lower)
 
-    def evaluate_native(self, points: np.ndarray) -> np.ndarray:
-        return self.fn(np.atleast_2d(np.asarray(points, dtype=float)))
-
     def evaluate(self, unit_points: np.ndarray) -> np.ndarray:
         """Values at unit-cube inputs, mapped through the native domain."""
-        return self.evaluate_native(self.to_native(unit_points))
+        return self.fn(self.to_native(unit_points))
 
 
 def _hump(x: np.ndarray) -> np.ndarray:

@@ -54,7 +54,7 @@ def goldstein_price_csv(path, n=20, seed=0):
     rng = np.random.default_rng(seed)
     unit = lhd_maximin(n, SearchBox(np.zeros(2), np.ones(2)), rng)
     native = fn.to_native(unit)
-    y = fn.evaluate_native(native)
+    y = fn.fn(native)
     write_csv(path, ["x1", "x2", "y"], [[*native[i], y[i]] for i in range(n)])
     return native, y
 
@@ -64,7 +64,7 @@ def hump_csv(path, n=10, seed=11):
     rng = np.random.default_rng(seed)
     unit = lhd_maximin(n, SearchBox(np.zeros(1), np.ones(1)), rng)
     native = fn.to_native(unit)
-    y = fn.evaluate_native(native)
+    y = fn.fn(native)
     write_csv(path, ["x1", "y"], [[native[i, 0], y[i]] for i in range(n)])
     return native, y
 
@@ -418,10 +418,17 @@ class TestPredictCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        if malformed.startswith(("fe-count-", "p-", "beta-", "deviance-", "a-huge", "a-string",
-                                 "points-", "outputs-", "kappa-banana", "mu-null", "sigma2-list",
-                                 "seed-")):
-            assert "wrong type" in err
+        # Each wrong-typed value is named by its key, in one form: a bare key
+        # such as "p" would also match inside the rest of the message.
+        wrong_type_keys = {
+            "fe-count-": "fe_count", "p-": "p", "beta-": "beta", "deviance-": "deviance",
+            "a-huge": "condition_exponent", "a-string": "condition_exponent", "points-": "points",
+            "outputs-": "outputs", "kappa-banana": "kappa", "mu-null": "mu",
+            "sigma2-list": "sigma2", "seed-": "seed",
+        }
+        for stem, key in wrong_type_keys.items():
+            if malformed.startswith(stem):
+                assert f"wrong type ({key}: expected " in err
         if malformed.endswith("-off") or malformed == "delta-negative":
             assert f"stored {malformed.split('-')[0]} " in err
         if malformed == "format-version-bool":
@@ -475,7 +482,7 @@ class TestPredictCommand:
         rng = np.random.default_rng(42)
         unit = lhd_maximin(100, SearchBox(np.zeros(1), np.ones(1)), rng)
         holdout_native = fn.to_native(unit)
-        y_true = fn.evaluate_native(holdout_native)
+        y_true = fn.fn(holdout_native)
         points = tmp_path / "holdout.csv"
         write_csv(points, ["x1"], [[v] for v in holdout_native[:, 0]])
         out = tmp_path / "pred.csv"
@@ -500,7 +507,7 @@ class TestPredictCommand:
         rng = np.random.default_rng(99)
         unit = lhd_maximin(200, SearchBox(np.zeros(2), np.ones(2)), rng)
         native = fn.to_native(unit)
-        y_true = fn.evaluate_native(native)
+        y_true = fn.fn(native)
         points = tmp_path / "holdout.csv"
         write_csv(points, ["x1", "x2"], [list(row) for row in native])
         out = tmp_path / "pred.csv"

@@ -14,7 +14,6 @@ from gpdevopt.global_search import (
     kmeans_best,
     lhd_maximin,
     lhd_unit_sample,
-    multistart_count,
     run_strategy,
 )
 from gpdevopt.gp import DesignSet, DevianceObjective
@@ -242,11 +241,25 @@ class TestClusterStarts:
         for start in starts:
             assert np.all(start >= lo) and np.all(start <= hi)
 
-    def test_multistart_count(self):
-        assert multistart_count("MS-BFGS-2d1", 3) == 7
-        assert multistart_count("MS-IF-halfd", 10) == 5
-        assert multistart_count("IF2", 1) == 1
-        assert multistart_count("DIRECT-BFGS", 4) == 1
+    def test_multistart_count(self, count_calls):
+        # Local runs per strategy, counted at the names the strategies call.
+        import gpdevopt.global_search as gs
+
+        counters = [count_calls(gs, name)
+                    for name in ("direct_search", "bfgs_minimize", "implicit_filtering")]
+        for d in (1, 3, 4):
+            two_d1, half_d = 2 * d + 1, math.ceil(d / 2)
+            expected = {
+                "MS-BFGS-2d1": (0, two_d1, 0), "MS-IF-2d1": (0, 0, two_d1),
+                "MS-BFGS-halfd": (0, half_d, 0), "MS-IF-halfd": (0, 0, half_d),
+                "IF2": (0, 0, half_d + 1), "DIRECT-BFGS": (1, 1, 0), "DIRECT-IF": (1, 0, 1),
+            }
+            for strategy in STRATEGIES:
+                before = [counter.calls for counter in counters]
+                run_strategy(lambda x: float((x - 0.1) @ (x - 0.1)), strategy, d,
+                             np.random.default_rng(d))
+                calls = tuple(counter.calls - b for counter, b in zip(counters, before))
+                assert calls == expected[strategy], (strategy, d)
 
 
 class TestRunStrategy:

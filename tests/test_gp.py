@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gpdevopt import correlation
+from gpdevopt import correlation, global_search
 from gpdevopt import gp as gp_module
 from gpdevopt.boxes import SearchBox, default_beta_box
 from gpdevopt.correlation import (
@@ -30,7 +30,6 @@ from gpdevopt.gp import (
     _Profile,
     fit,
     mean_estimate,
-    predict,
     predict_many,
     prediction_weights,
     variance_estimate,
@@ -72,6 +71,10 @@ class TestDesignSet:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             DesignSet(np.array([[0.0], [1.5]]), np.array([0.0, 1.0]))
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="number of rows"):
+            DesignSet(np.array([[0.1], [0.5], [0.9]]), np.array([1.0, 2.0]))
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
@@ -229,9 +232,9 @@ class TestPredict:
         assert model.correlation.delta == 0.0
         span = model.design.output_range
         for i in range(model.design.n):
-            pred = predict(model, model.design.points[i])
-            assert abs(pred.y_hat - model.design.outputs[i]) < 1e-6 * span
-            assert pred.mse < 1e-8 * model.sigma2_hat
+            y_hat, mse = predict_many(model, model.design.points[i : i + 1])
+            assert abs(y_hat[0] - model.design.outputs[i]) < 1e-6 * span
+            assert mse[0] < 1e-8 * model.sigma2_hat
 
     def test_far_field_limit(self):
         # Large beta: the query point decorrelates from every design point.
@@ -241,11 +244,11 @@ class TestPredict:
         objective = DevianceObjective(ds)
         _, info = objective.evaluate(np.array([2.6]))
         model = objective.model(np.array([2.6]))
-        pred = predict(model, np.array([1.0]))
-        assert pred.y_hat == pytest.approx(info.mu_hat, abs=1e-8)
+        (y_hat,), (mse,) = predict_many(model, np.array([[1.0]]))
+        assert y_hat == pytest.approx(info.mu_hat, abs=1e-8)
         ones = np.ones(3)
         limit = info.sigma2_hat * (1.0 + 1.0 / (ones @ cholesky_solve(info.factored.factor, ones)))
-        assert pred.mse == pytest.approx(limit, rel=1e-6)
+        assert mse == pytest.approx(limit, rel=1e-6)
 
     def test_both_blup_forms_agree(self):
         rng = np.random.default_rng(7)
@@ -265,7 +268,7 @@ class TestPredict:
             checked += 1
             model = objective.model(beta)
             x_star = rng.random(d)
-            direct_form = predict(model, x_star).y_hat
+            direct_form = predict_many(model, x_star[None])[0][0]
             weights = prediction_weights(model, x_star)
             assert direct_form == pytest.approx(float(weights @ Y), rel=1e-8, abs=1e-10)
 
@@ -281,7 +284,12 @@ class TestPredict:
         with pytest.raises(ValueError, match="finite"):
             predict_many(model, np.array([[0.5], [bad]]))
         with pytest.raises(ValueError, match="finite"):
-            predict(model, np.array([bad]))
+            predict_many(model, np.array([[bad]]))
+
+    def test_wrong_column_count_rejected(self):
+        model = self.build_model()
+        with pytest.raises(ValueError, match="must have 1 columns"):
+            predict_many(model, np.full((3, 2), 0.5))
 
     @pytest.mark.parametrize("d, n, beta", [(1, 7, 0.5), (2, 11, 0.3), (10, 13, -0.5)])
     @pytest.mark.parametrize("design_order", ["C", "F"])
@@ -380,6 +388,21 @@ class TestFit:
         ds = DesignSet(pts, fn.evaluate(pts))
         model = fit(ds, "MS-BFGS-2d1", rng=2)
         assert model.fe_count == calls["n"]
+
+    def test_uncounted_evaluation_is_an_accounting_mismatch(self, monkeypatch):
+        # A phase that calls the objective once more than it reports.
+        original = global_search.cluster_starts
+
+        def undercounting(objective, *args):
+            starts, fe_used = original(objective, *args)
+            objective(starts[0])
+            return starts, fe_used
+
+        monkeypatch.setattr(global_search, "cluster_starts", undercounting)
+        fn = make_test_function("hump")
+        pts = lhd_maximin(6, SearchBox(np.zeros(1), np.ones(1)), np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="evaluation accounting mismatch"):
+            fit(DesignSet(pts, fn.evaluate(pts)), "MS-BFGS-halfd")
 
     def test_one_distance_cache_per_fit(self, monkeypatch):
         # The optimized objective also builds the model: one set of powered

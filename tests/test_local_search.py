@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from gpdevopt import local_search
 from gpdevopt.boxes import SearchBox, if_beta_box
 from gpdevopt.global_search import lhd_maximin
 from gpdevopt.gp import DesignSet, DevianceObjective
 from gpdevopt.local_search import (
     DEFAULT_SCALES,
+    _cubic_step,
     _inverse_hessian_update,
     bfgs_minimize,
     central_gradient,
@@ -91,8 +93,9 @@ class TestBfgs:
         report = bfgs_minimize(lambda x: float(x @ x), np.array([3.0, -4.0]))
         assert np.max(np.abs(report.beta_star)) < 1e-6
 
-    def test_rosenbrock(self):
-        report = bfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), max_iters=200)
+    def test_rosenbrock(self, monkeypatch):
+        monkeypatch.setattr(local_search, "MAX_ITERS", 200)
+        report = bfgs_minimize(rosenbrock, np.array([-1.2, 1.0]))
         assert report.value < 1e-6
 
     def test_infinite_start_returns_unchanged(self):
@@ -101,6 +104,29 @@ class TestBfgs:
         assert report.value == math.inf
         assert np.array_equal(report.beta_star, start)
         assert report.fe_used == 1
+
+    def test_non_descent_direction_restarts_from_steepest_descent(self, monkeypatch):
+        # An update that returns -I makes the next direction an ascent one;
+        # without the restart the line search would fail there and stop.  An
+        # update after the first follows an iteration that began at -I.
+        updates = []
+
+        def negative(h_inv, s, y, sy):
+            updates.append(1)
+            return -np.eye(s.size)
+
+        monkeypatch.setattr(local_search, "_inverse_hessian_update", negative)
+        report = bfgs_minimize(lambda x: float((x - 1.0) @ (x - 1.0)), np.array([3.0, -2.0]))
+        assert len(updates) >= 2
+        assert np.allclose(report.beta_star, [1.0, 1.0], atol=1e-6)
+
+    def test_non_finite_gradient_stops(self):
+        # Finite only for |x| < 1: the central difference steps out of the
+        # domain, so the search stops after the start and its two gradient FEs.
+        start = np.array([1.0 - 1e-7])
+        report = bfgs_minimize(lambda x: float(x @ x) if abs(x[0]) < 1.0 else math.inf, start)
+        assert report.fe_used == 3
+        assert report.value < float(start @ start)  # the best FE, the inner gradient probe
 
     def test_hump_deviance_from_basin(self):
         obj = hump_deviance_objective()
@@ -122,6 +148,27 @@ class TestBfgs:
         # A budget must allow the first evaluation, so there is a point to report.
         with pytest.raises(ValueError):
             implicit_filtering(rosenbrock, np.zeros(2), SearchBox(-np.ones(2), np.ones(2)), max_fe=0)
+
+
+class TestCubicStep:
+    def test_cubic_through_three_values(self):
+        # f = -3 a + a^3 has slope -3 at 0 and its minimum at a = 1.
+        assert _cubic_step(0.0, -3.0, 0.5, -1.375, 2.0, 2.0) == pytest.approx(1.0, rel=1e-12)
+
+    def test_coincident_steps_give_nan(self):
+        assert math.isnan(_cubic_step(0.0, -1.0, 0.5, -0.25, 0.5, -0.25))
+        assert math.isnan(_cubic_step(0.0, -1.0, 0.5, -0.25, 0.0, 0.0))
+
+    def test_straight_line_gives_nan(self):
+        assert math.isnan(_cubic_step(0.0, -1.0, 1.0, -1.0, 2.0, -2.0))
+
+    def test_quadratic_gives_its_minimizer(self):
+        # f = a^2 - 2a: no cubic term, minimum at a = 1.
+        assert _cubic_step(0.0, -2.0, 1.0, -1.0, 2.0, 0.0) == 1.0
+
+    def test_cubic_without_a_minimum_gives_nan(self):
+        # f = -a - a^3 decreases everywhere: the derivative has no real root.
+        assert math.isnan(_cubic_step(0.0, -1.0, 1.0, -2.0, 2.0, -10.0))
 
 
 class TestImplicitFiltering:

@@ -33,30 +33,30 @@ class TestFunctions:
 
     def test_hump_at_native_zero(self):
         fn = make_test_function("hump")
-        assert fn.evaluate_native(np.array([[0.0]]))[0] == pytest.approx(1.0316285)
+        assert fn.fn(np.array([[0.0]]))[0] == pytest.approx(1.0316285)
         # Native domain [-2, 2]: the unit-cube midpoint maps onto native 0.
         assert fn.evaluate(np.array([[0.5]]))[0] == pytest.approx(1.0316285)
 
     def test_goldstein_price_known_value(self):
         fn = make_test_function("goldstein-price")
-        assert fn.evaluate_native(np.array([[0.0, -1.0]]))[0] == pytest.approx(3.0)
+        assert fn.fn(np.array([[0.0, -1.0]]))[0] == pytest.approx(3.0)
 
     def test_schwefel_at_native_zero(self):
         fn = make_test_function("schwefel")
-        assert fn.evaluate_native(np.zeros((1, 5)))[0] == pytest.approx(2094.9)
+        assert fn.fn(np.zeros((1, 5)))[0] == pytest.approx(2094.9)
 
     def test_rastrigin_at_native_zero(self):
         fn = make_test_function("rastrigin10")
-        assert fn.evaluate_native(np.zeros((1, 10)))[0] == pytest.approx(0.0)
+        assert fn.fn(np.zeros((1, 10)))[0] == pytest.approx(0.0)
 
     def test_rosenbrock_at_ones(self):
         fn = make_test_function("rosenbrock10")
-        assert fn.evaluate_native(np.ones((1, 10)))[0] == pytest.approx(0.0)
+        assert fn.fn(np.ones((1, 10)))[0] == pytest.approx(0.0)
 
     def test_perm_at_native_zero(self):
         # Only the i=1 layer survives at the origin: sum_j (j + 0.5)^2 = 731.
         fn = make_test_function("perm12")
-        assert fn.evaluate_native(np.zeros((1, 12)))[0] == pytest.approx(731.0)
+        assert fn.fn(np.zeros((1, 12)))[0] == pytest.approx(731.0)
 
     def test_hartmann_matches_direct_summation(self):
         fn = make_test_function("hartmann6")
@@ -66,7 +66,7 @@ class TestFunctions:
         for i in range(4):
             inner = sum(tb._HARTMANN_B[i, j] * (x[j] - tb._HARTMANN_Q[i, j]) ** 2 for j in range(6))
             expected -= tb._HARTMANN_ALPHA[i] * math.exp(-inner)
-        assert fn.evaluate_native(x[None, :])[0] == pytest.approx(expected, rel=1e-12)
+        assert fn.fn(x[None, :])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_perm_matches_direct_summation(self):
         fn = make_test_function("perm12")
@@ -76,7 +76,7 @@ class TestFunctions:
         for i in range(1, 13):
             for j in range(1, 13):
                 expected += ((j ** i + 0.5) * (x[j - 1] / j) ** (i - 1)) ** 2
-        assert fn.evaluate_native(x[None, :])[0] == pytest.approx(expected, rel=1e-12)
+        assert fn.fn(x[None, :])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_all_finite_on_unit_cube(self):
         rng = np.random.default_rng(2)
