@@ -60,15 +60,15 @@ _COMPARISON_MIN_N = 50
 
 
 def powered_distances(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """|x_ik - y_jk|**p_k for every pair of rows, as a (d, m*n) array.
+    """|x_ik - y_jk|**p_k for every pair of rows, as a (d, m*n) array; only
+    `DistanceCache` uses it (predictions use `powered_planes`).
 
     Column i*n + j holds pair (i, j).  The array is built in place as
     (m, n, d), in the memory order numpy derives from the layouts of x and y,
     and its (d, m, n) transpose is reshaped: a view when x and y share a
     layout (as a design does with itself), a copy otherwise.  That layout
-    fixes the reduction order of the (1, d) x (d, m*n) `dot` in
-    `gaussian_kernel`, and so the bits of every correlation matrix and vector
-    the package computes.
+    fixes the reduction order of the `dot` in `gaussian_kernel`, and with the
+    shape it picks the `**= p` loop numpy runs: both set the fits' bits.
     """
     m, n, d = x.shape[0], y.shape[0], x.shape[1]
     powered = x[:, None, :] - y[None, :, :]
@@ -77,9 +77,30 @@ def powered_distances(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray
     return powered.transpose(2, 0, 1).reshape(d, m * n)
 
 
+def powered_planes(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """`powered_distances` as a C-contiguous array, built one coordinate plane
+    at a time: squared where p_k is 2, else `abs` then a scalar-exponent
+    power, never an array-exponent `**=`, whose loop numpy picks by shape and
+    layout.  Every entry is an exactly rounded function of two coordinates,
+    whatever the layouts and however the rows of x are split into blocks.
+    """
+    m, n = x.shape[0], y.shape[0]
+    powered = np.empty((p.size, m, n))
+    for k, p_k in enumerate(p.tolist()):
+        plane = powered[k]
+        np.subtract.outer(x[:, k], y[:, k], out=plane)
+        if p_k == 2.0:
+            np.square(plane, out=plane)
+        else:
+            np.abs(plane, out=plane)
+            np.power(plane, p_k, out=plane)
+    return powered.reshape(p.size, m * n)
+
+
 def gaussian_kernel(powered: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """exp(-sum_k 10**beta_k * powered[k]), the Gaussian product correlation,
-    for every column of the (d, m*n) `powered_distances`, as a (1, m*n) array.
+    for every column of a (d, m*n) `powered_distances` or `powered_planes`
+    operand, as a (1, m*n) array.
 
     Only a beta_k above `_QUIET_BETA` can make 10**beta_k or the `dot`
     overflow (or multiply an infinity by a zero distance).  The floating-point

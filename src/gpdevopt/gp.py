@@ -29,7 +29,7 @@ from .correlation import (
     factorize,
     gaussian_kernel,
     nugget_and_kappa,
-    powered_distances,
+    powered_planes,
     triangular_solve,
 )
 from .global_search import run_strategy
@@ -294,22 +294,21 @@ class FittedGP:
 # Points per block of `predict_many`.  On Goldstein-Price n=100 with a
 # 10,201-point grid (best of 9, three rounds, OpenBLAS at one thread, 2-core
 # VM), blocks of 128 to 1024 points took 31-32 ms per call, 2048 took
-# 37-39 ms and no blocking 37 ms; at 512 the traced peak is 18.8 MiB, of
-# which 15.6 MiB is the distance operand.
+# 37-39 ms and no blocking 37 ms.
 PREDICT_BLOCK = 512
 
 
 def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predictions and clamped mean squared errors at many points at once.
 
-    The powered distances to the design, one (d, m*n) operand, are built
-    once.  The kernel, the triangular solve and the MSE sums then run per
-    block of `PREDICT_BLOCK` points, so the rest of the work holds a few
-    (n, block) arrays instead of (n, m) ones.  The last partial block joins
-    the one before it: a block of one point would be both C- and
-    F-contiguous, and its column sums would take numpy's pairwise path.  Even
-    so, a row's last bits depend on the call it is in, not only for one
-    point: a 2-point and a 200-point call can round the same point apart.
+    Per block of `PREDICT_BLOCK` points, it builds the block's (d, block*n)
+    `powered_planes` operand and runs the kernel, the triangular solve and the
+    MSE sums, so a call holds a few (n, block) arrays.  The operand does not
+    depend on the layout of the points or the design: C- and F-ordered copies
+    predict the same bytes.  The last partial block joins the one before it: a
+    block of one point would be both C- and F-contiguous, and its column sums
+    would take numpy's pairwise path.  Even so, a row's last bits depend on
+    the call it is in, because the solve and the sums round by block.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != model.design.d:
@@ -320,7 +319,6 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
     m, n = points.shape[0], model.design.n
     ones = np.ones(n)
     resid = model.design.outputs - model.mu_hat
-    powered = powered_distances(points, model.design.points, model.p)
     one_r_one = float(cholesky_solve(L, ones).sum())
     z_resid = triangular_solve(L, resid)
     z_ones = triangular_solve(L, ones)
@@ -329,7 +327,8 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
     start = 0
     while start < m:
         stop = m if m - start < 2 * PREDICT_BLOCK else start + PREDICT_BLOCK
-        r = gaussian_kernel(powered[:, start * n : stop * n], model.beta_star)
+        powered = powered_planes(points[start:stop], model.design.points, model.p)
+        r = gaussian_kernel(powered, model.beta_star)
         z_r = triangular_solve(L, r.reshape(stop - start, n).T)  # (n, block)
         y_hat[start:stop] = model.mu_hat + z_r.T @ z_resid
         # Weight vector C solves y_hat = C'Y; the MSE is sigma2 (1 - 2C'r + C'RC)
@@ -344,12 +343,15 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def prediction_weights(model: FittedGP, x_star: np.ndarray) -> np.ndarray:
-    """Weight vector C with y_hat = C' Y (the second algebraic form)."""
-    x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
+    """Weight vector C with y_hat = C' Y (the second algebraic form) at one
+    point of d finite coordinates, given as shape (d,) or (1, d)."""
+    x_star, d = np.asarray(x_star, dtype=float), model.design.d
+    if x_star.shape not in ((d,), (1, d)) or not np.isfinite(x_star).all():
+        raise ValueError(f"x_star must be one point of {d} finite coordinates")
     L = model.correlation.factor
     ones = np.ones(model.design.n)
-    powered = powered_distances(x_star, model.design.points, model.p)
-    r = gaussian_kernel(powered, model.beta_star).reshape(x_star.shape[0], -1)[0]
+    powered = powered_planes(x_star.reshape(1, d), model.design.points, model.p)
+    r = gaussian_kernel(powered, model.beta_star)[0]
     u = cholesky_solve(L, ones)
     a_coef = (1.0 - float(r @ u)) / float(u.sum())
     return cholesky_solve(L, a_coef * ones + r)

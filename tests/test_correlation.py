@@ -15,7 +15,7 @@ from gpdevopt.correlation import (
     gaussian_kernel,
     nugget_and_kappa,
     nugget_lower_bound,
-    powered_distances,
+    powered_planes,
 )
 from gpdevopt.gp import DesignSet, GpOptions, fit
 
@@ -293,20 +293,27 @@ class TestCertifiedFactor:
             assert certified_factor(R, 25.0) is None
 
 
-def _tensordot_kernel(x, y, p, beta):
-    """The kernel composed with np.tensordot over the (d, m, n) transpose of
-    the in-place (m, n, d) powered distances: the reference for its bits."""
+def _tensordot_kernel(powered, beta):
+    """The kernel composed with np.tensordot over (d, m, n) powered distances:
+    the reference for its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.tensordot(10.0 ** beta, powered, axes=1)
+    return np.exp(-out)
+
+
+def _in_place_powered(x, y, p):
+    """The (d, m, n) transpose of the (m, n, d) powered distances built in
+    place, as `powered_distances` builds them."""
     powered = x[:, None, :] - y[None, :, :]
     np.abs(powered, out=powered)
     powered **= p
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.tensordot(10.0 ** beta, powered.transpose(2, 0, 1), axes=1)
-    return np.exp(-out)
+    return powered.transpose(2, 0, 1)
 
 
 class TestKernelBits:
     """The (1, d) x (d, m*n) dot must reproduce the tensordot kernel bit for
-    bit, for both memory layouts of the points."""
+    bit, for both memory layouts of the points: over the contiguous planes of
+    the prediction operand, and over the design's own `DistanceCache`."""
 
     @pytest.mark.parametrize(
         "m, n, d, order",
@@ -317,10 +324,11 @@ class TestKernelBits:
         x = np.array(rng.random((m, d)), order=order)
         y = np.array(rng.random((n, d)), order=order)
         p = np.full(d, 2.0)
-        powered = powered_distances(x, y, p)
+        powered = powered_planes(x, y, p)
+        planes = np.ascontiguousarray(np.square(x[:, None, :] - y[None, :, :]).transpose(2, 0, 1))
         for beta in (rng.uniform(-2.0, 2.0, d), np.full(d, -3.0), np.full(d, 1.5)):
             got = gaussian_kernel(powered, beta).reshape(m, n)
-            want = _tensordot_kernel(x, y, p, beta)
+            want = _tensordot_kernel(planes, beta)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_distance_cache_matches_tensordot_in_both_layouts(self):
@@ -330,6 +338,30 @@ class TestKernelBits:
         for points in (np.ascontiguousarray(design), np.asfortranarray(design)):
             cache = DistanceCache(points, p)
             for beta in (rng.uniform(-2.0, 2.0, 3), np.array([0.5, -1.0, 2.0])):
-                want = _tensordot_kernel(points, points, p, beta)
+                want = _tensordot_kernel(_in_place_powered(points, points, p), beta)
                 got = cache.correlation(beta)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestPoweredPlanes:
+    """Every entry of the prediction operand is an exactly rounded function of
+    two coordinates, whatever the layouts and however the rows are split."""
+
+    @pytest.mark.parametrize("p_value", [2.0, 1.99])
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_entries_match_elementwise_reference(self, p_value, d):
+        rng = np.random.default_rng(d)
+        x, y = rng.random((300, d)), rng.random((40, d))
+        p = np.full(d, p_value)
+        want = np.stack([
+            np.square(np.subtract.outer(x[:, k], y[:, k])) if p_value == 2.0
+            else np.power(np.abs(np.subtract.outer(x[:, k], y[:, k])), p_value)
+            for k in range(d)
+        ]).reshape(d, -1)
+        for x_layout in (x, np.asfortranarray(x)):
+            for y_layout in (y, np.asfortranarray(y)):
+                for cuts in ([], [1], [7, 8, 150], [299]):
+                    blocks = [powered_planes(b, y_layout, p) for b in np.split(x_layout, cuts)]
+                    assert all(block.flags.c_contiguous for block in blocks)
+                    got = np.concatenate(blocks, axis=1)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), cuts

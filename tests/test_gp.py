@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -16,7 +17,7 @@ from gpdevopt.correlation import (
     factorize,
     gaussian_kernel,
     nugget_and_kappa,
-    powered_distances,
+    powered_planes,
     triangular_solve,
 )
 from gpdevopt.global_search import STRATEGIES, lhd_maximin, run_strategy
@@ -305,10 +306,25 @@ class TestPredict:
             for got, want in zip(predict_many(model, x), _unblocked_predict_many(model, x)):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), m
 
-    def test_peak_memory_is_the_distance_operand(self):
-        # Goldstein-Price n=100 on a 101 x 101 grid: the (d, m*n) operand is
-        # 15.6 MiB, and the work after it may add at most 5 MiB.  Whole
-        # (n, m) temporaries would add about 31 MiB.
+    @pytest.mark.parametrize("d, n", [(1, 7), (2, 11), (10, 13)])
+    def test_point_layout_gives_identical_bytes(self, d, n):
+        rng = np.random.default_rng(d + 20)
+        pts = rng.random((n, d))
+        model = DevianceObjective(DesignSet(pts, np.cos(2 * pts).sum(axis=1))).model(np.full(d, 0.2))
+        fortran = dataclasses.replace(model, design=DesignSet(np.asfortranarray(pts), model.design.outputs))
+        for m in (1, 3, 2 * PREDICT_BLOCK + 1):
+            x = rng.random((m, d))
+            want = predict_many(model, x)
+            for design_model in (model, fortran):
+                for points in (x, np.asfortranarray(x)):
+                    for got, ref in zip(predict_many(design_model, points), want):
+                        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), m
+
+    def test_peak_memory_is_one_block_operand(self):
+        # One (d, block*n) operand of the largest block (under 2 * PREDICT_BLOCK
+        # points) and four (n, block) arrays, plus 1 MiB: about 5.7 MiB on
+        # Goldstein-Price n=100 with a 101 x 101 grid.  A (d, m*n) operand for
+        # the whole grid alone would be 15.6 MiB.
         fn = make_test_function("goldstein-price")
         pts = lhd_maximin(100, SearchBox(np.zeros(2), np.ones(2)), np.random.default_rng(0))
         model = DevianceObjective(DesignSet(pts, fn.evaluate(pts))).model(np.array([0.3, 0.3]))
@@ -321,7 +337,22 @@ class TestPredict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= grid.shape[0] * 100 * 2 * 8 + 5 * 2**20
+        assert peak <= (2 + 4) * 2 * PREDICT_BLOCK * 100 * 8 + 2**20
+
+    def test_weights_reject_several_points(self):
+        model = self.build_model(n=6, d=2)
+        with pytest.raises(ValueError, match="one point of 2 finite"):
+            prediction_weights(model, np.full((3, 2), 0.5))
+
+    def test_weights_reject_non_finite_point(self):
+        model = self.build_model(n=6, d=2)
+        with pytest.raises(ValueError, match="one point of 2 finite"):
+            prediction_weights(model, np.array([0.5, math.nan]))
+
+    def test_weights_reject_wrong_coordinate_count(self):
+        model = self.build_model(n=6, d=2)
+        with pytest.raises(ValueError, match="one point of 2 finite"):
+            prediction_weights(model, np.array([0.5]))
 
 
 def _unblocked_predict_many(model, points):
@@ -330,7 +361,7 @@ def _unblocked_predict_many(model, points):
     n = model.design.n
     ones = np.ones(n)
     resid = model.design.outputs - model.mu_hat
-    powered = powered_distances(points, model.design.points, model.p)
+    powered = powered_planes(points, model.design.points, model.p)
     r = gaussian_kernel(powered, model.beta_star).reshape(points.shape[0], n)
     u = cholesky_solve(L, ones)
     one_r_one = float(u.sum())
