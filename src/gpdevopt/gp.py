@@ -293,8 +293,8 @@ class FittedGP:
 
 # Points per block of `predict_many`.  On Goldstein-Price n=100 with a
 # 10,201-point grid (best of 9, three rounds, OpenBLAS at one thread, 2-core
-# VM), blocks of 128 to 1024 points took 31-32 ms per call, 2048 took
-# 37-39 ms and no blocking 37 ms.
+# VM), blocks of 128 to 512 points took 22-32 ms per call, 1024 and 2048
+# took 27-34 ms and no blocking 38-44 ms; the traced peak is 4.7 MiB at 512.
 PREDICT_BLOCK = 512
 
 
