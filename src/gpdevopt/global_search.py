@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .boxes import SearchBox, default_beta_box, if_beta_box
 from .direct import direct_search
@@ -31,18 +30,6 @@ STRATEGIES = (
 
 # How many space-filling candidates compete on the maximin criterion.
 LHD_CANDIDATES = 50
-
-# Relative margin on squared distances below which a pair proves a candidate
-# worse than the incumbent (see lhd_maximin).
-REJECT_MARGIN = 1e-9
-
-# The closer-pair sweep runs when count >= this * d**2: it needs more
-# neighbour offsets as d grows, a few numpy calls each, while `pdist` is
-# cheap on small designs.  Scoring the same 50 candidates with the sweep took
-# 0.91-1.11x the `pdist`-only time at count = 5 d**2 (d = 3..8) and
-# 0.57-0.92x at count = 8 d**2 (d = 1..12); 2-core VM, one BLAS thread,
-# 8 seeds per shape.
-SWEEP_MIN_POINTS_PER_DIM2 = 8
 
 # Lloyd runs per k-means clustering; the lowest within-cluster SSE wins.
 KMEANS_RESTARTS = 5
@@ -73,50 +60,51 @@ def lhd_maximin(count: int, box: SearchBox, rng: np.random.Generator) -> np.ndar
 
     The winner maximizes the minimum pairwise distance, measured in box
     coordinates (Morris & Mitchell's maximin criterion); the first of equal
-    scores wins.  A candidate can only replace the incumbent with a larger
-    score, so on designs large enough for it to pay (SWEEP_MIN_POINTS_PER_DIM2)
-    a candidate with a pair proven closer than the incumbent's score is
-    rejected without being scored: some squared distance below
-    best_score**2 * (1 - REJECT_MARGIN).  The margin is millions of ulps,
-    far above the rounding of that sum of squares and of `pdist`'s distance,
-    so the candidate's `pdist` minimum is below best_score.  Survivors get the
-    full `pdist` score, and the winner is the full scoring's, bit for bit.
+    scores wins.  So a candidate's sweep stops as soon as it finds a pair at
+    most the incumbent's score apart: its exact score is no larger, and a tie
+    goes to the incumbent, so it loses either way.  Survivors are swept to the
+    end, and their score is `scipy.spatial.distance.pdist(sample).min()` bit
+    for bit, so the winner is the one full `pdist` scoring would pick.
     """
     if count < 2:
         raise ValueError("count must be at least 2")
     lo, hi = box.lower, box.upper
-    sweep = count >= SWEEP_MIN_POINTS_PER_DIM2 * box.d ** 2
     best: np.ndarray | None = None
     best_score = -math.inf
     for _ in range(LHD_CANDIDATES):
         sample = lo + lhd_unit_sample(count, box.d, rng) * (hi - lo)
-        if sweep and best is not None and _has_closer_pair(
-            sample, best_score * best_score * (1.0 - REJECT_MARGIN)
-        ):
-            continue
-        score = float(pdist(sample).min())
+        score = _closest_pair_distance(sample, best_score)
         if score > best_score:
             best, best_score = sample, score
     return best
 
 
-def _has_closer_pair(points: np.ndarray, limit: float) -> bool:
-    """Whether a pair of `points` is found with squared distance below `limit`.
+def _closest_pair_distance(points: np.ndarray, floor: float) -> float:
+    """The smallest pairwise distance of `points`, or a distance <= `floor`.
 
     Sweeps neighbours in first-coordinate order, widening the offset k (each
     point against the k-th next one) until the smallest first-coordinate gap
-    at offset k squares to `limit` or more: gaps of sorted values only grow
-    with k, so no pair further apart in that order can be closer.
+    at offset k squares to the smallest squared distance found or more: gaps
+    of sorted values only grow with k, so no pair further apart in that order
+    can be closer.  Each squared distance sums its coordinates' squared
+    differences one coordinate at a time, as `pdist` does, so the result is
+    `pdist`'s to the bit; overflowing squares become inf silently, as there.
+    The sweep returns early once the distance found is at most `floor`.
     """
-    s = points[np.argsort(points[:, 0])]
-    for k in range(1, len(s)):
-        diff = s[k:] - s[:-k]
-        if np.einsum("ij,ij->i", diff, diff).min() < limit:
-            return True
-        gap = float(diff[:, 0].min())  # a Python float overflows to inf silently
-        if gap * gap >= limit:
-            return False
-    return False
+    count, d = points.shape
+    # An inf column, whose pairs are inf, gives every offset two or more
+    # columns: numpy reduces a lone column pairwise, not in coordinate order.
+    coords = np.full((d, count + 1), math.inf)
+    coords[:, :count] = points[np.argsort(points[:, 0])].T
+    smallest = math.inf
+    with np.errstate(over="ignore"):
+        for k in range(1, count):
+            squares = coords[:, k:] - coords[:, :-k]
+            np.square(squares, out=squares)
+            smallest = min(smallest, float(np.add.reduce(squares, axis=0).min()))
+            if math.sqrt(smallest) <= floor or squares[0].min() >= smallest:
+                break
+    return math.sqrt(smallest)
 
 
 def kmeans_best(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

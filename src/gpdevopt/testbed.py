@@ -158,14 +158,19 @@ def rmspe(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 def percent_deltas(values: np.ndarray) -> np.ndarray:
     """Percent relative difference of each value against the column best.
 
-    The best (smallest) entry gets 0 and the rest 100 * (v - best) / |best|.
-    NaN entries stay NaN, and an all-NaN input is returned as it is.
+    The best (smallest) entry gets 0 and the rest 100 * (v - best) / |best|,
+    which is +inf when the best is zero.  NaN entries stay NaN, and an
+    all-NaN input is returned as it is.
     """
     values = np.asarray(values, dtype=float)
     if np.isnan(values).all():
         return values
     best = float(np.nanmin(values))
-    return 100.0 * (values - best) / abs(best)
+    gaps = values - best
+    if best == 0.0:
+        # abs turns the -0.0 of a -0.0 entry against a 0.0 best into 0.0.
+        return np.where(gaps > 0.0, math.inf, np.abs(gaps))
+    return 100.0 * gaps / abs(best)
 
 
 @dataclass(frozen=True)

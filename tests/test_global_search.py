@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from gpdevopt.boxes import SearchBox, default_beta_box, if_beta_box
@@ -9,6 +12,7 @@ from gpdevopt.global_search import (
     KMEANS_RESTARTS,
     LHD_CANDIDATES,
     STRATEGIES,
+    _closest_pair_distance,
     _lloyd,
     cluster_starts,
     kmeans_best,
@@ -123,7 +127,7 @@ class TestLatinHypercube:
         lo, hi = box.lower, box.upper
         for _ in range(LHD_CANDIDATES):
             candidate = lo + lhd_unit_sample(12, 2, rng) * (hi - lo)
-            assert best_score >= pdist(candidate).min() - 1e-15
+            assert best_score >= pdist(candidate).min()
 
     @pytest.mark.parametrize(
         "count, d",
@@ -149,26 +153,88 @@ class TestLatinHypercube:
         with pytest.raises(ValueError):
             lhd_maximin(1, SearchBox(np.zeros(1), np.ones(1)), np.random.default_rng(0))
 
+    @staticmethod
+    def _pdist_scored(count, box, seed, candidates=LHD_CANDIDATES):
+        """lhd_maximin's design with every candidate scored by pdist."""
+        rng = np.random.default_rng(seed)
+        lo, hi = box.lower, box.upper
+        expected, best_score = None, -math.inf
+        for _ in range(candidates):
+            sample = lo + lhd_unit_sample(count, box.d, rng) * (hi - lo)
+            score = float(pdist(sample).min())
+            if score > best_score:
+                expected, best_score = sample, score
+        return expected
+
     @pytest.mark.parametrize(
         "count, d, candidates",
         [(count, d, LHD_CANDIDATES) for count, d in
-         [(10, 1), (40, 1), (200, 1), (20, 2), (400, 2), (50, 5), (100, 10), (1000, 10)]],
+         [(2, 12), (3, 10), (10, 1), (40, 1), (200, 1), (20, 2), (400, 2), (50, 5), (100, 10),
+          (120, 12), (1000, 10), (1200, 12)]],
     )
     def test_matches_full_pdist_scoring(self, count, d, candidates):
-        # Shapes on both sides of SWEEP_MIN_POINTS_PER_DIM2, against every
-        # candidate scored by pdist: the same design, bit for bit.
+        # From two- and three-point designs, whose last sweep offset holds
+        # one pair, up to the benchmark's 1200-point validation designs,
+        # against every candidate scored by pdist: the same design, bit for bit.
         box = SearchBox(np.full(d, -1.5), np.full(d, 2.0))
         for seed in range(2):
-            rng = np.random.default_rng(seed)
-            lo, hi = box.lower, box.upper
-            expected, best_score = None, -math.inf
-            for _ in range(candidates):
-                sample = lo + lhd_unit_sample(count, d, rng) * (hi - lo)
-                score = float(pdist(sample).min())
-                if score > best_score:
-                    expected, best_score = sample, score
+            expected = self._pdist_scored(count, box, seed, candidates)
             got = lhd_maximin(count, box, np.random.default_rng(seed))
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("count, bound", [(20, 1e200), (5, 1e300)])
+    def test_overflowing_box_matches_pdist_silently(self, count, bound):
+        # Every squared distance overflows to inf, silently as in pdist, so
+        # the first candidate wins.
+        box = SearchBox(np.full(2, -bound), np.full(2, bound))
+        expected = self._pdist_scored(count, box, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lhd_maximin(count, box, np.random.default_rng(0))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@st.composite
+def scattered_points(draw):
+    count, d = draw(st.integers(2, 60)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    offset = draw(st.sampled_from([0.0, 0.7, -250.0, 3e6]))
+    points = offset + scale * rng.random((count, d))
+    # A stretched first coordinate ends the sweep early; a squeezed one
+    # makes it run through many offsets.
+    points[:, 0] *= 10.0 ** draw(st.floats(-2.0, 2.0))
+    return points
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(points=scattered_points(), which_floor=st.integers(0, 4))
+def test_closest_pair_distance_is_pdist_min(points, which_floor):
+    # The exact score is pdist's minimum to the bit, also against a floor one
+    # ulp below it; a sweep that stops early returns a distance no larger
+    # than the floor, which loses in lhd_maximin.  The test below always
+    # covers the two- and three-point designs at d = 8..12.
+    expected = float(pdist(points).min())
+    floor = (-math.inf, math.nextafter(expected, 0.0), 0.5 * expected, expected,
+             2.0 * expected)[which_floor]
+    got = _closest_pair_distance(points, floor)
+    if expected > floor:
+        assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+    else:
+        assert got <= floor
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("d", [8, 9, 10, 11, 12])
+def test_closest_pair_distance_sums_one_pair_in_coordinate_order(count, d):
+    # A one-pair offset must not take numpy's pairwise sum, whose order
+    # differs from pdist's coordinate order from 8 coordinates on.
+    rng = np.random.default_rng(count * 100 + d)
+    for _ in range(200):
+        points = 10.0 ** rng.uniform(-3, 3) * rng.random((count, d))
+        expected = pdist(points).min()
+        got = _closest_pair_distance(points, -math.inf)
+        assert np.float64(got).view(np.int64) == expected.view(np.int64)
 
 
 class TestKmeans:

@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,3 +55,19 @@ def test_readme_python_blocks_run():
     namespace = {"points": points, "outputs": fn.evaluate(points), "beta": np.zeros(2)}
     for block in blocks:
         exec(compile(block, str(readme), "exec"), namespace)
+
+
+def test_import_loads_no_spatial_or_sparse_scipy():
+    # scipy serves only its LAPACK wrappers; scipy.spatial and scipy.sparse
+    # would add about 90 modules and 9 MiB to every process.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys, gpdevopt, gpdevopt.cli\n"
+        "print(' '.join(m for m in sys.modules"
+        " if m.startswith(('scipy.spatial', 'scipy.sparse'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []

@@ -131,6 +131,21 @@ class TestMetrics:
             warnings.simplefilter("error")
             assert np.isnan(percent_deltas([math.nan, math.nan])).all()
 
+    @pytest.mark.parametrize(
+        "values, expected",
+        [([0.0, 1.0], [0.0, math.inf]),
+         ([-0.0, 2.0], [0.0, math.inf]),
+         ([math.nan, 0.0, 3.0], [math.nan, 0.0, math.inf]),
+         ([0.0, -0.0, 0.0], [0.0, 0.0, 0.0])],
+    )
+    def test_percent_deltas_zero_best(self, values, expected):
+        # Any gap above a best of exactly zero is infinitely many percent; the
+        # best itself gets +0.0, not NaN or -0.0, and nothing warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            deltas = percent_deltas(values)
+        assert deltas.tobytes() == np.array(expected).tobytes()
+
 
 class TestRunBenchmark:
     def test_duplicate_strategy_rejected_before_any_fit(self, monkeypatch):
