@@ -10,7 +10,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Axis-aligned box with finite bounds, lower < upper in every dimension."""
+    """Axis-aligned box with finite bounds, lower < upper in every dimension,
+    and a finite width upper - lower."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -26,6 +27,10 @@ class SearchBox:
             raise ValueError("box bounds must be finite")
         if np.any(lower >= upper):
             raise ValueError("box is empty")
+        with np.errstate(over="ignore"):
+            wide = np.flatnonzero(np.isinf(upper - lower))
+        if wide.size:
+            raise ValueError(f"box width overflows float64 in dimension {wide[0]}")
 
     @property
     def d(self) -> int:

@@ -103,10 +103,14 @@ def _load_training_csv(path: str) -> tuple[DesignSet, np.ndarray, np.ndarray]:
     y = data[:, header.index("y")]
     mins = x.min(axis=0)
     maxs = x.max(axis=0)
-    if np.any(maxs <= mins):
-        bad = int(np.argmax(maxs <= mins)) + 1
-        raise ValueError(f"input column x{bad} has zero range and cannot be scaled")
-    return DesignSet((x - mins) / (maxs - mins), y), mins, maxs
+    with np.errstate(over="ignore"):
+        width = maxs - mins
+    for name, lo, hi, w in zip(x_names, mins.tolist(), maxs.tolist(), width.tolist()):
+        if not w > 0.0:
+            raise ValueError(f"input column {name} has zero range and cannot be scaled")
+        if math.isinf(w):
+            raise ValueError(f"input column {name} spans {lo!r} to {hi!r}: its range overflows")
+    return DesignSet((x - mins) / width, y), mins, maxs
 
 
 def _model_payload(model: FittedGP, mins, maxs, strategy, seed) -> dict:
@@ -172,12 +176,13 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
     design = DesignSet(points, outputs)
     if p.shape != (design.d,) or np.any(p != p[0]):
         raise ValueError(f"{path}: p must repeat one exponent per input column")
-    if not (
-        mins.shape == maxs.shape == (design.d,)
-        and np.isfinite([mins, maxs]).all()
-        and np.all(maxs > mins)
-    ):
-        raise ValueError(f"{path}: input_min/input_max must be finite with max > min per column")
+    # A width below the smallest normal float64 can overflow the scaling of a point.
+    with np.errstate(over="ignore", invalid="ignore"):
+        widths = maxs - mins if mins.shape == maxs.shape == (design.d,) else np.zeros(1)
+    if not np.all((widths >= np.finfo(float).tiny) & (widths < math.inf)):
+        raise ValueError(
+            f"{path}: input_max - input_min must be a finite positive normal float64 per column"
+        )
     options = GpOptions(p_exponent=float(p[0]), a=a)
     model = DevianceObjective(design, options).model(beta, payload["fe_count"])
     # Recomputing the model verifies the file.  The bound is the rounding error of two

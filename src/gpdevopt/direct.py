@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,61 +116,65 @@ def potentially_optimal(tops: list[Rectangle], f_min: float) -> list[Rectangle]:
 def direct_search(objective, box: SearchBox, fe_budget: int) -> OptReport:
     """Run DIRECT on `objective` over `box` with an exact evaluation budget.
 
-    The run halts as soon as the budget is consumed, mid-division if
-    necessary, and reports the best center found together with the exact
-    number of evaluations used.  The objective must not return NaN.
+    An iteration evaluates the offset centers of every rectangle it divides
+    as one batch, in the order that dividing them one by one would.  The run
+    halts as soon as the budget is consumed, mid-division if necessary, and
+    reports the best center found together with the exact number of
+    evaluations used.  The objective must not return NaN.
     """
-    lo, hi = box.lower, box.upper
-    width = hi - lo
-    d = box.d
-
-    def unit_objective(u: np.ndarray) -> float:
-        return objective(lo + u * width)
-
-    wrapped = CountedObjective(unit_objective, max_fe=fe_budget)
-    center = np.full(d, 0.5)
+    lo, width = box.lower, box.upper - box.lower
+    wrapped = CountedObjective(objective, max_fe=fe_budget)
+    center = np.full(box.d, 0.5)
     classes = SizeClasses()
     try:
-        classes.add(center, (0,) * d, wrapped(center))
+        classes.add(center, (0,) * box.d, wrapped(lo + center * width))
         while True:
             selected = potentially_optimal(classes.tops(), wrapped.best_value)
             if not selected:
                 break
             for rect in selected:
                 classes.remove_top(rect)
-            for rect in selected:
-                _divide(rect, wrapped, classes)
+            trials = [_offset_centers(rect) for rect in selected]
+            values = wrapped.batch([lo + u * width for trial in trials for _, u in trial])
+            start = 0
+            for rect, trial in zip(selected, trials):
+                stop = start + len(trial)
+                if stop > len(values):
+                    raise BudgetExhausted
+                _divide(rect, trial, values[start:stop], classes)
+                start = stop
     except BudgetExhausted:
         pass
-    report = wrapped.report()
-    return replace(report, beta_star=lo + report.beta_star * width)
+    return wrapped.report()
 
 
-def _divide(rect: Rectangle, wrapped: CountedObjective, classes: SizeClasses) -> None:
+def _offset_centers(rect: Rectangle) -> list[tuple[int, np.ndarray]]:
+    """(j, center moved by + then - a third of the side along j) for every
+    longest dimension j of `rect`, in order."""
+    min_level = min(rect.levels)
+    delta = 3.0 ** (-(min_level + 1))
+    long_dims = [j for j, level in enumerate(rect.levels) if level == min_level]
+    trial = []
+    for j in long_dims:
+        for step in (delta, -delta):
+            moved = rect.center.copy()
+            moved[j] += step
+            trial.append((j, moved))
+    return trial
+
+
+def _divide(rect: Rectangle, trial: list, values: list[float], classes: SizeClasses) -> None:
     """Trisect `rect` along all of its longest dimensions into `classes`.
 
-    The two offset centers of every longest dimension are sampled first;
-    dimensions are then split in order of their best sampled value (ties to
-    the lowest index), so better regions end up in larger children.
+    `trial` holds the offset centers (`_offset_centers`) and `values` their
+    values.  Dimensions are split in order of their best sampled value (ties
+    to the lowest index), so better regions end up in larger children.
     """
-    min_level = min(rect.levels)
-    long_dims = [j for j, level in enumerate(rect.levels) if level == min_level]
-    delta = 3.0 ** (-(min_level + 1))
-    sampled: dict[int, tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]] = {}
-    ranking: list[tuple[float, int]] = []
-    for j in long_dims:
-        plus = rect.center.copy()
-        plus[j] += delta
-        minus = rect.center.copy()
-        minus[j] -= delta
-        f_plus = wrapped(plus)
-        f_minus = wrapped(minus)
-        sampled[j] = ((plus, f_plus), (minus, f_minus))
-        ranking.append((min(f_plus, f_minus), j))
-    ranking.sort()
+    pairs = range(0, len(trial), 2)
+    ranking = sorted((min(values[i], values[i + 1]), trial[i][0], i) for i in pairs)
     levels = list(rect.levels)
-    for _, j in ranking:
+    for _, j, i in ranking:
         levels[j] += 1
-        for point, value in sampled[j]:
-            classes.add(point, tuple(levels), value)
+        classes.add(trial[i][1], tuple(levels), values[i])
+        classes.add(trial[i + 1][1], tuple(levels), values[i + 1])
     classes.add(rect.center, tuple(levels), rect.value)

@@ -166,14 +166,14 @@ def cluster_starts(
     d = box.d
     wrapped = CountedObjective(objective)
     sample = lhd_maximin(SAMPLING_FE_PER_DIM * d, box, rng)
-    values = np.array([wrapped(point) for point in sample])
+    values = np.array(wrapped.batch(sample))
     keep = np.argsort(values, kind="stable")[: KEEP_FE_PER_DIM * d]
     centers = kmeans_best(sample[keep], k, rng)
     starts = [centers[i].copy() for i in range(k)]
     if include_diagonal:
         lo, hi = box.lower, box.upper
         diag_points = [lo + t * (hi - lo) for t in DIAGONAL_FRACTIONS]
-        diag_values = [wrapped(point) for point in diag_points]
+        diag_values = wrapped.batch(diag_points)
         starts.append(diag_points[int(np.argmin(diag_values))])
     return starts, wrapped.count
 

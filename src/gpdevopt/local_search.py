@@ -35,19 +35,22 @@ MAX_ITERS = 400
 
 
 def central_gradient(objective, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient, 2 * len(x) objective calls.
+    """Central-difference gradient, 2 * len(x) objective calls: x + h_k e_k,
+    then x - h_k e_k, per k, as one batch when the objective has `batch`.
 
     The step in coordinate k is GRAD_STEP * max(1, |x_k|), which keeps the
     differences well scaled on log10 lengthscale surfaces.
     """
     x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for k in range(x.size):
-        h = GRAD_STEP * max(1.0, abs(x[k]))
+    steps = [GRAD_STEP * max(1.0, abs(v)) for v in x.tolist()]
+    points = []
+    for k, h in enumerate(steps):
         step = np.zeros_like(x)
         step[k] = h
-        grad[k] = (objective(x + step) - objective(x - step)) / (2.0 * h)
-    return grad
+        points += [x + step, x - step]
+    many = getattr(objective, "batch", None)
+    values = many(points) if many is not None else [objective(p) for p in points]
+    return np.array([(values[2 * k] - values[2 * k + 1]) / (2.0 * h) for k, h in enumerate(steps)])
 
 
 def _cubic_step(f0, slope, a1, f1, a0, f0v):
@@ -216,15 +219,19 @@ def implicit_filtering(
             h = DEFAULT_SCALES[scale_idx]
             best_f = f
             best_pt: np.ndarray | None = None
+            stencil = []
             for j in range(d):
                 for sign in (1.0, -1.0):
                     pt = x.copy()
                     pt[j] += sign * h * span[j]
-                    pt = np.clip(pt, lo, hi)
-                    val = wrapped(pt)
-                    samples.append((pt, val))
-                    if val < best_f:
-                        best_f, best_pt = val, pt
+                    stencil.append(np.clip(pt, lo, hi))
+            values = wrapped.batch(stencil)
+            if len(values) < len(stencil):
+                raise BudgetExhausted
+            for pt, val in zip(stencil, values):
+                samples.append((pt, val))
+                if val < best_f:
+                    best_f, best_pt = val, pt
             stencil_improved = best_pt is not None
             if stencil_improved:
                 x, f = best_pt, best_f

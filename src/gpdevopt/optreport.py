@@ -38,6 +38,7 @@ class CountedObjective:
         if max_fe is not None and max_fe < 1:
             raise ValueError("the evaluation budget must be at least 1")
         self._fn = fn
+        self._batch = getattr(fn, "batch", None)
         self.max_fe = max_fe
         self.count = 0
         self.best_value = np.inf
@@ -46,8 +47,23 @@ class CountedObjective:
     def __call__(self, x: np.ndarray) -> float:
         if self.max_fe is not None and self.count >= self.max_fe:
             raise BudgetExhausted
+        x = np.asarray(x, dtype=float)
+        return self._record(x, self._fn(x))
+
+    def batch(self, points) -> list[float]:
+        """Values at `points` as from calling self on each in turn, as many as
+        the budget allows: a shorter list means that it is spent.  An objective
+        with its own `batch` evaluates them first; the count and the best
+        point then follow in call order, so ties still go to the first."""
+        if self.max_fe is not None:
+            points = points[: self.max_fe - self.count]
+        if self._batch is None:
+            return [self(x) for x in points]
+        return [self._record(x, value) for x, value in zip(points, self._batch(points))]
+
+    def _record(self, x: np.ndarray, value) -> float:
         self.count += 1
-        value = float(self._fn(np.asarray(x, dtype=float)))
+        value = float(value)
         if value < self.best_value or self.best_point is None:
             self.best_value = value
             self.best_point = np.array(x, dtype=float, copy=True)

@@ -714,6 +714,9 @@ class TestSurfaceCommand:
         ("no-y-column", "missing output column 'y'"),
         ("header-only", "no data rows"),
         ("zero-range-column", "input column x2 has zero range"),
+        ("overflowing-range-column", "input column x1 spans -1e+308 to 1e+308: its range overflows"),
+        ("model-range-overflows", "input_max - input_min must be a finite positive normal"),
+        ("model-range-subnormal", "input_max - input_min must be a finite positive normal"),
         ("format-version", "unsupported model format"),
         ("p-not-repeated", "p must repeat one exponent per input column"),
         ("points-missing-column", "missing input column 'x1'"),
@@ -731,6 +734,8 @@ def test_error_exits(tmp_path, capsys, case, message):
         "no-y-column": "x1,z\n0.1,1.0\n0.9,2.0\n",
         "header-only": "x1,y\n",
         "zero-range-column": "x1,x2,y\n0.1,0.5,1.0\n0.9,0.5,2.0\n",
+        # Every value is finite, but max - min is not.
+        "overflowing-range-column": "x1,y\n-1e308,1.0\n0.0,2.0\n1e308,0.5\n",
     }
     if case in training_texts:
         data.write_text(training_texts[case])
@@ -745,6 +750,10 @@ def test_error_exits(tmp_path, capsys, case, message):
             payload["format_version"] = 2
         elif case == "p-not-repeated":
             payload["p"] = [2.0, 1.99]
+        elif case == "model-range-overflows":
+            payload["input_min"], payload["input_max"] = [-1e308], [1e308]
+        elif case == "model-range-subnormal":
+            payload["input_min"], payload["input_max"] = [0.0], [5e-324]
         model.write_text(json.dumps(payload))
         write_csv(points, ["x2" if case == "points-missing-column" else "x1"], [[0.5]])
         argv = ["predict", "--model", str(model), "--points", str(points)]

@@ -193,6 +193,15 @@ class TestLatinHypercube:
             got = lhd_maximin(count, box, np.random.default_rng(0))
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
+    def test_box_whose_width_overflows_is_rejected(self):
+        # Finite bounds 2e308 apart: the box, not the sample, must refuse them.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows float64 in dimension 0"):
+                lhd_maximin(5, SearchBox([-1e308], [1e308]), np.random.default_rng(0))
+            with pytest.raises(ValueError, match="in dimension 1"):
+                SearchBox([0.0, -1e308], [1.0, 1e308])
+
 
 @st.composite
 def scattered_points(draw):
