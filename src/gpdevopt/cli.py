@@ -252,10 +252,12 @@ def _cmd_predict(args) -> int:
         bad = np.flatnonzero(~np.isfinite(x_native).all(axis=1))
         if bad.size:
             raise ValueError(f"{args.points}: non-finite input coordinate in data row {bad[0] + 1}")
-        x_scaled = (x_native - mins) / (maxs - mins)
-        if np.any(x_scaled < 0.0) or np.any(x_scaled > 1.0):
-            warnings.warn("inputs outside the training range; clamping to [0, 1]")
-            x_scaled = np.clip(x_scaled, 0.0, 1.0)
+        # Clamped in native units, a far point cannot overflow the scaling,
+        # and a bound scales to exactly 0 or 1.
+        x_clamped = np.clip(x_native, mins, maxs)
+        if not np.array_equal(x_clamped, x_native):
+            warnings.warn("inputs outside the training range; clamping to it")
+        x_scaled = (x_clamped - mins) / (maxs - mins)
         out_rows = np.column_stack([x_native, *predict_many(model, x_scaled)]).tolist()
     _write_rows(args.out, x_names + ["y_hat", "mse"], out_rows)
     return 0

@@ -108,11 +108,10 @@ def gaussian_kernel(powered: np.ndarray, beta: np.ndarray) -> np.ndarray:
     sizeable share of a small deviance evaluation.
     """
     if max(beta.tolist()) <= _QUIET_BETA:
-        out = np.dot((10.0 ** beta)[None, :], powered)
+        out = np.dot(-(10.0 ** beta)[None, :], powered)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.dot((10.0 ** beta)[None, :], powered)
-    np.negative(out, out=out)
+            out = np.dot(-(10.0 ** beta)[None, :], powered)
     return np.exp(out, out=out)
 
 
@@ -179,7 +178,9 @@ def nugget_lower_bound(R: np.ndarray, a: float = 25.0) -> float:
 
 def _cholesky(A: np.ndarray, overwrite: bool = False) -> np.ndarray | None:
     """Lower Cholesky factor of A (upper triangle zeroed), or None if A is not
-    numerically positive definite."""
+    numerically positive definite.  Callers pass an exactly symmetric R as
+    R.T: LAPACK takes Fortran order, so the copy is then a plain one, not a
+    transposing one."""
     L, info = dpotrf(A, lower=1, clean=1, overwrite_a=overwrite)
     return L if info == 0 else None
 
@@ -245,7 +246,7 @@ def certified_factor(R: np.ndarray, a: float) -> np.ndarray | None:
        below that size its fixed cost exceeds the inversion it saves.
     3. trace(R^-1) = ||L^-1||_F^2 from the inverse of L (`dtrtri`, O(n^3)).
     """
-    L = _cholesky(R)
+    L = _cholesky(R.T)
     if L is None:
         return None
     n = R.shape[0]
@@ -289,7 +290,7 @@ def factorize(R: np.ndarray, delta: float, kappa: float) -> FactoredCorrelation 
     if delta < 0.0:
         raise ValueError("nugget delta must be nonnegative")
     # LAPACK factors this Fortran-ordered copy in place; a zero delta adds exactly 0.
-    shifted = np.array(R, dtype=float, order="F")
+    shifted = np.array(R.T, dtype=float, order="F")
     shifted.flat[:: shifted.shape[0] + 1] += delta
     L = _cholesky(shifted, overwrite=True)
     if L is None:

@@ -13,6 +13,7 @@ evaluation is the unit of optimization cost throughout the package.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -46,12 +47,13 @@ DEFAULT_STRATEGY = "DIRECT-BFGS"
 # without anchors; best of 10, BLAS at one thread, 2-core VM).
 _ANCHORS = 4
 
-# Smallest n at which `DevianceObjective.batch` hands half of each batch to a
+# Smallest n at which `DevianceObjective.batch` shares each batch with a
 # forked worker, which costs a fork and a kill per fit and a pipe round trip
 # per batch.  Serial over forked fit time on hump and Goldstein-Price designs,
 # per strategy (best of 3 on two designs each, BLAS at one thread, 2-core VM):
-# 0.73-1.32 at n = 40 (median 0.96), 0.98-1.39 at n = 60 (the DIRECT hybrids
-# 0.98-1.02) and 1.10-1.50 at n = 80.
+# 0.86-1.19 at n = 30 (median 1.01), 1.15-1.46 at n = 60 (median 1.32), and
+# at n = 40 medians of 1.12-1.13 in three runs, but hump MS-BFGS-2d1 read
+# 0.91, 1.03 and 0.99 on one design.
 _FORK_MIN_N = 60
 
 
@@ -234,7 +236,7 @@ class DevianceObjective:
         quiet = max(point) <= _QUIET_BETA
         certified, nuggets = (self._certified, self._nugget) if quiet else ([], [])
         if any(all(map(ge, point, anchor)) for anchor in certified):
-            L = _cholesky(R)
+            L = _cholesky(R.T)
             if L is not None and math.isfinite(log_det := cholesky_log_det(L)):
                 return self._profile(L, log_det)[0]
         nugget = any(all(map(ge, anchor, point)) for anchor in nuggets)
@@ -256,13 +258,16 @@ class DevianceObjective:
 
         On Linux, with two cores for this process, no other thread (a BLAS
         pool holds the cores, and fork copies no thread) and n >= `_FORK_MIN_N`,
-        a worker forked from this objective on first use evaluates the second
-        half of the list while this process evaluates the first.  Its anchors
-        drift from these, but a counted value does not depend on the path
-        that computed it, so the bits are the same.
+        a worker forked from this objective on first use gets the whole list
+        and evaluates it from the back while this process evaluates it from
+        the front.  Each publishes how far it has claimed and stops where it
+        meets the other's claim; this process then evaluates any beta that
+        the worker's reply does not cover.  A stale claim can only make both
+        evaluate one beta, and a counted value does not depend on the process
+        or the anchors that computed it, so the bits and the count are the
+        same as one call at a time.
         """
-        tail = len(betas) // 2
-        if tail and self._worker is None:
+        if len(betas) > 1 and self._worker is None:
             # /proc/self/task lists this process's threads, on Linux only.
             fork = self.design.n >= _FORK_MIN_N and os.path.isdir("/proc/self/task") and (
                 len(os.listdir("/proc/self/task")) == 1 and len(os.sched_getaffinity(0)) >= 2
@@ -271,17 +276,22 @@ class DevianceObjective:
                 self._worker = _Worker(self) if fork else False
             except OSError:  # no process to spare: evaluate every batch here
                 self._worker = False
-        if not tail or not self._worker:
+        if len(betas) < 2 or not self._worker:
             return [self(beta) for beta in betas]
+        count, claims, values = self.fe_count, self._worker.claims, []
         try:
-            self._worker.send(betas[-tail:])
-            values = [self(beta) for beta in betas[:-tail]]
-            values += self._worker.receive(tail)
+            self._worker.send(betas)
+            while len(values) < len(betas) - claims[1]:
+                claims[0] = len(values) + 1
+                values.append(self(betas[len(values)]))
+            tail = self._worker.receive()
         except BaseException:
             # The pipes may be out of step: later batches run here alone.
             self._worker.stop()
             raise
-        self.fe_count += tail
+        head = len(betas) - len(tail)
+        values = values[:head] + [self(beta) for beta in betas[len(values):head]] + tail
+        self.fe_count = count + len(betas)
         return values
 
     def evaluate(self, beta: np.ndarray) -> tuple[float, DevianceInfo]:
@@ -327,16 +337,19 @@ def _floats(stream, count: int) -> np.ndarray:
 
 
 class _Worker:
-    """A process forked from one `DevianceObjective`, with a pipe each way.
+    """A process forked from one `DevianceObjective`, with a pipe each way
+    and two claims in shared memory: how many beta of the current request
+    the owner has taken from the front, and the worker from the back.
 
-    A request is m, then m beta, as float64; the reply is m and their counted
-    values, or -1 and the pickled exception that one raised.  The worker
-    ignores SIGINT and leaves through os._exit at end of file, unless `stop`
-    kills and reaps it first: when called, when the objective is collected,
-    or at exit.
+    A request is m, then m beta, as float64; the reply is k and the counted
+    values of the last k beta in order, or -1 and the pickled exception that
+    one raised.  The worker ignores SIGINT and leaves through os._exit at end
+    of file, unless `stop` kills and reaps it first: when called, when the
+    objective is collected, or at exit.
     """
 
     def __init__(self, objective: DevianceObjective):
+        self.claims = memoryview(mmap.mmap(-1, 16)).cast("q")
         requests, to_worker = os.pipe()
         from_worker, replies = os.pipe()
         try:
@@ -350,7 +363,7 @@ class _Worker:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 os.close(to_worker)
                 os.close(from_worker)
-                _serve(objective, open(requests, "rb"), open(replies, "wb"))
+                _serve(objective, open(requests, "rb"), open(replies, "wb"), self.claims)
             finally:
                 os._exit(0)
         os.close(requests)
@@ -366,21 +379,28 @@ class _Worker:
         return self.stop.alive and os.getpid() == self._owner
 
     def send(self, betas: list[np.ndarray]) -> None:
+        # The worker is idle between a reply and the next request.
+        self.claims[0] = self.claims[1] = 0
         self._requests.write(np.concatenate([[len(betas)], *betas]).tobytes())
         self._requests.flush()
 
-    def receive(self, count: int) -> list[float]:
-        if _floats(self._replies, 1)[0] < 0:
+    def receive(self) -> list[float]:
+        (count,) = _floats(self._replies, 1)
+        if count < 0:
             raise pickle.load(self._replies)
-        return _floats(self._replies, count).tolist()
+        return _floats(self._replies, int(count)).tolist()
 
 
-def _serve(objective: DevianceObjective, requests, replies) -> None:
+def _serve(objective: DevianceObjective, requests, replies, claims) -> None:
     while True:
         (count,) = _floats(requests, 1)
         betas = _floats(requests, int(count) * objective.design.d).reshape(int(count), -1)
+        values = []
         try:
-            replies.write(np.array([count, *map(objective, betas)]).tobytes())
+            while len(betas) - len(values) > claims[0]:
+                claims[1] = len(values) + 1
+                values.append(objective(betas[-1 - len(values)]))
+            replies.write(np.array([len(values), *values[::-1]], dtype=float).tobytes())
         except Exception as exc:
             replies.write(np.array([-1.0]).tobytes())
             pickle.dump(exc, replies)

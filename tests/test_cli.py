@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -470,6 +471,32 @@ class TestPredictCommand:
         with pytest.warns(UserWarning):
             rc = main(["predict", "--model", str(model_path), "--points", str(points), "--out", str(out)])
         assert rc == 0
+
+    def test_far_point_beyond_a_narrow_range_clamps_without_overflow(self, tmp_path):
+        # Scaled first, (1e10 - 0) / 3e-300 would overflow; clamped first, the
+        # far point predicts exactly as the range's upper bound does.
+        data = tmp_path / "narrow.csv"
+        xs = [0.0, 0.4e-300, 1.1e-300, 1.5e-300, 2.2e-300, 3e-300]
+        write_csv(data, ["x1", "y"], [[x, math.sin(4e300 * x)] for x in xs])
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--out", str(model_path)]) == 0
+        predicted = {}
+        for x in ("3e-300", "1e10"):
+            points, out = tmp_path / f"at-{x}.csv", tmp_path / f"pred-{x}.csv"
+            write_csv(points, ["x1"], [[x]])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("error", RuntimeWarning)
+                warnings.simplefilter("always", UserWarning)
+                rc = main(["predict", "--model", str(model_path), "--points", str(points),
+                           "--out", str(out)])
+            assert rc == 0
+            assert [str(w.message) for w in caught] == (
+                ["inputs outside the training range; clamping to it"] if x == "1e10" else []
+            )
+            with open(out, newline="") as handle:
+                predicted[x] = list(csv.DictReader(handle))
+        (near,), (far,) = predicted["3e-300"], predicted["1e10"]
+        assert (far["y_hat"], far["mse"]) == (near["y_hat"], near["mse"])
 
     def test_csv_roundtrip_preserves_predictions_exactly(self, tmp_path):
         # A downstream script recomputing the relative error from the CSV

@@ -1,4 +1,4 @@
-"""Batches of deviance evaluations split with a forked worker.
+"""Batches of deviance evaluations shared with a forked worker.
 
 `DevianceObjective.batch` forks only in a process that runs one OS thread.
 An unpinned BLAS keeps a pool of threads, so every fork test runs its own
@@ -24,10 +24,12 @@ fork_capable = pytest.mark.skipif(
     reason="the worker forks only on Linux with two cores",
 )
 
-# Each script starts with its imports, a testbed design maker, and a check
-# that no child process is left; N is the crossover, the smallest n that forks.
+# Each script starts with its imports, a testbed design maker, a check that
+# no child process is left and an objective that counts the calls made in the
+# script's own process and sleeps 2 ms on the beta its `slow` picks; N is the
+# crossover, the smallest n that forks.
 PRELUDE = """
-import os, sys, threading
+import os, sys, threading, time
 import numpy as np
 from gpdevopt import DesignSet, SearchBox, fit, gp, lhd_maximin, test_function
 from gpdevopt.global_search import STRATEGIES, run_strategy
@@ -45,12 +47,32 @@ def no_child_left():
         return True
     return False
 
+PARENT = os.getpid()
+
+class Here(gp.DevianceObjective):
+    here = 0
+    slow = staticmethod(lambda beta: False)
+
+    def __call__(self, beta):
+        if os.getpid() == PARENT:
+            self.here += 1
+        if self.slow(beta):
+            time.sleep(0.002)
+        return super().__call__(beta)
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
 N = gp._FORK_MIN_N
+BETAS = [np.array([b, -b / 2]) for b in np.linspace(-2.0, 2.0, 16)]
 """
 
 
 def run_script(body: str) -> str:
-    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error::RuntimeWarning"}
+    env = {
+        **os.environ, "PYTHONPATH": str(SRC), "PYTHONDEVMODE": "1",
+        "PYTHONWARNINGS": "error::RuntimeWarning,error::ResourceWarning",
+    }
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     script = PRELUDE + textwrap.dedent(body)
@@ -174,6 +196,102 @@ def test_a_process_forked_from_the_owner_evaluates_alone():
         assert os.waitpid(pid, 0)[1] == 0
         assert objective.batch(betas[::-1]) == want[::-1]
         objective._worker.stop()
+        assert no_child_left()
+    """)
+
+
+@fork_capable
+def test_a_slow_tail_is_shared_and_matches_serial_calls():
+    # The back half of the batch takes 2 ms more per beta in either process:
+    # this process runs through the front half and meets the worker inside
+    # the back half, so it evaluates more than half of the batch.
+    run_script("""
+        Here.slow = staticmethod(lambda beta: beta[0] > 0.0)
+        ds = design("goldstein-price", N)
+        objective, plain = Here(ds), gp.DevianceObjective(ds)
+        got = objective.batch(BETAS)
+        assert objective._worker
+        assert hexes(got) == hexes(plain(beta) for beta in BETAS)
+        assert objective.fe_count == plain.fe_count == len(BETAS)
+        assert len(BETAS) // 2 < objective.here <= len(BETAS), objective.here
+        objective._worker.stop()
+        assert no_child_left()
+    """)
+
+
+@fork_capable
+def test_a_worker_that_ignores_the_claims_counts_each_beta_once():
+    # The worker sees no claim of this process and publishes none of its
+    # own, so both evaluate the whole batch; each beta still counts once.
+    run_script("""
+        serve = gp._serve
+        gp._serve = lambda objective, requests, replies, claims: serve(
+            objective, requests, replies, [0, 0])
+        receive, replies = gp._Worker.receive, []
+        gp._Worker.receive = lambda self: replies.append(receive(self)) or replies[-1]
+        ds = design("goldstein-price", N)
+        objective, plain = Here(ds), gp.DevianceObjective(ds)
+        got = objective.batch(BETAS) + objective.batch(BETAS[::-1])
+        assert objective._worker
+        assert hexes(got) == hexes(plain(beta) for beta in BETAS + BETAS[::-1])
+        assert objective.fe_count == plain.fe_count == 2 * len(BETAS)
+        assert objective.here == 2 * len(BETAS)
+        assert [len(values) for values in replies] == [len(BETAS)] * 2
+        objective._worker.stop()
+        assert no_child_left()
+    """)
+
+
+@fork_capable
+def test_a_worker_that_evaluates_nothing_leaves_every_beta_to_the_owner():
+    # The worker claims the whole batch in shared memory, finds it all
+    # claimed by this process and replies with no value.  This process (2 ms
+    # per beta) stops at the worker's claim and fills in every beta after.
+    run_script("""
+        class Greedy:
+            def __init__(self, claims):
+                self.claims = claims
+            def __getitem__(self, k):
+                self.claims[1] = 1 << 40
+                return 1 << 40
+            def __setitem__(self, k, value):
+                pass
+        serve = gp._serve
+        gp._serve = lambda objective, requests, replies, claims: serve(
+            objective, requests, replies, Greedy(claims))
+        Here.slow = staticmethod(lambda beta: os.getpid() == PARENT)
+        ds = design("goldstein-price", N)
+        objective, plain = Here(ds), gp.DevianceObjective(ds)
+        got = objective.batch(BETAS)
+        assert objective._worker
+        assert hexes(got) == hexes(plain(beta) for beta in BETAS)
+        assert objective.fe_count == plain.fe_count == objective.here == len(BETAS)
+        assert objective._worker.claims[0] < len(BETAS) < objective._worker.claims[1]
+        objective._worker.stop()
+        assert no_child_left()
+    """)
+
+
+@fork_capable
+def test_batches_of_every_size_match_serial_calls_with_more_workers_than_cores():
+    # Three objectives with a worker each take turns on batches of 2 to 24
+    # beta: a claim lost or misread under contention shows as a wrong value,
+    # a wrong order or a count off by one.
+    run_script("""
+        ds = design("goldstein-price", N)
+        rng = np.random.default_rng(5)
+        objectives = [gp.DevianceObjective(ds) for _ in range(3)]
+        plain = gp.DevianceObjective(ds)
+        total = 0
+        for size in range(2, 25):
+            for objective in objectives:
+                betas = list(rng.uniform(-2.0, 2.0, (size, 2)))
+                assert hexes(objective.batch(betas)) == hexes(plain(b) for b in betas)
+                total += size
+        assert all(objective._worker for objective in objectives)
+        assert sum(objective.fe_count for objective in objectives) == plain.fe_count == total
+        for objective in objectives:
+            objective._worker.stop()
         assert no_child_left()
     """)
 
