@@ -88,7 +88,12 @@ def _input_columns(header: list[str], path: str) -> list[str]:
         d += 1
     if d == 0:
         raise ValueError(f"{path}: no input columns named x1..xd found")
-    return [f"x{k + 1}" for k in range(d)]
+    names = [f"x{k + 1}" for k in range(d)]
+    for name in header:
+        if name not in names and name[:1] == "x" and name[1:].isdecimal():
+            raise ValueError(f"{path}: input column {name} lies outside the run x1..x{d}: "
+                             "number the input columns from x1 without gaps")
+    return names
 
 
 def _load_training_csv(path: str) -> tuple[DesignSet, np.ndarray, np.ndarray]:

@@ -7,8 +7,8 @@ is applied whenever the condition number would exceed exp(a); the smallest
 such nugget is computed in closed form from the extreme eigenvalues.
 
 The eigenvalue decomposition is the expensive step, and the nugget is zero
-for most beta an optimizer visits.  `certified_factor` therefore tries to
-prove kappa(R) <= exp(a) from the Cholesky factor L alone, in a cascade of
+for most beta an optimizer visits.  `certifies` therefore tries to prove
+kappa(R) <= exp(a) from the Cholesky factor L alone, in a cascade of
 cheapest first: a pre-test on the pivots of L that rules the proof out; on
 designs of at least `_COMPARISON_MIN_N` points, an O(n^2) bound on
 ||L^-1||_2 from the comparison matrix of L; then trace(R^-1) from the
@@ -48,7 +48,7 @@ _QUIET_BETA = 300.0
 
 _EPS = float(np.finfo(float).eps)
 
-# Smallest n at which `certified_factor` tries `_comparison_bound` before
+# Smallest n at which `certifies` tries `_comparison_bound` before
 # inverting L.  The bound saves the inversion on 80-95% of the FEs along
 # high-d fits, and costs a fixed two LAPACK calls and |L|.  Per call, best of
 # 15 over 40 factors of a 6-D design, OpenBLAS at one thread, two runs on a
@@ -155,8 +155,8 @@ def nugget_and_kappa(R: np.ndarray, a: float) -> tuple[float, float]:
     finite.
 
     This is the exact path, one full symmetric eigenvalue decomposition.  A
-    counted deviance evaluation runs it only when `certified_factor` cannot
-    prove delta = 0; the uncounted evaluation behind model building, model
+    counted deviance evaluation runs it only when `certifies` cannot prove
+    delta = 0; the uncounted evaluation behind model building, model
     files and diagnostics always runs it, because it reports kappa.
     """
     w = np.linalg.eigvalsh(np.asarray(R, dtype=float))
@@ -225,43 +225,40 @@ def _comparison_bound(L: np.ndarray) -> float:
     return float(z.max()) * float(z_t.max())
 
 
-def certified_factor(R: np.ndarray, a: float) -> np.ndarray | None:
-    """Cholesky factor of R if kappa(R) <= exp(a) is proven, else None.
+def certifies(R: np.ndarray, L: np.ndarray, a: float) -> bool:
+    """Whether kappa(R) <= exp(a) is proven from L, the Cholesky factor of R.
 
-    A returned factor is the one `factorize(R, 0.0, kappa)` computes, and
-    `nugget_and_kappa(R, a)` would give delta = 0 for R.  The proof needs no
-    eigenvalues.  R has nonnegative entries, so its largest row sum bounds
-    lmax (Gershgorin); an upper bound on 1/lmin = ||L^-1||_2^2 times that
-    row sum must be at most half of exp(a), which absorbs the rounding of
-    eigvalsh near the ceiling.  It must also be at most 1/(8 n eps), beyond
-    which eigvalsh no longer resolves lmin; that cap binds only for a above
-    about 30.  Non-finite entries in R always fail the test.  The steps, in
-    order:
+    L is the factor `factorize(R, 0.0, kappa)` computes, so when this holds
+    `nugget_and_kappa(R, a)` would give delta = 0 and the exact path the same
+    factor.  The proof needs no eigenvalues.  R has nonnegative entries, so
+    its largest row sum bounds lmax (Gershgorin); an upper bound on 1/lmin =
+    ||L^-1||_2^2 times that row sum must be at most half of exp(a), which
+    absorbs the rounding of eigvalsh near the ceiling.  It must also be at
+    most 1/(8 n eps), beyond which eigvalsh no longer resolves lmin; that cap
+    binds only for a above about 30.  Non-finite entries in R always fail the
+    test.  The steps, in order:
 
     1. The pivots of L give a lower bound on kappa(R): lmax >= max(1'R1/n, 1)
        and lmin <= min_i L_ii^2.  When it is above the limit, the proof
-       cannot succeed, and None is returned.
+       cannot succeed.
     2. For n >= `_COMPARISON_MIN_N`, the O(n^2) `_comparison_bound` on
        ||L^-1||_2^2.  It certifies most well-conditioned large designs;
        below that size its fixed cost exceeds the inversion it saves.
     3. trace(R^-1) = ||L^-1||_F^2 from the inverse of L (`dtrtri`, O(n^3)).
     """
-    L = _cholesky(R.T)
-    if L is None:
-        return None
     n = R.shape[0]
     limit = 0.5 * min(math.exp(a), 0.125 / (n * _EPS))
     rows = R.sum(axis=1)
     if max(float(rows.sum()) / n, 1.0) > limit * float(L.diagonal().min()) ** 2:
-        return None
+        return False
     row_max = float(rows.max())
     if n >= _COMPARISON_MIN_N and row_max * _comparison_bound(L) <= limit:
-        return L
+        return True
     inverse, info = dtrtri(L, lower=1)
     if info != 0:
-        return None
+        return False
     flat = inverse.ravel(order="K")
-    return L if row_max * float(flat @ flat) <= limit else None
+    return row_max * float(flat @ flat) <= limit
 
 
 @dataclass(frozen=True)

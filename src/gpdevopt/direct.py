@@ -135,14 +135,9 @@ def direct_search(objective, box: SearchBox, fe_budget: int) -> OptReport:
             for rect in selected:
                 classes.remove_top(rect)
             trials = [_offset_centers(rect) for rect in selected]
-            values = wrapped.batch([lo + u * width for trial in trials for _, u in trial])
-            start = 0
+            values = iter(wrapped.batch([lo + u * width for trial in trials for _, u in trial]))
             for rect, trial in zip(selected, trials):
-                stop = start + len(trial)
-                if stop > len(values):
-                    raise BudgetExhausted
-                _divide(rect, trial, values[start:stop], classes)
-                start = stop
+                _divide(rect, trial, [next(values) for _ in trial], classes)
     except BudgetExhausted:
         pass
     return wrapped.report()

@@ -28,7 +28,7 @@ from .correlation import (
     DistanceCache,
     FactoredCorrelation,
     _cholesky,
-    certified_factor,
+    certifies,
     cholesky_log_det,
     cholesky_solve,
     factorize,
@@ -201,17 +201,17 @@ class DevianceObjective:
     the plain mean of the outputs, the outputs centred on it and a ones
     vector.  __call__ is the optimization objective: it evaluates the
     deviance and increments the evaluation counter by exactly one (even when
-    the result is +inf).  It first tries to certify a zero nugget from the
-    Cholesky factor of R (`certified_factor`) and runs the exact path only
-    when that fails.  evaluate() is the uncounted exact path, used for
-    diagnostics and by model(), which builds the emulator at one beta: it
-    always computes the nugget and the condition number from the eigenvalues
-    of R.  Both give the same deviance bit for bit.
+    the result is +inf).  One Cholesky factor of R serves the dominance step,
+    the certificate of a zero nugget (`certifies`) and the profile; the exact
+    path runs only when they fail.  evaluate() is the uncounted exact path,
+    used for diagnostics and by model(), which builds the emulator at one
+    beta: it always computes the nugget and the condition number from the
+    eigenvalues of R.  Both give the same deviance bit for bit.
 
     Before the certificate comes a dominance step (`gpdevopt.correlation`):
     beta >= beta' in every coordinate gives kappa(R(beta)) <= kappa(R(beta')).
     A beta that dominates one of the last `_ANCHORS` certified beta needs only
-    dpotrf with a finite log-determinant (else the certificate runs); a beta
+    dpotrf with a finite log-determinant (else the exact path runs); a beta
     dominated by one of the last `_ANCHORS` beta whose exact path gave a
     nugget goes straight to the exact path.  An eigvalsh delta = 0 has no
     margin below exp(a) and is never an anchor; a beta with some beta_k >
@@ -235,16 +235,15 @@ class DevianceObjective:
         point = beta.tolist()
         quiet = max(point) <= _QUIET_BETA
         certified, nuggets = (self._certified, self._nugget) if quiet else ([], [])
-        if any(all(map(ge, point, anchor)) for anchor in certified):
-            L = _cholesky(R.T)
-            if L is not None and math.isfinite(log_det := cholesky_log_det(L)):
-                return self._profile(L, log_det)[0]
-        nugget = any(all(map(ge, anchor, point)) for anchor in nuggets)
-        L = None if nugget else certified_factor(R, self.options.a)
-        if L is not None:
-            certified.insert(0, point)
-            del certified[_ANCHORS:]
-            return self._profile(L, cholesky_log_det(L))[0]
+        dominant = any(all(map(ge, point, anchor)) for anchor in certified)
+        nugget = not dominant and any(all(map(ge, anchor, point)) for anchor in nuggets)
+        L = None if nugget else _cholesky(R.T)
+        settled = L is not None and (dominant or certifies(R, L, self.options.a))
+        if settled and math.isfinite(log_det := cholesky_log_det(L)):
+            if not dominant:
+                certified.insert(0, point)
+                del certified[_ANCHORS:]
+            return self._profile(L, log_det)[0]
         exact = self._exact(R)
         if exact is None:
             return math.inf

@@ -35,8 +35,8 @@ MAX_ITERS = 400
 
 
 def central_gradient(objective, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient, 2 * len(x) objective calls: x + h_k e_k,
-    then x - h_k e_k, per k, as one batch when the objective has `batch`.
+    """Central-difference gradient, 2 * len(x) calls of a `CountedObjective`:
+    x + h_k e_k, then x - h_k e_k, per k, as one batch.
 
     The step in coordinate k is GRAD_STEP * max(1, |x_k|), which keeps the
     differences well scaled on log10 lengthscale surfaces.
@@ -48,8 +48,7 @@ def central_gradient(objective, x: np.ndarray) -> np.ndarray:
         step = np.zeros_like(x)
         step[k] = h
         points += [x + step, x - step]
-    many = getattr(objective, "batch", None)
-    values = many(points) if many is not None else [objective(p) for p in points]
+    values = objective.batch(points)
     return np.array([(values[2 * k] - values[2 * k + 1]) / (2.0 * h) for k, h in enumerate(steps)])
 
 
@@ -225,10 +224,7 @@ def implicit_filtering(
                     pt = x.copy()
                     pt[j] += sign * h * span[j]
                     stencil.append(np.clip(pt, lo, hi))
-            values = wrapped.batch(stencil)
-            if len(values) < len(stencil):
-                raise BudgetExhausted
-            for pt, val in zip(stencil, values):
+            for pt, val in zip(stencil, wrapped.batch(stencil)):
                 samples.append((pt, val))
                 if val < best_f:
                     best_f, best_pt = val, pt

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,20 +52,23 @@ class CountedObjective:
         return self._record(x, self._fn(x))
 
     def batch(self, points) -> list[float]:
-        """Values at `points` as from calling self on each in turn, as many as
-        the budget allows: a shorter list means that it is spent.  An objective
-        with its own `batch` evaluates them first; the count and the best
+        """Values at `points` as from calling self on each in turn, raising
+        BudgetExhausted where such a call would.  An objective with its own
+        `batch` evaluates as many as the budget covers; the count and the best
         point then follow in call order, so ties still go to the first."""
-        if self.max_fe is not None:
-            points = points[: self.max_fe - self.count]
         if self._batch is None:
             return [self(x) for x in points]
-        return [self._record(x, value) for x, value in zip(points, self._batch(points))]
+        covered = points if self.max_fe is None else points[: self.max_fe - self.count]
+        values = [self._record(x, value) for x, value in zip(covered, self._batch(covered))]
+        if len(values) < len(points):
+            raise BudgetExhausted
+        return values
 
     def _record(self, x: np.ndarray, value) -> float:
         self.count += 1
         value = float(value)
-        if value < self.best_value or self.best_point is None:
+        # Ties keep the first point; a NaN best yields to any other value.
+        if self.best_point is None or not (value >= self.best_value or math.isnan(value)):
             self.best_value = value
             self.best_point = np.array(x, dtype=float, copy=True)
         return value

@@ -23,6 +23,7 @@ from gpdevopt.gp import (
     prediction_weights,
 )
 from gpdevopt.local_search import bfgs_minimize, central_gradient, implicit_filtering
+from gpdevopt.optreport import CountedObjective
 from gpdevopt.testbed import run_benchmark
 from gpdevopt.testbed import test_function as make_test_function
 
@@ -266,7 +267,7 @@ def test_criterion_8_optimizer_unit_gates(monkeypatch):
     rng = np.random.default_rng(3)
     for _ in range(25):
         x = rng.uniform(-2, 2, 2)
-        grad = central_gradient(smooth, x)
+        grad = central_gradient(CountedObjective(smooth), x)
         for k in range(2):
             h = 1e-3
             e = np.zeros(2)

@@ -741,6 +741,7 @@ class TestSurfaceCommand:
         ("no-y-column", "missing output column 'y'"),
         ("header-only", "no data rows"),
         ("zero-range-column", "input column x2 has zero range"),
+        ("input-column-gap", "data.csv: input column x3 lies outside the run x1..x1"),
         ("overflowing-range-column", "input column x1 spans -1e+308 to 1e+308: its range overflows"),
         ("model-range-overflows", "input_max - input_min must be a finite positive normal"),
         ("model-range-subnormal", "input_max - input_min must be a finite positive normal"),
@@ -761,6 +762,7 @@ def test_error_exits(tmp_path, capsys, case, message):
         "no-y-column": "x1,z\n0.1,1.0\n0.9,2.0\n",
         "header-only": "x1,y\n",
         "zero-range-column": "x1,x2,y\n0.1,0.5,1.0\n0.9,0.5,2.0\n",
+        "input-column-gap": "x1,x3,y\n0.1,0.5,1.0\n0.9,0.2,2.0\n",
         # Every value is finite, but max - min is not.
         "overflowing-range-column": "x1,y\n-1e308,1.0\n0.0,2.0\n1e308,0.5\n",
     }

@@ -8,8 +8,9 @@ from gpdevopt import correlation as correlation_module
 from gpdevopt.correlation import (
     _COMPARISON_MIN_N,
     DistanceCache,
+    _cholesky,
     _comparison_bound,
-    certified_factor,
+    certifies,
     cholesky_solve,
     factorize,
     gaussian_kernel,
@@ -184,9 +185,16 @@ class TestFactorize:
         assert cholesky_solve(fac.factor, b) == pytest.approx(np.linalg.solve(R, b), rel=1e-10)
 
 
+def factor_if_certified(R, a):
+    """The Cholesky factor of R when `certifies` proves kappa(R) <= exp(a) from
+    it, else None: what a counted FE returns its profile from."""
+    L = _cholesky(R.T)
+    return L if L is not None and certifies(R, L, a) else None
+
+
 class TestCertifiedFactor:
     def test_identity_is_certified(self):
-        L = certified_factor(np.eye(4), 25.0)
+        L = factor_if_certified(np.eye(4), 25.0)
         assert np.array_equal(L, factorize(np.eye(4), 0.0, 1.0).factor)
 
     def test_certificate_implies_zero_nugget(self):
@@ -199,7 +207,7 @@ class TestCertifiedFactor:
             x = np.append(base, base[5] + spacing)
             R = DistanceCache(x[:, None], np.full(1, 2.0)).correlation(np.array([beta]))
             for a in np.arange(2.0, 41.0):
-                L = certified_factor(R, a)
+                L = factor_if_certified(R, a)
                 delta, kappa = nugget_and_kappa(R, a)
                 outcomes.add((L is not None, delta > 0.0))
                 if L is not None:
@@ -211,7 +219,7 @@ class TestCertifiedFactor:
         for bad in (np.nan, np.inf):
             R = np.eye(3)
             R[0, 2] = R[2, 0] = bad
-            assert certified_factor(R, 25.0) is None
+            assert factor_if_certified(R, 25.0) is None
 
     def test_margin_covers_eigenvalue_rounding(self):
         # At kappa(R) near 1/(n eps), eigvalsh overestimates kappa of this
@@ -225,7 +233,7 @@ class TestCertifiedFactor:
         assert R.sum(axis=1).max() * np.sum(inverse**2) < kappa
         certified = []
         for a in math.log(kappa) + np.linspace(-0.05, 1.0, 22):
-            L = certified_factor(R, a)
+            L = factor_if_certified(R, a)
             certified.append(L is not None)
             if L is not None:
                 assert nugget_and_kappa(R, a)[0] == 0.0
@@ -244,7 +252,7 @@ class TestCertifiedFactor:
             R = DistanceCache(x, np.full(3, 2.0)).correlation(np.full(3, beta))
             for a in np.arange(2.0, 41.0):
                 before = inversions.calls
-                L = certified_factor(R, a)
+                L = factor_if_certified(R, a)
                 delta, kappa = nugget_and_kappa(R, a)
                 outcomes.add((L is not None, inversions.calls > before, delta > 0.0))
                 if L is not None:
@@ -281,7 +289,7 @@ class TestCertifiedFactor:
     def test_non_finite_entries_above_crossover_are_not_certified(self, count_calls):
         R0 = correlation(random_design(np.random.default_rng(10), 60, 3), [1.0, 1.0, 1.0])
         inversions = count_calls(correlation_module, "dtrtri")
-        assert certified_factor(R0, 25.0) is not None
+        assert factor_if_certified(R0, 25.0) is not None
         assert inversions.calls == 0
         for bad, symmetric in itertools.product((np.nan, np.inf), (True, False)):
             R = R0.copy()
@@ -290,7 +298,7 @@ class TestCertifiedFactor:
             R[2, 40] = bad
             if symmetric:
                 R[40, 2] = bad
-            assert certified_factor(R, 25.0) is None
+            assert factor_if_certified(R, 25.0) is None
 
 
 def _tensordot_kernel(powered, beta):

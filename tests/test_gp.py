@@ -12,7 +12,8 @@ from gpdevopt import gp as gp_module
 from gpdevopt.boxes import SearchBox, default_beta_box
 from gpdevopt.correlation import (
     DistanceCache,
-    certified_factor,
+    _cholesky,
+    certifies,
     cholesky_solve,
     factorize,
     gaussian_kernel,
@@ -622,7 +623,10 @@ class TestCertifiedDeviance:
         objective = DevianceObjective(ds)
         cache = DistanceCache(ds.points, np.full(ds.d, 2.0))
         needs_nugget = [nugget_and_kappa(cache.correlation(b), 25.0)[0] > 0.0 for b in betas]
-        certified = [certified_factor(cache.correlation(b), 25.0) is not None for b in betas]
+        certified = [
+            (L := _cholesky(R.T)) is not None and certifies(R, L, 25.0)
+            for R in map(cache.correlation, betas)
+        ]
         assert sum(needs_nugget) > len(betas) // 2
         counter = count_calls(np.linalg, "eigvalsh")
         for beta, nugget, proven in zip(betas, needs_nugget, certified):
@@ -674,20 +678,22 @@ def _bits(value):
 
 class _Paths:
     """Per-FE record of which routines a counted evaluation called:
-    `certified_factor` (the certificate), the dominance step's own Cholesky
-    factorization and eigvalsh (the exact path)."""
+    `certifies` (the certificate), the Cholesky factorization of R that the
+    dominance step, the certificate and the profile share, and eigvalsh (the
+    exact path).  No FE factors R twice."""
 
     def __init__(self, count_calls):
-        self.certificate = count_calls(gp_module, "certified_factor")
-        self.dominance = count_calls(gp_module, "_cholesky")
+        self.certificate = count_calls(gp_module, "certifies")
+        self.factor = count_calls(gp_module, "_cholesky")
         self.eigen = count_calls(np.linalg, "eigvalsh")
         self.fes = []
 
     def __call__(self, objective, beta):
-        counters = (self.certificate, self.dominance, self.eigen)
+        counters = (self.certificate, self.factor, self.eigen)
         before = [c.calls for c in counters]
         value = objective(np.array(beta, dtype=float))
         self.fes.append(tuple(c.calls - b for c, b in zip(counters, before)))
+        assert self.fes[-1][1] <= 1, self.fes[-1]
         return value
 
 
@@ -719,8 +725,8 @@ class TestDominanceAnchors:
         assert paths.certificate.calls <= 0.5 * objective.fe_count
         dominance_certified = [fe for fe in paths.fes if fe == (0, 1, 0)]
         assert len(dominance_certified) > 0.25 * objective.fe_count
-        # A dominance-certified FE never reaches the certificate or eigvalsh.
-        assert all(fe[2] == 0 for fe in paths.fes if fe[1])
+        # An FE that factors R and skips the certificate never reaches eigvalsh.
+        assert all(fe[2] == 0 for fe in paths.fes if fe[:2] == (0, 1))
 
     def test_nugget_side_skips_most_certificates_on_dense_design(self, count_calls):
         ds = _testbed_design("hump", 40)
@@ -738,26 +744,26 @@ class TestDominanceAnchors:
         control = DevianceObjective(lowd_designs["hump-n10"])
         paths(control, [0.6])
         paths(control, [0.7])
-        assert paths.fes == [(1, 0, 0), (0, 1, 0)]
+        assert paths.fes == [(1, 1, 0), (0, 1, 0)]
         paths.fes.clear()
         objective = DevianceObjective(lowd_designs["hump-n10"])
         paths(objective, [0.55])
         paths(objective, [0.58])
-        assert paths.fes[0] == (1, 0, 1)
-        assert paths.fes[1][:2] == (1, 0)
+        assert paths.fes[0] == (1, 1, 1)
+        assert paths.fes[1][:2] == (1, 1)
 
     def test_only_exact_path_nugget_becomes_a_nugget_anchor(self, lowd_designs, count_calls):
         paths = _Paths(count_calls)
         control = DevianceObjective(lowd_designs["hump-n10"])
         paths(control, [0.5])
         paths(control, [0.4])
-        assert paths.fes == [(1, 0, 1), (0, 0, 1)]
+        assert paths.fes == [(1, 1, 1), (0, 0, 1)]
         paths.fes.clear()
         objective = DevianceObjective(lowd_designs["hump-n10"])
         assert objective.evaluate(np.array([0.55]))[1].delta == 0.0
         paths(objective, [0.55])
         paths(objective, [0.5])
-        assert paths.fes == [(1, 0, 1), (1, 0, 1)]
+        assert paths.fes == [(1, 1, 1), (1, 1, 1)]
 
     def test_beta_above_quiet_bound_skips_the_anchors(self, lowd_designs, count_calls):
         assert correlation._QUIET_BETA < 400.0
@@ -766,19 +772,22 @@ class TestDominanceAnchors:
         control = DevianceObjective(ds)
         paths(control, [0.5, 0.5])
         paths(control, [0.6, 0.6])
-        assert paths.fes == [(1, 0, 0), (0, 1, 0)]
+        assert paths.fes == [(1, 1, 0), (0, 1, 0)]
         paths.fes.clear()
         objective = DevianceObjective(ds)
         for beta in ([0.5, 0.5], [0.6, 400.0], [0.5, 400.0], [0.6, 500.0]):
             value = paths(objective, beta)
             assert _bits(value) == _bits(objective.evaluate(np.array(beta))[0])
         # Certified, but neither uses an anchor nor becomes one.
-        assert paths.fes == [(1, 0, 0)] * 4
+        assert paths.fes == [(1, 1, 0)] * 4
 
     @pytest.mark.parametrize("failure", ["not-positive-definite", "infinite-log-det"])
-    def test_failed_dominance_factor_falls_back_to_the_cascade(
+    def test_failed_factor_goes_to_the_exact_path_with_the_exact_value(
         self, lowd_designs, count_calls, monkeypatch, failure
     ):
+        # [0.7] dominates the certified anchor [0.6], and then runs without
+        # an anchor, where a factor with an infinite pivot passes the
+        # certificate but not the log-determinant check.
         ds = lowd_designs["hump-n10"]
         objective = DevianceObjective(ds)
         objective(np.array([0.6]))
@@ -787,6 +796,9 @@ class TestDominanceAnchors:
         else:
             monkeypatch.setattr(gp_module, "_cholesky", lambda R: np.diag(np.full(ds.n, np.inf)))
         paths = _Paths(count_calls)
-        value = paths(objective, [0.7])
-        assert paths.fes == [(1, 1, 0)]
-        assert _bits(value) == _bits(objective.evaluate(np.array([0.7]))[0])
+        dominant = paths(objective, [0.7])
+        alone = paths(DevianceObjective(ds), [0.7])
+        certificate = 0 if failure == "not-positive-definite" else 1
+        assert paths.fes == [(0, 1, 1), (certificate, 1, 1)]
+        exact = objective.evaluate(np.array([0.7]))[0]
+        assert _bits(dominant) == _bits(alone) == _bits(exact)

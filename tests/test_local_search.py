@@ -15,6 +15,7 @@ from gpdevopt.local_search import (
     central_gradient,
     implicit_filtering,
 )
+from gpdevopt.optreport import CountedObjective
 from gpdevopt.testbed import test_function as make_test_function
 
 
@@ -72,7 +73,7 @@ class TestCentralGradient:
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.uniform(-2, 2, 2)
-            grad = central_gradient(smooth, x)
+            grad = central_gradient(CountedObjective(smooth), x)
             for k in range(2):
                 h = 1e-3
                 e = np.zeros(2)
@@ -84,8 +85,9 @@ class TestCentralGradient:
 
     def test_costs_two_d_calls(self):
         fn, calls = counting(lambda x: float(x @ x))
-        central_gradient(fn, np.zeros(3))
-        assert calls["n"] == 6
+        wrapped = CountedObjective(fn)
+        central_gradient(wrapped, np.zeros(3))
+        assert calls["n"] == wrapped.count == 6
 
 
 class TestBfgs:
@@ -222,6 +224,14 @@ class TestImplicitFiltering:
         fn, calls = counting(lambda x: float(x[0]))
         report = implicit_filtering(fn, np.array([0.0]), box)
         assert calls["n"] == report.fe_used == 1 + 2 * len(DEFAULT_SCALES)
+
+    def test_nan_start_reports_the_best_value_seen(self):
+        # NaN at the start point only: the report must not keep it as the best.
+        box = SearchBox(np.zeros(1), np.ones(1))
+        report = implicit_filtering(
+            lambda x: math.nan if x[0] == 0.5 else float((x[0] - 0.3) ** 2), np.array([0.5]), box
+        )
+        assert report.beta_star.tolist() == [0.25] and report.value == (0.25 - 0.3) ** 2
 
     def test_fe_conservation_and_budget(self):
         obj = hump_deviance_objective(seed=3)

@@ -87,17 +87,18 @@ def run_script(body: str) -> str:
 def test_every_strategy_matches_a_serial_run_bit_for_bit():
     # The serial reference goes through a plain callable, which has no
     # `batch`.  Budgets cut DIRECT's and IF2's stage-one batches short: the
-    # replay in `CountedObjective.batch` must stop exactly where calls one at
-    # a time would have.
+    # replay in `CountedObjective.batch` must stop, and raise, exactly where
+    # calls one at a time would have.
     out = run_script("""
         from gpdevopt import optreport
         cuts = set()
         batch = optreport.CountedObjective.batch
         def recording(self, points):
-            values = batch(self, points)
-            if len(values) < len(points):
+            try:
+                return batch(self, points)
+            except optreport.BudgetExhausted:
                 cuts.add(self.max_fe)
-            return values
+                raise
         optreport.CountedObjective.batch = recording
         forked = 0
         for name in ("hump", "goldstein-price"):
@@ -130,12 +131,12 @@ def test_worker_exception_reaches_the_caller_and_no_worker_outlives_a_fit():
         model = fit(ds, "DIRECT-BFGS", rng=3)
         assert no_child_left()
         parent = os.getpid()
-        certified_factor = gp.certified_factor
-        def failing(R, a):
+        certifies = gp.certifies
+        def failing(R, L, a):
             if os.getpid() != parent:
                 raise ArithmeticError(f"raised in worker {os.getpid()}")
-            return certified_factor(R, a)
-        gp.certified_factor = failing
+            return certifies(R, L, a)
+        gp.certifies = failing
         try:
             fit(ds, "DIRECT-BFGS", rng=3)
         except ArithmeticError as exc:
@@ -143,7 +144,7 @@ def test_worker_exception_reaches_the_caller_and_no_worker_outlives_a_fit():
             assert int(str(exc).split()[-1]) != parent
             print("raised")
         assert no_child_left()
-        gp.certified_factor = certified_factor
+        gp.certifies = certifies
         again = fit(ds, "DIRECT-BFGS", rng=3)
         assert again.deviance.hex() == model.deviance.hex()
         assert no_child_left()
@@ -297,7 +298,8 @@ def test_batches_of_every_size_match_serial_calls_with_more_workers_than_cores()
 
 
 class _Batching:
-    """A plain objective with a `batch` method that logs each batch's size."""
+    """A plain objective with a `batch` method that logs the values of each
+    batch."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -307,31 +309,39 @@ class _Batching:
         return self.fn(x)
 
     def batch(self, points):
-        self.batches.append(len(points))
-        return [self.fn(x) for x in points]
+        self.batches.append([self.fn(x) for x in points])
+        return self.batches[-1]
 
 
 @pytest.mark.parametrize("max_fe", [None, 1, 3, 4, 6, 7])
 def test_counted_batch_replays_calls_one_at_a_time(max_fe):
-    # Ties go to the first point, a NaN never becomes the best, and a budget
-    # cut mid-batch leaves the count and the best point where single calls
-    # stop, with BudgetExhausted on the next call.
-    values = {0.0: 3.0, 1.0: 1.0, 2.0: math.nan, 3.0: 1.0, 4.0: 0.5, 5.0: math.inf}
-    points = [np.array([k]) for k in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)]
-    fn = _Batching(lambda x: values[float(x[0])])
-    batched, single = CountedObjective(fn, max_fe), CountedObjective(fn.fn, max_fe)
-    got = batched.batch(points[:3]) + batched.batch(points[3:])
-    want = []
-    for point in points:
+    # Ties go to the first point, a NaN never replaces a best and a NaN best
+    # yields to any other value.  A budget cut mid-batch leaves the count and
+    # the best point where single calls stop, and the batch itself raises
+    # BudgetExhausted, as the first call the budget does not cover would.
+    for sequence in ([3.0, 1.0, math.nan, 1.0, 0.5, math.inf],
+                     [math.nan, math.nan, 2.0, math.nan, 2.0, 0.5]):
+        values = dict(enumerate(sequence))
+        points = [np.array([float(k)]) for k in values]
+        fn = _Batching(lambda x: values[int(x[0])])
+        batched, single = CountedObjective(fn, max_fe), CountedObjective(fn.fn, max_fe)
+        want, got, cut = [], [], False
+        for point in points:
+            try:
+                want.append(single(point))
+            except BudgetExhausted:
+                break
         try:
-            want.append(single(point))
+            for part in (points[:3], points[3:]):
+                got += batched.batch(part)
         except BudgetExhausted:
-            break
-    assert np.array_equal(got, want, equal_nan=True)
-    assert batched.count == single.count == len(want)
-    assert batched.best_value == single.best_value
-    assert batched.best_point.tobytes() == single.best_point.tobytes()
-    assert sum(fn.batches) == len(want)
-    if len(want) < len(points):
-        with pytest.raises(BudgetExhausted):
-            batched(points[0])
+            cut = True
+        assert cut == (len(want) < len(points))
+        assert np.array_equal(sum(fn.batches, []), want, equal_nan=True)
+        assert np.array_equal(got, want[: len(got)], equal_nan=True)
+        assert batched.count == single.count == len(want)
+        seen = [(value, k) for k, value in enumerate(want) if not math.isnan(value)]
+        best_value, best_k = min(seen) if seen else (math.nan, 0)
+        assert batched.best_value.hex() == single.best_value.hex() == best_value.hex()
+        assert batched.best_point.tobytes() == single.best_point.tobytes()
+        assert batched.best_point.tobytes() == points[best_k].tobytes()

@@ -15,7 +15,8 @@ from scipy.linalg.lapack import dpotrf
 from gpdevopt.correlation import (
     _COMPARISON_MIN_N,
     DistanceCache,
-    certified_factor,
+    _cholesky,
+    certifies,
     factorize,
     nugget_and_kappa,
 )
@@ -97,7 +98,8 @@ def test_kappa_is_monotone_under_dominance(data, a):
     R_low, R_high = cache.correlation(low), cache.correlation(high)
     delta_low, _ = nugget_and_kappa(R_low, a)
     delta_high, kappa_high = nugget_and_kappa(R_high, a)
-    if certified_factor(R_low, a) is not None:
+    L_low = _cholesky(R_low.T)
+    if L_low is not None and certifies(R_low, L_low, a):
         assert delta_high == 0.0
         L, info = dpotrf(R_high, lower=1, clean=1)
         assert info == 0
