@@ -82,17 +82,20 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
     return header, np.reshape(values, (len(linenos), len(header)))
 
 
-def _input_columns(header: list[str], path: str) -> list[str]:
-    d = 0
-    while f"x{d + 1}" in header:
-        d += 1
-    if d == 0:
-        raise ValueError(f"{path}: no input columns named x1..xd found")
+def _input_columns(header: list[str], path: str, d: int | None = None) -> list[str]:
+    """x1..xd, with a model's d or by default the length of the header's run
+    x1, x2, ...  A missing one, or another column named x<digits>, is an error."""
+    if d is None:
+        d = next(k for k in range(len(header) + 1) if f"x{k + 1}" not in header)
+        if d == 0:
+            raise ValueError(f"{path}: no input columns named x1..xd found")
     names = [f"x{k + 1}" for k in range(d)]
+    for name in names:
+        if name not in header:
+            raise ValueError(f"{path}: missing input column {name!r}")
     for name in header:
         if name not in names and name[:1] == "x" and name[1:].isdecimal():
-            raise ValueError(f"{path}: input column {name} lies outside the run x1..x{d}: "
-                             "number the input columns from x1 without gaps")
+            raise ValueError(f"{path}: input column {name} lies outside the run x1..x{d}")
     return names
 
 
@@ -247,10 +250,7 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     model, mins, maxs = _load_model(args.model)
     header, data = _read_table(args.points)
-    x_names = [f"x{k + 1}" for k in range(model.design.d)]
-    for name in x_names:
-        if name not in header:
-            raise ValueError(f"{args.points}: missing input column {name!r}")
+    x_names = _input_columns(header, args.points, model.design.d)
     out_rows: list[list] = []
     if len(data):
         x_native = data[:, [header.index(name) for name in x_names]]

@@ -12,11 +12,14 @@ evaluation is the unit of optimization cost throughout the package.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import math
 import mmap
 import os
 import pickle
 import signal
+import threading
 import weakref
 from dataclasses import dataclass
 from operator import ge
@@ -47,14 +50,13 @@ DEFAULT_STRATEGY = "DIRECT-BFGS"
 # without anchors; best of 10, BLAS at one thread, 2-core VM).
 _ANCHORS = 4
 
-# Smallest n at which `DevianceObjective.batch` shares each batch with a
-# forked worker, which costs a fork and a kill per fit and a pipe round trip
-# per batch.  Serial over forked fit time on hump and Goldstein-Price designs,
-# per strategy (best of 3 on two designs each, BLAS at one thread, 2-core VM):
-# 0.86-1.19 at n = 30 (median 1.01), 1.15-1.46 at n = 60 (median 1.32), and
-# at n = 40 medians of 1.12-1.13 in three runs, but hump MS-BFGS-2d1 read
-# 0.91, 1.03 and 0.99 on one design.
-_FORK_MIN_N = 60
+# Work, in beta times design points, from which `DevianceObjective.batch`
+# shares a batch with the process's worker; a smaller batch saves about what
+# a pipe round trip costs.  Fits of hump n=10 and Goldstein-Price n=20 (seeds
+# 0-2, all seven strategies) ran at 1.25-1.26 times the serial FE rate for
+# values from 40 to 320, 1.24 when every batch was shared and 1.22 at 640
+# (best of 3, BLAS at one thread, 2-core VM).
+_SHARE_MIN_WORK = 160
 
 
 class DegenerateDataError(ValueError):
@@ -225,7 +227,6 @@ class DevianceObjective:
         self._profile = _Profile(design.outputs)
         self._certified: list[list[float]] = []
         self._nugget: list[list[float]] = []
-        self._worker: _Worker | None = None
         self.fe_count = 0
 
     def __call__(self, beta: np.ndarray) -> float:
@@ -255,38 +256,36 @@ class DevianceObjective:
     def batch(self, betas: list[np.ndarray]) -> list[float]:
         """The values and the count of __call__ on each beta in turn.
 
-        On Linux, with two cores for this process, no other thread (a BLAS
-        pool holds the cores, and fork copies no thread) and n >= `_FORK_MIN_N`,
-        a worker forked from this objective on first use gets the whole list
-        and evaluates it from the back while this process evaluates it from
-        the front.  Each publishes how far it has claimed and stops where it
-        meets the other's claim; this process then evaluates any beta that
-        the worker's reply does not cover.  A stale claim can only make both
-        evaluate one beta, and a counted value does not depend on the process
-        or the anchors that computed it, so the bits and the count are the
-        same as one call at a time.
+        A batch of two or more beta and at least `_SHARE_MIN_WORK` beta times
+        design points goes to the process's `_Worker`, forked at the first such
+        batch on Linux with two cores and one thread (a BLAS pool holds the
+        cores, and fork copies no thread), unless another Python thread runs
+        or self is a subclass, whose overrides the worker would not run.  The
+        worker takes the batch from the back and this process from the front,
+        up to where their claims meet (`_claim`); this process then evaluates
+        what the reply leaves.  A counted value does not depend on the process
+        or its anchors, so the bits and the count are those of single calls.
         """
-        if len(betas) > 1 and self._worker is None:
-            # /proc/self/task lists this process's threads, on Linux only.
-            fork = self.design.n >= _FORK_MIN_N and os.path.isdir("/proc/self/task") and (
-                len(os.listdir("/proc/self/task")) == 1 and len(os.sched_getaffinity(0)) >= 2
-            )
-            try:
-                self._worker = _Worker(self) if fork else False
-            except OSError:  # no process to spare: evaluate every batch here
-                self._worker = False
-        if len(betas) < 2 or not self._worker:
+        share = len(betas) > 1 and len(betas) * self.design.n >= _SHARE_MIN_WORK
+        share = share and type(self) is DevianceObjective and threading.active_count() == 1
+        # /proc/self/task lists this process's threads, on Linux only.
+        if share and _Worker.live is None and os.path.isdir("/proc/self/task") and (
+            len(os.listdir("/proc/self/task")) == 1 and len(os.sched_getaffinity(0)) >= 2
+        ):
+            with contextlib.suppress(OSError):  # no process to spare: evaluate here
+                _Worker.live = _Worker()
+        worker = _Worker.live if share else None
+        if worker is None:
             return [self(beta) for beta in betas]
-        count, claims, values = self.fe_count, self._worker.claims, []
+        count, claims, values = self.fe_count, worker.claims, []
         try:
-            self._worker.send(betas)
-            while len(values) < len(betas) - claims[1]:
-                claims[0] = len(values) + 1
+            worker.send(self, betas)
+            while len(values) + _claim(claims, 0, len(values)) < len(betas):
                 values.append(self(betas[len(values)]))
-            tail = self._worker.receive()
+            tail = worker.receive()
         except BaseException:
-            # The pipes may be out of step: later batches run here alone.
-            self._worker.stop()
+            # The pipes may be out of step: the next shared batch forks afresh.
+            worker.stop()
             raise
         head = len(betas) - len(tail)
         values = values[:head] + [self(beta) for beta in betas[len(values):head]] + tail
@@ -335,19 +334,31 @@ def _floats(stream, count: int) -> np.ndarray:
     return np.frombuffer(data)
 
 
-class _Worker:
-    """A process forked from one `DevianceObjective`, with a pipe each way
-    and two claims in shared memory: how many beta of the current request
-    the owner has taken from the front, and the worker from the back.
+# The acquire keeps `_claim`'s read from passing its write where it is a full
+# fence (x86); elsewhere both sides may evaluate one beta, to the same value.
+_FENCE = threading.Lock()
 
-    A request is m, then m beta, as float64; the reply is k and the counted
-    values of the last k beta in order, or -1 and the pickled exception that
-    one raised.  The worker ignores SIGINT and leaves through os._exit at end
-    of file, unless `stop` kills and reaps it first: when called, when the
-    objective is collected, or at exit.
+
+def _claim(claims, side: int, k: int) -> int:
+    """Claim beta k from this side's end, then read the other side's claim."""
+    claims[side] = k + 1
+    with _FENCE:
+        return claims[1 - side]
+
+
+class _Worker:
+    """The process's deviance worker, with a pipe each way and the two sides'
+    claims in shared memory.  A request is m and a flag, then, if the flag is
+    set, the pickled points, outputs and options of a new objective, then m
+    beta, as float64.  The reply is k and the counted values of the last k
+    beta in order, or -1 and the pickled exception that one raised.  The
+    worker ignores SIGINT and exits at end of file on its requests, unless
+    `stop` kills it first: after an error, or at exit.
     """
 
-    def __init__(self, objective: DevianceObjective):
+    live: _Worker | None = None
+
+    def __init__(self):
         self.claims = memoryview(mmap.mmap(-1, 16)).cast("q")
         requests, to_worker = os.pipe()
         from_worker, replies = os.pipe()
@@ -362,25 +373,26 @@ class _Worker:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 os.close(to_worker)
                 os.close(from_worker)
-                _serve(objective, open(requests, "rb"), open(replies, "wb"), self.claims)
+                _serve(open(requests, "rb"), open(replies, "wb"), self.claims)
             finally:
                 os._exit(0)
         os.close(requests)
         os.close(replies)
         self._requests, self._replies = open(to_worker, "wb"), open(from_worker, "rb")
-        self._owner = os.getpid()
-        self.stop = weakref.finalize(
-            objective, _stop, self._owner, pid, self._requests, self._replies
-        )
+        self._owner, self._pid, self._serving = os.getpid(), pid, lambda: None
 
-    def __bool__(self) -> bool:
-        # A process forked from the owner must not write to the same pipes.
-        return self.stop.alive and os.getpid() == self._owner
-
-    def send(self, betas: list[np.ndarray]) -> None:
+    def send(self, objective: DevianceObjective, betas: list[np.ndarray]) -> None:
         # The worker is idle between a reply and the next request.
         self.claims[0] = self.claims[1] = 0
-        self._requests.write(np.concatenate([[len(betas)], *betas]).tobytes())
+        new = self._serving() is not objective
+        self._requests.write(np.array([len(betas), new], dtype=float).tobytes())
+        if new:
+            # Pickle keeps C or F order: the copy keeps the points' axis order,
+            # which sets the kernel's bits.
+            points = objective.design.points.copy(order="K")
+            pickle.dump((points, objective.design.outputs, objective.options), self._requests)
+            self._serving = weakref.ref(objective)
+        self._requests.write(np.concatenate(betas).tobytes())
         self._requests.flush()
 
     def receive(self) -> list[float]:
@@ -389,29 +401,41 @@ class _Worker:
             raise pickle.load(self._replies)
         return _floats(self._replies, int(count)).tolist()
 
+    @classmethod
+    def stop(cls) -> None:
+        """Forget the live worker; kill and reap it if this process forked it."""
+        worker, cls.live = cls.live, None
+        if worker is None:
+            return
+        if os.getpid() == worker._owner:
+            os.kill(worker._pid, signal.SIGKILL)
+            os.waitpid(worker._pid, 0)
+        for stream in (worker._requests, worker._replies):
+            with contextlib.suppress(OSError):  # the rest of a request cut short
+                stream.close()
 
-def _serve(objective: DevianceObjective, requests, replies, claims) -> None:
+
+atexit.register(_Worker.stop)
+# A forked process leaves the worker to see end of file when this one exits.
+os.register_at_fork(after_in_child=_Worker.stop)
+
+
+def _serve(requests, replies, claims) -> None:
     while True:
-        (count,) = _floats(requests, 1)
+        count, new = _floats(requests, 2)
+        if new:
+            points, outputs, options = pickle.load(requests)
+            objective = DevianceObjective(DesignSet(points, outputs), options)
         betas = _floats(requests, int(count) * objective.design.d).reshape(int(count), -1)
         values = []
         try:
-            while len(betas) - len(values) > claims[0]:
-                claims[1] = len(values) + 1
+            while len(values) + _claim(claims, 1, len(values)) < len(betas):
                 values.append(objective(betas[-1 - len(values)]))
             replies.write(np.array([len(values), *values[::-1]], dtype=float).tobytes())
         except Exception as exc:
             replies.write(np.array([-1.0]).tobytes())
             pickle.dump(exc, replies)
         replies.flush()
-
-
-def _stop(owner: int, pid: int, *streams) -> None:
-    if os.getpid() == owner:
-        for stream in streams:
-            stream.close()
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True)
@@ -519,11 +543,7 @@ def fit(
             "constant response: the profile variance is zero and the deviance is undefined"
         )
     objective = DevianceObjective(design, GpOptions(p_exponent=p_exponent))
-    try:
-        report = run_strategy(objective, strategy, design.d, np.random.default_rng(rng))
-    finally:
-        if objective._worker:
-            objective._worker.stop()
+    report = run_strategy(objective, strategy, design.d, np.random.default_rng(rng))
     if report.fe_used != objective.fe_count:
         raise RuntimeError(
             f"evaluation accounting mismatch: {report.fe_used} != {objective.fe_count}"

@@ -748,6 +748,7 @@ class TestSurfaceCommand:
         ("format-version", "unsupported model format"),
         ("p-not-repeated", "p must repeat one exponent per input column"),
         ("points-missing-column", "missing input column 'x1'"),
+        ("points-extra-column", "points.csv: input column x2 lies outside the run x1..x1"),
         ("1d-prediction-surface", "prediction surfaces require exactly 2 input dimensions"),
     ],
 )
@@ -784,7 +785,9 @@ def test_error_exits(tmp_path, capsys, case, message):
         elif case == "model-range-subnormal":
             payload["input_min"], payload["input_max"] = [0.0], [5e-324]
         model.write_text(json.dumps(payload))
-        write_csv(points, ["x2" if case == "points-missing-column" else "x1"], [[0.5]])
+        columns = {"points-missing-column": ["x2"], "points-extra-column": ["x1", "x2", "y"]}
+        header = columns.get(case, ["x1"])
+        write_csv(points, header, [[0.5, 0.25, 1.0][: len(header)]])
         argv = ["predict", "--model", str(model), "--points", str(points)]
     capsys.readouterr()
     assert main(argv) == 2

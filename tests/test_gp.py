@@ -405,21 +405,13 @@ class TestFit:
         val, _ = DevianceObjective(ds, GpOptions()).evaluate(model.beta_star)
         assert model.deviance == pytest.approx(val, rel=1e-10)
 
-    def test_fe_count_matches_injected_wrapper(self, monkeypatch):
-        calls = {"n": 0}
-        original = DevianceObjective.__call__
-
-        def counting(self, beta):
-            calls["n"] += 1
-            return original(self, beta)
-
-        monkeypatch.setattr(DevianceObjective, "__call__", counting)
-        rng = np.random.default_rng(13)
-        fn = make_test_function("hump")
-        pts = lhd_maximin(10, SearchBox(np.zeros(1), np.ones(1)), rng)
-        ds = DesignSet(pts, fn.evaluate(pts))
-        model = fit(ds, "MS-BFGS-2d1", rng=2)
-        assert model.fe_count == calls["n"]
+    def test_fe_count_matches_injected_wrapper(self, run_script):
+        # The wrapper counts the calls of both the fitting process and its worker.
+        run_script("""
+            model = fit(design("hump", 10, seed=13), "MS-BFGS-2d1", rng=2)
+            assert evaluated_once(model.fe_count), (model.fe_count, calls.tolist())
+            assert calls[1] > 0 or not CAN_FORK, forks
+        """)
 
     def test_uncounted_evaluation_is_an_accounting_mismatch(self, monkeypatch):
         # A phase that calls the objective once more than it reports.

@@ -1,94 +1,35 @@
-"""Batches of deviance evaluations shared with a forked worker.
+"""Batches of deviance evaluations shared with the process's forked worker.
 
 `DevianceObjective.batch` forks only in a process that runs one OS thread.
 An unpinned BLAS keeps a pool of threads, so every fork test runs its own
-interpreter with BLAS at one thread.
+interpreter with BLAS at one thread (conftest's `run_script`, whose PRELUDE
+defines the names the scripts use).
 """
 
 import math
 import os
-import subprocess
 import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gpdevopt.optreport import BudgetExhausted, CountedObjective
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
 fork_capable = pytest.mark.skipif(
     not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
     reason="the worker forks only on Linux with two cores",
 )
 
-# Each script starts with its imports, a testbed design maker, a check that
-# no child process is left and an objective that counts the calls made in the
-# script's own process and sleeps 2 ms on the beta its `slow` picks; N is the
-# crossover, the smallest n that forks.
-PRELUDE = """
-import os, sys, threading, time
-import numpy as np
-from gpdevopt import DesignSet, SearchBox, fit, gp, lhd_maximin, test_function
-from gpdevopt.global_search import STRATEGIES, run_strategy
-
-def design(name, n, seed=0):
-    fn = test_function(name)
-    unit = SearchBox(np.zeros(fn.d), np.ones(fn.d))
-    points = lhd_maximin(n, unit, np.random.default_rng(seed))
-    return DesignSet(points, fn.evaluate(points))
-
-def no_child_left():
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-PARENT = os.getpid()
-
-class Here(gp.DevianceObjective):
-    here = 0
-    slow = staticmethod(lambda beta: False)
-
-    def __call__(self, beta):
-        if os.getpid() == PARENT:
-            self.here += 1
-        if self.slow(beta):
-            time.sleep(0.002)
-        return super().__call__(beta)
-
-def hexes(values):
-    return [float(v).hex() for v in values]
-
-N = gp._FORK_MIN_N
-BETAS = [np.array([b, -b / 2]) for b in np.linspace(-2.0, 2.0, 16)]
-"""
-
-
-def run_script(body: str) -> str:
-    env = {
-        **os.environ, "PYTHONPATH": str(SRC), "PYTHONDEVMODE": "1",
-        "PYTHONWARNINGS": "error::RuntimeWarning,error::ResourceWarning",
-    }
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    script = PRELUDE + textwrap.dedent(body)
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
 
 @fork_capable
-def test_every_strategy_matches_a_serial_run_bit_for_bit():
+def test_every_strategy_matches_a_serial_run_bit_for_bit(run_script):
     # The serial reference goes through a plain callable, which has no
-    # `batch`.  Budgets cut DIRECT's and IF2's stage-one batches short: the
+    # `batch`.  The points are C-ordered, F-ordered, or every second column
+    # of a C- or F-ordered array: the worker must rebuild the kernel operand
+    # in the same layout (at n = 100 a C-ordered copy of the last one moves
+    # the bits).  Budgets cut DIRECT's and IF2's stage-one batches short: the
     # replay in `CountedObjective.batch` must stop, and raise, exactly where
-    # calls one at a time would have.
+    # calls one at a time would have.  All fits share one worker.
     out = run_script("""
         from gpdevopt import optreport
         cuts = set()
@@ -100,151 +41,217 @@ def test_every_strategy_matches_a_serial_run_bit_for_bit():
                 cuts.add(self.max_fe)
                 raise
         optreport.CountedObjective.batch = recording
-        forked = 0
-        for name in ("hump", "goldstein-price"):
-            ds = design(name, N)
-            for strategy in STRATEGIES:
-                objective = gp.DevianceObjective(ds)
-                got = run_strategy(objective, strategy, ds.d, np.random.default_rng(1))
-                if objective._worker:
-                    forked += 1
-                    objective._worker.stop()
-                plain = gp.DevianceObjective(ds)
-                want = run_strategy(lambda beta: plain(beta), strategy, ds.d,
-                                    np.random.default_rng(1))
-                assert got.fe_used == want.fe_used == objective.fe_count, (name, strategy)
-                assert got.beta_star.tobytes() == want.beta_star.tobytes(), (name, strategy)
-                assert got.value.hex() == want.value.hex(), (name, strategy)
-                assert plain._worker is None
-        assert forked == 2 * len(STRATEGIES), forked
+        for name, n, strategies in (("hump", 10, STRATEGIES), ("goldstein-price", 20, STRATEGIES),
+                                    ("hump", 40, STRATEGIES), ("goldstein-price", 60, STRATEGIES),
+                                    ("goldstein-price", 100, ["DIRECT-BFGS"])):
+            ds = design(name, n)
+            wide = np.repeat(ds.points, 2, axis=1)
+            layouts = {"C": np.ascontiguousarray(ds.points), "F": np.asfortranarray(ds.points),
+                       "strided": wide[:, ::2], "F-strided": np.asfortranarray(wide)[:, ::2]}
+            for layout, points in layouts.items():
+                if ds.d == 1 and layout == "F":
+                    continue  # one column is C- and F-ordered at once
+                laid = DesignSet(points, ds.outputs)
+                for strategy in strategies:
+                    objective = gp.DevianceObjective(laid)
+                    got = run_strategy(objective, strategy, ds.d, np.random.default_rng(1))
+                    plain = gp.DevianceObjective(laid)
+                    want = run_strategy(lambda beta: plain(beta), strategy, ds.d,
+                                        np.random.default_rng(1))
+                    key = (name, n, layout, strategy)
+                    assert got.fe_used == want.fe_used == objective.fe_count, key
+                    assert got.beta_star.tobytes() == want.beta_star.tobytes(), key
+                    assert got.value.hex() == want.value.hex(), key
         assert {20, 200, 400} <= cuts, cuts
-        assert no_child_left()
+        assert len(forks) == 1 and calls[1] > 0, (forks, calls[1])
         print("ok")
     """)
     assert out.split() == ["ok"]
 
 
 @fork_capable
-def test_worker_exception_reaches_the_caller_and_no_worker_outlives_a_fit():
+def test_worker_exception_reaches_the_caller_and_no_worker_outlives_its_process(run_script):
+    # An exception raised in the worker stops it; the next shared batch forks
+    # a fresh one, which the script's exit stops in turn.
     out = run_script("""
-        ds = design("goldstein-price", N)
-        model = fit(ds, "DIRECT-BFGS", rng=3)
-        assert no_child_left()
-        parent = os.getpid()
+        MAX_FORKS = 2
+        failing = memoryview(mmap.mmap(-1, 8)).cast("q")
         certifies = gp.certifies
-        def failing(R, L, a):
-            if os.getpid() != parent:
+        def failing_in_worker(R, L, a):
+            if failing[0] and os.getpid() != PARENT:
                 raise ArithmeticError(f"raised in worker {os.getpid()}")
             return certifies(R, L, a)
-        gp.certifies = failing
+        gp.certifies = failing_in_worker
+        ds = design("goldstein-price", 20)
+        model = fit(ds, "DIRECT-BFGS", rng=3)
+        assert len(forks) == 1 and not no_child_left()
+        failing[0] = 1
         try:
             fit(ds, "DIRECT-BFGS", rng=3)
         except ArithmeticError as exc:
-            assert str(exc).startswith("raised in worker"), exc
-            assert int(str(exc).split()[-1]) != parent
+            assert str(exc) == f"raised in worker {forks[0]}", exc
             print("raised")
         assert no_child_left()
-        gp.certifies = certifies
+        failing[0] = 0
         again = fit(ds, "DIRECT-BFGS", rng=3)
         assert again.deviance.hex() == model.deviance.hex()
-        assert no_child_left()
+        assert len(forks) == 2 and not no_child_left()
     """)
     assert out.split() == ["raised"]
 
 
 @fork_capable
-def test_nothing_forks_below_the_crossover_beside_another_thread_or_without_processes():
+def test_a_killed_parent_leaves_no_worker(run_script):
+    # A process killed with SIGKILL runs no exit handler: its worker reads
+    # end of file on its request pipe and exits.
+    run_script("""
+        import signal
+        reader, writer = os.pipe()
+        pid = fork()
+        if pid == 0:
+            os.close(reader)
+            gp.DevianceObjective(design("goldstein-price", 20)).batch(BETAS)
+            os.write(writer, str(forks[-1]).encode())
+            time.sleep(60)
+            os._exit(1)
+        os.close(writer)
+        worker = int(os.read(reader, 32))
+        os.close(reader)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        def gone():
+            try:
+                with open(f"/proc/{worker}/stat") as stat:
+                    return stat.read().rsplit(")", 1)[1].split()[0] in "ZX"
+            except FileNotFoundError:
+                return True
+        deadline = time.monotonic() + 10.0
+        while not gone():
+            assert time.monotonic() < deadline, "the worker outlived its process"
+            time.sleep(0.01)
+    """)
+
+
+@fork_capable
+def test_nothing_forks_below_the_crossover_beside_another_thread_or_without_processes(
+    run_script,
+):
     run_script("""
         def refuse():
             raise AssertionError("forked")
         os.fork = refuse
-        betas = [np.full(2, b) for b in (-1.0, -0.5, 0.0, 0.5)]
-        small = gp.DevianceObjective(design("goldstein-price", N - 1))
-        small.batch(betas)
-        assert small._worker is False and small.fe_count == 4
+        small, ds = design("goldstein-price", 10), design("goldstein-price", 20)
+        betas = [np.full(2, b) for b in np.linspace(-1.0, 1.0, 8)]
+        assert len(betas) * 10 < gp._SHARE_MIN_WORK <= len(betas) * 20
+        want = [gp.DevianceObjective(ds)(beta) for beta in betas]
+        objective = gp.DevianceObjective(small)
+        objective.batch(betas)
+        assert objective.fe_count == len(betas)
         release = threading.Event()
-        waiting = threading.Thread(target=release.wait)
+        waiting = threading.Thread(target=release.wait, daemon=True)
         waiting.start()
-        crowded = gp.DevianceObjective(design("goldstein-price", N))
-        crowded.batch(betas)
+        crowded = gp.DevianceObjective(ds)
+        assert crowded.batch(betas) == want and crowded.fe_count == len(betas)
         release.set()
         waiting.join()
-        assert crowded._worker is False and crowded.fe_count == 4
+        cores = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cores)})
+        lone = gp.DevianceObjective(ds)
+        assert lone.batch(betas) == want and lone.fe_count == len(betas)
+        os.sched_setaffinity(0, cores)
         def fail():
             raise BlockingIOError("no process to spare")
         os.fork = fail
         open_fds = len(os.listdir("/proc/self/fd"))
-        starved = gp.DevianceObjective(design("goldstein-price", N))
-        assert starved.batch(betas) == crowded.batch(betas)
-        assert starved._worker is False and starved.fe_count == 4
+        starved = gp.DevianceObjective(ds)
+        assert starved.batch(betas) == starved.batch(betas) == want
+        assert starved.fe_count == 2 * len(betas)
         assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert calls[1] == 0 and not forks
+        os.fork = counting_fork
+        slow = lambda beta: os.getpid() == PARENT  # the worker takes part in a shared batch
+        assert starved.batch(betas) == want and len(forks) == 1 and calls[1] > 0
+        # A live worker serves no batch made beside another thread.
+        calls[1] = 0
+        waiting = threading.Thread(target=release.wait, daemon=True)
+        release.clear()
+        waiting.start()
+        assert starved.batch(betas) == want and calls[1] == 0
+        release.set()
+        waiting.join()
+        # Nor a batch of a subclass: the worker would not run its overrides.
+        class Recording(gp.DevianceObjective):
+            def __call__(self, beta):
+                seen.append(beta)
+                return super().__call__(beta)
+        seen, recording = [], Recording(ds)
+        assert recording.batch(betas) == want and calls[1] == 0
+        assert len(seen) == recording.fe_count == len(betas)
     """)
 
 
 @fork_capable
-def test_a_process_forked_from_the_owner_evaluates_alone():
-    # A copy of the objective in a forked process must not write to the
-    # owner's pipes: its batches run serially, and the owner's worker stays
-    # in step.
+def test_a_process_forked_from_the_owner_evaluates_alone(run_script):
+    # A process forked from the owner closes its copies of the owner's
+    # pipes and forks a worker of its own when it shares a batch; the owner's
+    # worker stays in step.
     run_script("""
-        objective = gp.DevianceObjective(design("goldstein-price", N))
-        betas = [np.full(2, b) for b in (-1.0, -0.5, 0.0, 0.5)]
-        want = objective.batch(betas)
-        assert objective._worker
-        pid = os.fork()
+        objective = gp.DevianceObjective(design("goldstein-price", 20))
+        want = objective.batch(BETAS)
+        assert len(forks) == 1
+        pid = fork()
         if pid == 0:
-            os._exit(0 if not objective._worker and objective.batch(betas) == want else 1)
+            alone = gp._Worker.live is None and objective.batch(BETAS) == want
+            sys.exit(0 if alone and len(forks) == 2 and not no_child_left() else 1)
         assert os.waitpid(pid, 0)[1] == 0
-        assert objective.batch(betas[::-1]) == want[::-1]
-        objective._worker.stop()
-        assert no_child_left()
+        assert objective.batch(BETAS[::-1]) == want[::-1]
+        assert len(forks) == 1
     """)
 
 
 @fork_capable
-def test_a_slow_tail_is_shared_and_matches_serial_calls():
+def test_a_slow_tail_is_shared_and_matches_serial_calls(run_script):
     # The back half of the batch takes 2 ms more per beta in either process:
     # this process runs through the front half and meets the worker inside
-    # the back half, so it evaluates more than half of the batch.
+    # the back half, so it evaluates more than half of the batch.  On x86 no
+    # beta is evaluated in both processes.
     run_script("""
-        Here.slow = staticmethod(lambda beta: beta[0] > 0.0)
-        ds = design("goldstein-price", N)
-        objective, plain = Here(ds), gp.DevianceObjective(ds)
+        slow = lambda beta: beta[0] > 0.0
+        ds = design("goldstein-price", 20)
+        objective, plain = gp.DevianceObjective(ds), gp.DevianceObjective(ds)
+        want = [plain(beta) for beta in BETAS]
+        calls[0] = 0
         got = objective.batch(BETAS)
-        assert objective._worker
-        assert hexes(got) == hexes(plain(beta) for beta in BETAS)
+        assert hexes(got) == hexes(want)
         assert objective.fe_count == plain.fe_count == len(BETAS)
-        assert len(BETAS) // 2 < objective.here <= len(BETAS), objective.here
-        objective._worker.stop()
-        assert no_child_left()
+        assert len(BETAS) // 2 < calls[0] < len(BETAS), calls.tolist()
+        assert evaluated_once(len(BETAS)), calls.tolist()
     """)
 
 
 @fork_capable
-def test_a_worker_that_ignores_the_claims_counts_each_beta_once():
+def test_a_worker_that_ignores_the_claims_counts_each_beta_once(run_script):
     # The worker sees no claim of this process and publishes none of its
     # own, so both evaluate the whole batch; each beta still counts once.
     run_script("""
         serve = gp._serve
-        gp._serve = lambda objective, requests, replies, claims: serve(
-            objective, requests, replies, [0, 0])
+        gp._serve = lambda requests, replies, claims: serve(requests, replies, [0, 0])
         receive, replies = gp._Worker.receive, []
         gp._Worker.receive = lambda self: replies.append(receive(self)) or replies[-1]
-        ds = design("goldstein-price", N)
-        objective, plain = Here(ds), gp.DevianceObjective(ds)
+        ds = design("goldstein-price", 20)
+        objective, plain = gp.DevianceObjective(ds), gp.DevianceObjective(ds)
+        want = [plain(beta) for beta in BETAS + BETAS[::-1]]
+        calls[0] = 0
         got = objective.batch(BETAS) + objective.batch(BETAS[::-1])
-        assert objective._worker
-        assert hexes(got) == hexes(plain(beta) for beta in BETAS + BETAS[::-1])
+        assert hexes(got) == hexes(want)
         assert objective.fe_count == plain.fe_count == 2 * len(BETAS)
-        assert objective.here == 2 * len(BETAS)
+        assert calls.tolist() == [2 * len(BETAS)] * 2
         assert [len(values) for values in replies] == [len(BETAS)] * 2
-        objective._worker.stop()
-        assert no_child_left()
     """)
 
 
 @fork_capable
-def test_a_worker_that_evaluates_nothing_leaves_every_beta_to_the_owner():
+def test_a_worker_that_evaluates_nothing_leaves_every_beta_to_the_owner(run_script):
     # The worker claims the whole batch in shared memory, finds it all
     # claimed by this process and replies with no value.  This process (2 ms
     # per beta) stops at the worker's claim and fills in every beta after.
@@ -258,42 +265,54 @@ def test_a_worker_that_evaluates_nothing_leaves_every_beta_to_the_owner():
             def __setitem__(self, k, value):
                 pass
         serve = gp._serve
-        gp._serve = lambda objective, requests, replies, claims: serve(
-            objective, requests, replies, Greedy(claims))
-        Here.slow = staticmethod(lambda beta: os.getpid() == PARENT)
-        ds = design("goldstein-price", N)
-        objective, plain = Here(ds), gp.DevianceObjective(ds)
+        gp._serve = lambda requests, replies, claims: serve(requests, replies, Greedy(claims))
+        slow = lambda beta: os.getpid() == PARENT
+        ds = design("goldstein-price", 20)
+        objective, plain = gp.DevianceObjective(ds), gp.DevianceObjective(ds)
+        want = [plain(beta) for beta in BETAS]
+        calls[0] = 0
         got = objective.batch(BETAS)
-        assert objective._worker
-        assert hexes(got) == hexes(plain(beta) for beta in BETAS)
-        assert objective.fe_count == plain.fe_count == objective.here == len(BETAS)
-        assert objective._worker.claims[0] < len(BETAS) < objective._worker.claims[1]
-        objective._worker.stop()
-        assert no_child_left()
+        assert hexes(got) == hexes(want)
+        assert objective.fe_count == plain.fe_count == calls[0] == len(BETAS)
+        assert calls[1] == 0
+        assert gp._Worker.live.claims[0] < len(BETAS) < gp._Worker.live.claims[1]
     """)
 
 
 @fork_capable
-def test_batches_of_every_size_match_serial_calls_with_more_workers_than_cores():
-    # Three objectives with a worker each take turns on batches of 2 to 24
-    # beta: a claim lost or misread under contention shows as a wrong value,
-    # a wrong order or a count off by one.
+def test_objectives_of_every_size_take_turns_on_one_worker(run_script):
+    # Three objectives on one design and two on others take turns on batches
+    # of 2 to 24 beta, beside a third process that spins, so that more
+    # processes than cores contend: a claim lost or misread, or a worker that
+    # kept an objective it should have replaced, shows as a wrong value, a
+    # wrong order or a count off by one.  On x86 no beta is evaluated twice.
     run_script("""
-        ds = design("goldstein-price", N)
+        import signal
+        spinner, deadline = fork(), time.monotonic() + 60.0
+        if spinner == 0:
+            while time.monotonic() < deadline:
+                pass
+            os._exit(0)
         rng = np.random.default_rng(5)
+        ds = design("goldstein-price", 60)
         objectives = [gp.DevianceObjective(ds) for _ in range(3)]
-        plain = gp.DevianceObjective(ds)
+        objectives += [gp.DevianceObjective(design("hump", 60)),
+                       gp.DevianceObjective(design("goldstein-price", 60, seed=1))]
+        plains = [gp.DevianceObjective(objective.design) for objective in objectives]
         total = 0
         for size in range(2, 25):
-            for objective in objectives:
-                betas = list(rng.uniform(-2.0, 2.0, (size, 2)))
-                assert hexes(objective.batch(betas)) == hexes(plain(b) for b in betas)
+            for objective, plain in zip(objectives, plains):
+                betas = list(rng.uniform(-2.0, 2.0, (size, objective.design.d)))
+                want = [plain(beta) for beta in betas]
+                calls[0] = calls[1] = 0
+                assert hexes(objective.batch(betas)) == hexes(want)
+                assert evaluated_once(size), (size, calls.tolist())
                 total += size
-        assert all(objective._worker for objective in objectives)
-        assert sum(objective.fe_count for objective in objectives) == plain.fe_count == total
-        for objective in objectives:
-            objective._worker.stop()
-        assert no_child_left()
+        assert [o.fe_count for o in objectives] == [p.fe_count for p in plains]
+        assert sum(objective.fe_count for objective in objectives) == total
+        assert len(forks) == 1
+        os.kill(spinner, signal.SIGKILL)
+        os.waitpid(spinner, 0)
     """)
 
 
