@@ -20,6 +20,7 @@ import warnings
 import numpy as np
 
 from .boxes import SearchBox, default_beta_box
+from .correlation import CONDITION_EXPONENT
 from .global_search import STRATEGIES, lhd_maximin
 from .gp import (
     DEFAULT_STRATEGY,
@@ -56,19 +57,21 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
         reader = csv.reader(handle)
         try:
             header = [name.strip() for name in next(reader)]
+            for k, name in enumerate(header):
+                if name in header[:k]:
+                    raise ValueError(f"{path}: duplicate column name {name!r}")
+            cells, linenos = [], []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields")
+                cells += row
+                linenos.append(reader.line_num)
         except StopIteration:
             raise ValueError(f"{path}: empty file, a header row is required") from None
-        for k, name in enumerate(header):
-            if name in header[:k]:
-                raise ValueError(f"{path}: duplicate column name {name!r}")
-        cells, linenos = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields")
-            cells += row
-            linenos.append(reader.line_num)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     try:
         values = list(map(float, cells))
     except ValueError:
@@ -127,7 +130,7 @@ def _model_payload(model: FittedGP, mins, maxs, strategy, seed) -> dict:
         "strategy": strategy,
         "seed": seed,
         "p": model.p.tolist(),
-        "condition_exponent": model.options.a,
+        "condition_exponent": CONDITION_EXPONENT,
         "beta": model.beta_star.tolist(),
         "mu": model.mu_hat,
         "sigma2": model.sigma2_hat,
@@ -144,19 +147,22 @@ def _model_payload(model: FittedGP, mins, maxs, strategy, seed) -> dict:
 
 def _number_array(payload: dict, key: str, ndim: int = 1, order: str = "C") -> np.ndarray:
     """payload[key], a JSON number (ndim 0), list of them (ndim 1) or list of such lists
-    (ndim 2), as a float array.  Any other JSON type, or an int past float64's range, is
-    a TypeError that names the key; comparing types also keeps out bool, an int subclass."""
+    (ndim 2), as a float array.  Any other JSON type, ragged rows (numpy's ValueError) or an int
+    past float64's range is a TypeError naming the key; types are compared to keep out bool."""
     value = payload[key]
     rows = [[value]] if ndim == 0 else value if ndim == 2 and type(value) is list else [value]
     if all(type(row) is list and all(type(v) in (int, float) for v in row) for row in rows):
-        with contextlib.suppress(OverflowError):
+        with contextlib.suppress(OverflowError, ValueError):
             return np.array(value, dtype=float, order=order)
     raise TypeError(f"{key}: expected float64 numbers, got {json.dumps(value)[:40]}")
 
 
 def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: a model file must hold a JSON object")
     missing = [key for key in _MODEL_KEYS if key not in payload]
@@ -179,6 +185,8 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
                 raise TypeError(f"{key}: expected an int >= 0, got {json.dumps(payload[key])[:40]}")
     except TypeError as exc:
         raise ValueError(f"{path}: a model file value has the wrong type ({exc})") from None
+    if a != CONDITION_EXPONENT:
+        raise ValueError(f"{path}: condition_exponent must be {CONDITION_EXPONENT!r}, got {a!r}")
     if payload["strategy"] not in STRATEGIES:
         raise ValueError(f"{path}: unknown strategy {json.dumps(payload['strategy'])[:40]}")
     design = DesignSet(points, outputs)
@@ -191,13 +199,13 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
         raise ValueError(
             f"{path}: input_max - input_min must be a finite positive normal float64 per column"
         )
-    options = GpOptions(p_exponent=float(p[0]), a=a)
+    options = GpOptions(p_exponent=float(p[0]))
     model = DevianceObjective(design, options).model(beta, payload["fe_count"])
     # Recomputing the model verifies the file.  The bound is the rounding error of two
     # float64 evaluations at the condition number of R + delta*I, times each value's
     # scale.  Past exp(a) kappa's bits do not carry across BLAS builds: it is clamped.
-    kappa = min(model.correlation.kappa, math.exp(options.a))
-    stored[-1] = min(stored[-1], math.exp(options.a))
+    kappa = min(model.correlation.kappa, math.exp(CONDITION_EXPONENT))
+    stored[-1] = min(stored[-1], math.exp(CONDITION_EXPONENT))
     rounding = (design.n + 1) * kappa * np.finfo(float).eps
     recomputed = (model.deviance, model.mu_hat, model.sigma2_hat, model.correlation.delta, kappa)
     scales = (1.0, design.output_range, model.sigma2_hat, design.n, kappa)
@@ -403,6 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
         return args.func(args)
     except (ValueError, UnfittableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,6 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 
+# The nugget keeps kappa(R + delta*I) <= exp(a) with a = 25, as in GPfit.
+CONDITION_EXPONENT = 25.0
+
 # Condition numbers are capped here when the smallest eigenvalue underflows
 # relative to the largest, so the nugget formula stays finite.
 KAPPA_CLAMP = 1e14
@@ -171,7 +174,7 @@ def nugget_and_kappa(R: np.ndarray, a: float) -> tuple[float, float]:
     return delta, kappa
 
 
-def nugget_lower_bound(R: np.ndarray, a: float = 25.0) -> float:
+def nugget_lower_bound(R: np.ndarray, a: float = CONDITION_EXPONENT) -> float:
     """Smallest nugget keeping the condition number of R + delta*I below exp(a)."""
     return nugget_and_kappa(R, a)[0]
 
@@ -234,9 +237,9 @@ def certifies(R: np.ndarray, L: np.ndarray, a: float) -> bool:
     its largest row sum bounds lmax (Gershgorin); an upper bound on 1/lmin =
     ||L^-1||_2^2 times that row sum must be at most half of exp(a), which
     absorbs the rounding of eigvalsh near the ceiling.  It must also be at
-    most 1/(8 n eps), beyond which eigvalsh no longer resolves lmin; that cap
-    binds only for a above about 30.  Non-finite entries in R always fail the
-    test.  The steps, in order:
+    most 1/(8 n eps), beyond which eigvalsh no longer resolves lmin; at
+    a = 25 that cap binds only from n = 7,800 or so.  Non-finite entries in
+    R always fail the test.  The steps, in order:
 
     1. The pivots of L give a lower bound on kappa(R): lmax >= max(1'R1/n, 1)
        and lmin <= min_i L_ii^2.  When it is above the limit, the proof

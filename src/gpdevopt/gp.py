@@ -28,6 +28,7 @@ import numpy as np
 
 from .correlation import (
     _QUIET_BETA,
+    CONDITION_EXPONENT,
     DistanceCache,
     FactoredCorrelation,
     _cholesky,
@@ -105,21 +106,14 @@ class DesignSet:
 
 @dataclass(frozen=True)
 class GpOptions:
-    """Model options: smoothness exponent and condition-number ceiling."""
+    """Model options: the smoothness exponent.  `a` is the fixed ceiling exponent, not a field."""
 
     p_exponent: float = 2.0
-    a: float = 25.0
+    a = CONDITION_EXPONENT
 
     def __post_init__(self):
         if not 0.0 < self.p_exponent <= 2.0:
             raise ValueError("smoothness exponent must lie in (0, 2]")
-        # exp(a) - 1 divides the nugget bound: it must be finite and positive.
-        try:
-            ceiling_ok = 1.0 < math.exp(self.a) < math.inf
-        except OverflowError:
-            ceiling_ok = False
-        if not ceiling_ok:
-            raise ValueError("condition threshold exponent a must be positive with finite exp(a)")
 
     def p_vector(self, d: int) -> np.ndarray:
         return np.full(d, self.p_exponent)
@@ -239,7 +233,7 @@ class DevianceObjective:
         dominant = any(all(map(ge, point, anchor)) for anchor in certified)
         nugget = not dominant and any(all(map(ge, anchor, point)) for anchor in nuggets)
         L = None if nugget else _cholesky(R.T)
-        settled = L is not None and (dominant or certifies(R, L, self.options.a))
+        settled = L is not None and (dominant or certifies(R, L, CONDITION_EXPONENT))
         if settled and math.isfinite(log_det := cholesky_log_det(L)):
             if not dominant:
                 certified.insert(0, point)
@@ -322,7 +316,7 @@ class DevianceObjective:
         if not np.isfinite(R).all():
             return None
         try:
-            return factorize(R, *nugget_and_kappa(R, self.options.a))
+            return factorize(R, *nugget_and_kappa(R, CONDITION_EXPONENT))
         except np.linalg.LinAlgError:
             return None
 

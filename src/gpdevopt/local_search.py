@@ -146,10 +146,7 @@ def bfgs_minimize(objective, beta0: np.ndarray) -> OptReport:
             scaled = False
             direction = -grad
             slope = -float(grad @ grad)
-        if iteration == 0:
-            alpha0 = min(1.0, 1.0 / max(1.0, float(np.max(np.abs(direction)))))
-        else:
-            alpha0 = 1.0
+        alpha0 = 1.0 / max(1.0, float(np.max(np.abs(direction)))) if iteration == 0 else 1.0
         alpha, f_new = _armijo_line_search(wrapped, x, f, slope, direction, alpha0)
         if alpha is None:
             break
@@ -182,9 +179,7 @@ def _affine_gradient(samples: list[tuple[np.ndarray, float]], d: int) -> np.ndar
     design = np.column_stack([np.ones(len(finite)), centered])
     coeffs, *_ = np.linalg.lstsq(design, vals, rcond=None)
     grad = coeffs[1:]
-    if not np.all(np.isfinite(grad)):
-        return None
-    return grad
+    return grad if np.all(np.isfinite(grad)) else None
 
 
 def implicit_filtering(

@@ -75,8 +75,4 @@ class CountedObjective:
 
     def report(self) -> OptReport:
         """Report of the best point seen."""
-        return OptReport(
-            beta_star=self.best_point.copy(),
-            value=self.best_value,
-            fe_used=self.count,
-        )
+        return OptReport(self.best_point.copy(), self.best_value, self.count)

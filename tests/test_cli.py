@@ -332,10 +332,11 @@ class TestPredictCommand:
     @pytest.mark.parametrize(
         "malformed",
         ["missing-points", "json-array", "json-number", "fe-count-null", "beta-object",
-         "a-overflow", "a-tiny", "range-empty", "range-swapped", "range-shape", "range-inf",
-         "fe-count-inf", "deviance-huge-int", "a-huge-int", "p-string", "fe-count-string",
+         "a-overflow", "a-tiny", "a-low", "a-high", "range-empty", "range-swapped", "range-shape",
+         "range-inf", "fe-count-inf", "deviance-huge-int", "a-huge-int", "p-string", "fe-count-string",
          "fe-count-fraction", "fe-count-bool", "fe-count-negative", "beta-strings",
-         "deviance-string", "a-string", "points-bool", "outputs-nested", "format-version-bool",
+         "deviance-string", "a-string", "points-bool", "points-ragged", "points-row-empty",
+         "outputs-nested", "format-version-bool",
          "kappa-banana", "delta-negative", "mu-null", "sigma2-list", "strategy-int",
          "seed-string", "mu-off", "sigma2-off", "kappa-off"],
     )
@@ -356,6 +357,10 @@ class TestPredictCommand:
             payload["condition_exponent"] = 1000.0
         elif malformed == "a-tiny":
             payload["condition_exponent"] = 1e-17
+        elif malformed == "a-low":
+            payload["condition_exponent"] = 5.0
+        elif malformed == "a-high":
+            payload["condition_exponent"] = 30.0
         elif malformed == "range-empty":
             payload["input_max"] = payload["input_min"]
         elif malformed == "range-swapped":
@@ -392,6 +397,10 @@ class TestPredictCommand:
             # The largest scaled coordinate is exactly 1.0, which true converts to.
             row = [point[0] for point in payload["points"]].index(1.0)
             payload["points"][row] = [True]
+        elif malformed == "points-ragged":
+            payload["points"][1] = payload["points"][1] * 2
+        elif malformed == "points-row-empty":
+            payload["points"][1] = []
         elif malformed == "outputs-nested":
             payload["outputs"] = [[v] for v in payload["outputs"]]
         elif malformed == "format-version-bool":
@@ -430,6 +439,8 @@ class TestPredictCommand:
         for stem, key in wrong_type_keys.items():
             if malformed.startswith(stem):
                 assert f"wrong type ({key}: expected " in err
+        if malformed in ("a-overflow", "a-tiny", "a-low", "a-high"):
+            assert "condition_exponent must be 25.0, got " in err
         if malformed.endswith("-off") or malformed == "delta-negative":
             assert f"stored {malformed.split('-')[0]} " in err
         if malformed == "format-version-bool":
@@ -750,6 +761,12 @@ class TestSurfaceCommand:
         ("points-missing-column", "missing input column 'x1'"),
         ("points-extra-column", "points.csv: input column x2 lies outside the run x1..x1"),
         ("1d-prediction-surface", "prediction surfaces require exactly 2 input dimensions"),
+        ("csv-bad-byte", "data.csv: 'utf-8' codec can't decode byte 0xff"),
+        ("model-not-json", "model.json: Expecting property name enclosed in double quotes"),
+        ("model-bad-byte", "model.json: 'utf-8' codec can't decode byte 0xff"),
+        ("fit-seed-negative", "--seed must be a nonnegative integer, got -1"),
+        ("benchmark-seed-negative", "--seed must be a nonnegative integer, got -1"),
+        ("surface-seed-negative", "--seed must be a nonnegative integer, got -1"),
     ],
 )
 def test_error_exits(tmp_path, capsys, case, message):
@@ -766,12 +783,22 @@ def test_error_exits(tmp_path, capsys, case, message):
         "input-column-gap": "x1,x3,y\n0.1,0.5,1.0\n0.9,0.2,2.0\n",
         # Every value is finite, but max - min is not.
         "overflowing-range-column": "x1,y\n-1e308,1.0\n0.0,2.0\n1e308,0.5\n",
+        # Latin-1 writes the byte 0xff, which is not UTF-8.
+        "csv-bad-byte": "x1,y\n0.1,1.0\n\xff0.9,2.0\n",
     }
     if case in training_texts:
-        data.write_text(training_texts[case])
+        data.write_text(training_texts[case], encoding="latin-1")
         argv = fit_argv
     elif case == "1d-prediction-surface":
         argv = ["surface", "--function", "hump", "--grid", "3", "--what", "prediction"]
+    elif case.endswith("-seed-negative"):
+        hump_csv(data)
+        argv = {
+            "fit": fit_argv,
+            "benchmark": ["benchmark", "--function", "hump", "--strategies", "IF2",
+                          "--replicates", "1"],
+            "surface": ["surface", "--function", "hump", "--grid", "3"],
+        }[case.split("-")[0]] + ["--seed", "-1"]
     else:
         hump_csv(data)
         assert main(fit_argv) == 0
@@ -785,6 +812,10 @@ def test_error_exits(tmp_path, capsys, case, message):
         elif case == "model-range-subnormal":
             payload["input_min"], payload["input_max"] = [0.0], [5e-324]
         model.write_text(json.dumps(payload))
+        if case == "model-not-json":
+            model.write_text("{\n")
+        elif case == "model-bad-byte":
+            model.write_bytes(b"\xff" + model.read_bytes())
         columns = {"points-missing-column": ["x2"], "points-extra-column": ["x1", "x2", "y"]}
         header = columns.get(case, ["x1"])
         write_csv(points, header, [[0.5, 0.25, 1.0][: len(header)]])

@@ -7,6 +7,7 @@ import pytest
 from gpdevopt import correlation as correlation_module
 from gpdevopt.correlation import (
     _COMPARISON_MIN_N,
+    CONDITION_EXPONENT,
     DistanceCache,
     _cholesky,
     _comparison_bound,
@@ -18,7 +19,7 @@ from gpdevopt.correlation import (
     nugget_lower_bound,
     powered_planes,
 )
-from gpdevopt.gp import DesignSet, GpOptions, fit
+from gpdevopt.gp import DesignSet, DevianceObjective, GpOptions, fit
 
 E25 = math.exp(25.0)
 
@@ -82,21 +83,25 @@ class TestBuildCorrelation:
     def test_spec_validation(self):
         # Out-of-range options are rejected before any deviance is evaluated.
         design = DesignSet(np.array([[0.0], [0.5], [1.0]]), np.array([0.0, 1.0, 0.3]))
-        # exp(1000) overflows and exp(1e-17) - 1 == 0, so neither is a usable ceiling.
-        invalid = [(2.5, 25.0), (3.0, 25.0), (0.0, 25.0), (2.0, 0.0), (2.0, -1.0),
-                   (2.0, 1000.0), (2.0, 1e-17)]
-        for p_exponent, a in invalid:
-            with pytest.raises(ValueError):
-                GpOptions(p_exponent=p_exponent, a=a)
-        # fit takes only the exponent; the ceiling is fixed at exp(25).
         for p_exponent in (2.5, 3.0, 0.0):
             with pytest.raises(ValueError):
+                GpOptions(p_exponent=p_exponent)
+            with pytest.raises(ValueError):
                 fit(design, p_exponent=p_exponent)
+        # The ceiling is fixed at exp(25): the exponent is the only option.
+        with pytest.raises(TypeError):
+            GpOptions(a=5.0)
+        assert DevianceObjective(design).options.a == CONDITION_EXPONENT == 25.0
 
 
 class TestConditionNumber:
     def test_identity(self):
         assert nugget_and_kappa(np.eye(5), 25.0) == (0.0, pytest.approx(1.0))
+
+    @pytest.mark.parametrize("R", [np.zeros((3, 3)), -np.eye(3)], ids=["zero", "negative"])
+    def test_no_positive_eigenvalue_rejected(self, R):
+        with pytest.raises(ValueError, match="no positive eigenvalue"):
+            nugget_and_kappa(R, 25.0)
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
     def test_two_by_two_closed_form(self, r):

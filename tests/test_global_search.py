@@ -98,6 +98,20 @@ class TestBoxes:
         with pytest.raises(ValueError):
             SearchBox(np.array([1.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(np.zeros((1, 2)), np.ones((1, 2))), (np.zeros(2), np.ones(3))],
+        ids=["2-d", "unequal-length"],
+    )
+    def test_bounds_must_be_vectors_of_one_length(self, lower, upper):
+        with pytest.raises(ValueError, match="1-D vectors of equal length"):
+            SearchBox(lower, upper)
+
+    @pytest.mark.parametrize("builder", [default_beta_box, if_beta_box])
+    def test_zero_dimensions_rejected(self, builder):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            builder(0)
+
     def test_non_finite_bounds_rejected(self):
         for lower, upper in ((math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf)):
             with pytest.raises(ValueError, match="finite"):
@@ -302,6 +316,15 @@ class TestClusterStarts:
         )
         assert len(starts) == 5
         assert fe == calls["n"] == 2000
+
+    @pytest.mark.parametrize("n_starts, include_diagonal", [(0, False), (1, True)])
+    def test_no_cluster_center_rejected(self, n_starts, include_diagonal):
+        # With the diagonal start, one start leaves no cluster center.
+        with pytest.raises(ValueError, match="at least one cluster center"):
+            cluster_starts(
+                lambda x: 0.0, default_beta_box(1), n_starts, include_diagonal,
+                np.random.default_rng(0),
+            )
 
     def test_starts_inside_box(self):
         box = default_beta_box(2)

@@ -102,6 +102,12 @@ class TestMeanAndVariance:
         fac = info.factored
         assert mean_estimate(fac, np.full(ds.n, 7.25)) == pytest.approx(7.25, abs=1e-12)
 
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_mean_rejects_wrong_length_output(self, length):
+        fac = factorize(np.eye(4), 0.0, 1.0)
+        with pytest.raises(ValueError, match="does not match the factorization"):
+            mean_estimate(fac, np.ones(length))
+
     def test_mean_matches_dense_oracle(self):
         x = np.array([[0.0], [0.4], [1.0]])
         Y = np.array([1.0, -2.0, 0.5])
@@ -590,11 +596,13 @@ def _passes_pivot_test(R, a):
 
 class TestCertifiedDeviance:
     @pytest.mark.parametrize("a", [5.0, 25.0, 40.0])
-    def test_counted_fe_matches_exact_path(self, visited, a):
+    def test_counted_fe_matches_exact_path(self, visited, a, monkeypatch):
         # a = 40 puts exp(a) above KAPPA_CLAMP, where the eigen path never
-        # adds a nugget.
+        # adds a nugget.  Single calls never reach the worker, so patching
+        # the ceiling in this process moves every evaluation.
+        monkeypatch.setattr(gp_module, "CONDITION_EXPONENT", a)
         for name, (ds, betas) in visited.items():
-            objective = DevianceObjective(ds, GpOptions(a=a))
+            objective = DevianceObjective(ds)
             for beta in betas:
                 got = objective(beta)
                 assert got == _exact_deviance(ds, beta, a), (name, beta)

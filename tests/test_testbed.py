@@ -98,6 +98,11 @@ class TestMetrics:
     def test_rmspe_hand_case(self):
         assert rmspe(np.array([3.0, 4.0]), np.array([3.0, 0.0])) == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_rmspe_unequal_lengths_rejected(self, length):
+        with pytest.raises(ValueError, match="equal length"):
+            rmspe(np.ones(3), np.ones(length))
+
     def test_rmspe_zero_truth_rejected(self):
         with pytest.raises(ValueError):
             rmspe(np.zeros(3), np.ones(3))
