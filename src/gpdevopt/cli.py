@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -19,11 +20,13 @@ import warnings
 
 import numpy as np
 
+from . import _worker
 from .boxes import SearchBox, default_beta_box
 from .correlation import CONDITION_EXPONENT
 from .global_search import STRATEGIES, lhd_maximin
 from .gp import (
     DEFAULT_STRATEGY,
+    PREDICT_BLOCK,
     DesignSet,
     DevianceObjective,
     FittedGP,
@@ -118,9 +121,11 @@ def _load_training_csv(path: str) -> tuple[DesignSet, np.ndarray, np.ndarray]:
         width = maxs - mins
     for name, lo, hi, w in zip(x_names, mins.tolist(), maxs.tolist(), width.tolist()):
         if not w > 0.0:
-            raise ValueError(f"input column {name} has zero range and cannot be scaled")
+            raise ValueError(f"{path}: input column {name} has zero range and cannot be scaled")
         if math.isinf(w):
-            raise ValueError(f"input column {name} spans {lo!r} to {hi!r}: its range overflows")
+            raise ValueError(
+                f"{path}: input column {name} spans {lo!r} to {hi!r}: its range overflows"
+            )
     return DesignSet((x - mins) / width, y), mins, maxs
 
 
@@ -189,7 +194,10 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
         raise ValueError(f"{path}: condition_exponent must be {CONDITION_EXPONENT!r}, got {a!r}")
     if payload["strategy"] not in STRATEGIES:
         raise ValueError(f"{path}: unknown strategy {json.dumps(payload['strategy'])[:40]}")
-    design = DesignSet(points, outputs)
+    try:
+        design = DesignSet(points, outputs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if p.shape != (design.d,) or np.any(p != p[0]):
         raise ValueError(f"{path}: p must repeat one exponent per input column")
     # A width below the smallest normal float64 can overflow the scaling of a point.
@@ -218,15 +226,29 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
     return model, mins, maxs
 
 
-def _write_rows(path: str | None, header: list[str], rows: list[list], fmt: str = "csv") -> None:
-    """Write a table to `path` (stdout when None) as CSV, JSON records or markdown."""
+def _csv_lines(rows: list[list] | np.ndarray, k: int) -> str:
+    """The CSV lines of block k of the rows, `PREDICT_BLOCK` rows to a block.
+    Cells are Python scalars and fixed identifiers, so no cell needs quoting;
+    str(float) is the shortest round-trip repr."""
+    rows = rows[k * PREDICT_BLOCK:(k + 1) * PREDICT_BLOCK]
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    return "".join([",".join(map(str, row)) + "\n" for row in rows])
+
+
+def _write_rows(
+    path: str | None, header: list[str], rows: list[list] | np.ndarray, fmt: str = "csv"
+) -> None:
+    """Write a table to `path` (stdout when None) as CSV, JSON records or markdown.
+
+    A table of at least `_worker._SHARE_MIN_ROWS` rows shares its CSV lines
+    with the process's worker, which takes blocks from the back."""
     handle = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         if fmt == "csv":
-            # Cells are Python scalars and fixed identifiers, so no cell needs
-            # quoting; str(float) is the shortest round-trip repr.
-            lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
-            handle.write("\n".join(lines) + "\n")
+            lines = functools.partial(_csv_lines, rows)
+            share = len(rows) >= _worker._SHARE_MIN_ROWS
+            blocks = _worker.run(-(-len(rows) // PREDICT_BLOCK), lines, lines if share else None)
+            handle.write("".join([",".join(header) + "\n", *blocks]))
         elif fmt == "json":
             records = [dict(zip(header, row)) for row in rows]
             handle.write(json.dumps(records, sort_keys=True, indent=2) + "\n")
@@ -259,19 +281,17 @@ def _cmd_predict(args) -> int:
     model, mins, maxs = _load_model(args.model)
     header, data = _read_table(args.points)
     x_names = _input_columns(header, args.points, model.design.d)
-    out_rows: list[list] = []
-    if len(data):
-        x_native = data[:, [header.index(name) for name in x_names]]
-        bad = np.flatnonzero(~np.isfinite(x_native).all(axis=1))
-        if bad.size:
-            raise ValueError(f"{args.points}: non-finite input coordinate in data row {bad[0] + 1}")
-        # Clamped in native units, a far point cannot overflow the scaling,
-        # and a bound scales to exactly 0 or 1.
-        x_clamped = np.clip(x_native, mins, maxs)
-        if not np.array_equal(x_clamped, x_native):
-            warnings.warn("inputs outside the training range; clamping to it")
-        x_scaled = (x_clamped - mins) / (maxs - mins)
-        out_rows = np.column_stack([x_native, *predict_many(model, x_scaled)]).tolist()
+    x_native = data[:, [header.index(name) for name in x_names]]
+    bad = np.flatnonzero(~np.isfinite(x_native).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{args.points}: non-finite input coordinate in data row {bad[0] + 1}")
+    # Clamped in native units, a far point cannot overflow the scaling,
+    # and a bound scales to exactly 0 or 1.
+    x_clamped = np.clip(x_native, mins, maxs)
+    if not np.array_equal(x_clamped, x_native):
+        warnings.warn("inputs outside the training range; clamping to it")
+    x_scaled = (x_clamped - mins) / (maxs - mins)
+    out_rows = np.column_stack([x_native, *predict_many(model, x_scaled)])
     _write_rows(args.out, x_names + ["y_hat", "mse"], out_rows)
     return 0
 
@@ -342,7 +362,7 @@ def _cmd_surface(args) -> int:
         objective = DevianceObjective(design, GpOptions(p_exponent=args.p))
         box = default_beta_box(design.d)
         betas = _grid([np.linspace(lo, hi, args.grid) for lo, hi in zip(box.lower, box.upper)])
-        rows = np.column_stack([betas, [objective(beta) for beta in betas]]).tolist()
+        rows = np.column_stack([betas, objective.batch(list(betas))])
         header = [f"beta{k + 1}" for k in range(design.d)] + ["L"]
         _write_rows(args.out, header, rows)
         return 0
@@ -352,7 +372,7 @@ def _cmd_surface(args) -> int:
     model = fit(design, args.strategy, p_exponent=args.p, rng=args.seed)
     axis = np.linspace(0.0, 1.0, args.grid)
     grid = _grid([axis, axis])
-    rows = np.column_stack([grid, *predict_many(model, grid)]).tolist()
+    rows = np.column_stack([grid, *predict_many(model, grid)])
     _write_rows(args.out, ["x1", "x2", "y_hat", "mse"], rows)
     return 0
 

@@ -12,20 +12,13 @@ evaluation is the unit of optimization cost throughout the package.
 
 from __future__ import annotations
 
-import atexit
-import contextlib
 import math
-import mmap
-import os
-import pickle
-import signal
-import threading
-import weakref
 from dataclasses import dataclass
 from operator import ge
 
 import numpy as np
 
+from . import _worker
 from .correlation import (
     _QUIET_BETA,
     CONDITION_EXPONENT,
@@ -50,14 +43,6 @@ DEFAULT_STRATEGY = "DIRECT-BFGS"
 # lowd-all FEs, and a replay of them took 26.0, 25.2 and 25.1 us per FE (30.6
 # without anchors; best of 10, BLAS at one thread, 2-core VM).
 _ANCHORS = 4
-
-# Work, in beta times design points, from which `DevianceObjective.batch`
-# shares a batch with the process's worker; a smaller batch saves about what
-# a pipe round trip costs.  Fits of hump n=10 and Goldstein-Price n=20 (seeds
-# 0-2, all seven strategies) ran at 1.25-1.26 times the serial FE rate for
-# values from 40 to 320, 1.24 when every batch was shared and 1.22 at 640
-# (best of 3, BLAS at one thread, 2-core VM).
-_SHARE_MIN_WORK = 160
 
 
 class DegenerateDataError(ValueError):
@@ -251,38 +236,15 @@ class DevianceObjective:
         """The values and the count of __call__ on each beta in turn.
 
         A batch of two or more beta and at least `_SHARE_MIN_WORK` beta times
-        design points goes to the process's `_Worker`, forked at the first such
-        batch on Linux with two cores and one thread (a BLAS pool holds the
-        cores, and fork copies no thread), unless another Python thread runs
-        or self is a subclass, whose overrides the worker would not run.  The
-        worker takes the batch from the back and this process from the front,
-        up to where their claims meet (`_claim`); this process then evaluates
-        what the reply leaves.  A counted value does not depend on the process
-        or its anchors, so the bits and the count are those of single calls.
+        design points is shared with the process's worker (`_worker.run`),
+        unless self is a subclass, whose overrides the worker would not run.
+        A counted value does not depend on the process or its anchors, so the
+        bits and the count are those of single calls.
         """
-        share = len(betas) > 1 and len(betas) * self.design.n >= _SHARE_MIN_WORK
-        share = share and type(self) is DevianceObjective and threading.active_count() == 1
-        # /proc/self/task lists this process's threads, on Linux only.
-        if share and _Worker.live is None and os.path.isdir("/proc/self/task") and (
-            len(os.listdir("/proc/self/task")) == 1 and len(os.sched_getaffinity(0)) >= 2
-        ):
-            with contextlib.suppress(OSError):  # no process to spare: evaluate here
-                _Worker.live = _Worker()
-        worker = _Worker.live if share else None
-        if worker is None:
-            return [self(beta) for beta in betas]
-        count, claims, values = self.fe_count, worker.claims, []
-        try:
-            worker.send(self, betas)
-            while len(values) + _claim(claims, 0, len(values)) < len(betas):
-                values.append(self(betas[len(values)]))
-            tail = worker.receive()
-        except BaseException:
-            # The pipes may be out of step: the next shared batch forks afresh.
-            worker.stop()
-            raise
-        head = len(betas) - len(tail)
-        values = values[:head] + [self(beta) for beta in betas[len(values):head]] + tail
+        share = len(betas) > 1 and len(betas) * self.design.n >= _worker._SHARE_MIN_WORK
+        count = self.fe_count
+        job = (self, betas) if share and type(self) is DevianceObjective else None
+        values = _worker.run(len(betas), lambda k: self(betas[k]), job)
         self.fe_count = count + len(betas)
         return values
 
@@ -321,117 +283,6 @@ class DevianceObjective:
             return None
 
 
-def _floats(stream, count: int) -> np.ndarray:
-    data = stream.read(8 * count)
-    if len(data) < 8 * count:
-        raise EOFError("the deviance worker closed its pipe")
-    return np.frombuffer(data)
-
-
-# The acquire keeps `_claim`'s read from passing its write where it is a full
-# fence (x86); elsewhere both sides may evaluate one beta, to the same value.
-_FENCE = threading.Lock()
-
-
-def _claim(claims, side: int, k: int) -> int:
-    """Claim beta k from this side's end, then read the other side's claim."""
-    claims[side] = k + 1
-    with _FENCE:
-        return claims[1 - side]
-
-
-class _Worker:
-    """The process's deviance worker, with a pipe each way and the two sides'
-    claims in shared memory.  A request is m and a flag, then, if the flag is
-    set, the pickled points, outputs and options of a new objective, then m
-    beta, as float64.  The reply is k and the counted values of the last k
-    beta in order, or -1 and the pickled exception that one raised.  The
-    worker ignores SIGINT and exits at end of file on its requests, unless
-    `stop` kills it first: after an error, or at exit.
-    """
-
-    live: _Worker | None = None
-
-    def __init__(self):
-        self.claims = memoryview(mmap.mmap(-1, 16)).cast("q")
-        requests, to_worker = os.pipe()
-        from_worker, replies = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (requests, to_worker, from_worker, replies):
-                os.close(fd)
-            raise
-        if pid == 0:
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                os.close(to_worker)
-                os.close(from_worker)
-                _serve(open(requests, "rb"), open(replies, "wb"), self.claims)
-            finally:
-                os._exit(0)
-        os.close(requests)
-        os.close(replies)
-        self._requests, self._replies = open(to_worker, "wb"), open(from_worker, "rb")
-        self._owner, self._pid, self._serving = os.getpid(), pid, lambda: None
-
-    def send(self, objective: DevianceObjective, betas: list[np.ndarray]) -> None:
-        # The worker is idle between a reply and the next request.
-        self.claims[0] = self.claims[1] = 0
-        new = self._serving() is not objective
-        self._requests.write(np.array([len(betas), new], dtype=float).tobytes())
-        if new:
-            # Pickle keeps C or F order: the copy keeps the points' axis order,
-            # which sets the kernel's bits.
-            points = objective.design.points.copy(order="K")
-            pickle.dump((points, objective.design.outputs, objective.options), self._requests)
-            self._serving = weakref.ref(objective)
-        self._requests.write(np.concatenate(betas).tobytes())
-        self._requests.flush()
-
-    def receive(self) -> list[float]:
-        (count,) = _floats(self._replies, 1)
-        if count < 0:
-            raise pickle.load(self._replies)
-        return _floats(self._replies, int(count)).tolist()
-
-    @classmethod
-    def stop(cls) -> None:
-        """Forget the live worker; kill and reap it if this process forked it."""
-        worker, cls.live = cls.live, None
-        if worker is None:
-            return
-        if os.getpid() == worker._owner:
-            os.kill(worker._pid, signal.SIGKILL)
-            os.waitpid(worker._pid, 0)
-        for stream in (worker._requests, worker._replies):
-            with contextlib.suppress(OSError):  # the rest of a request cut short
-                stream.close()
-
-
-atexit.register(_Worker.stop)
-# A forked process leaves the worker to see end of file when this one exits.
-os.register_at_fork(after_in_child=_Worker.stop)
-
-
-def _serve(requests, replies, claims) -> None:
-    while True:
-        count, new = _floats(requests, 2)
-        if new:
-            points, outputs, options = pickle.load(requests)
-            objective = DevianceObjective(DesignSet(points, outputs), options)
-        betas = _floats(requests, int(count) * objective.design.d).reshape(int(count), -1)
-        values = []
-        try:
-            while len(values) + _claim(claims, 1, len(values)) < len(betas):
-                values.append(objective(betas[-1 - len(values)]))
-            replies.write(np.array([len(values), *values[::-1]], dtype=float).tobytes())
-        except Exception as exc:
-            replies.write(np.array([-1.0]).tobytes())
-            pickle.dump(exc, replies)
-        replies.flush()
-
-
 @dataclass(frozen=True)
 class FittedGP:
     """Fitted emulator: optimal correlation parameters plus profile estimates."""
@@ -468,37 +319,53 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
     block of one point would be both C- and F-contiguous, and its column sums
     would take numpy's pairwise path.  Even so, a row's last bits depend on
     the call it is in, because the solve and the sums round by block.
+
+    A call of at least `_worker._SHARE_MIN_ROWS` points (several blocks) is
+    shared with the process's worker, which takes whole blocks from the back
+    (`_worker.run`); a block's bytes do not depend on the process that
+    computed it.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != model.design.d:
         raise ValueError(f"points must have {model.design.d} columns")
     if not np.isfinite(points).all():
         raise ValueError("prediction points must be finite")
-    L = model.correlation.factor
-    m, n = points.shape[0], model.design.n
-    ones = np.ones(n)
-    resid = model.design.outputs - model.mu_hat
-    one_r_one = float(cholesky_solve(L, ones).sum())
-    z_resid = triangular_solve(L, resid)
-    z_ones = triangular_solve(L, ones)
-    y_hat = np.empty(m)
-    mse = np.empty(m)
-    start = 0
-    while start < m:
-        stop = m if m - start < 2 * PREDICT_BLOCK else start + PREDICT_BLOCK
-        powered = powered_planes(points[start:stop], model.design.points, model.p)
+    blocks = _Blocks(model, points)
+    share = len(points) >= _worker._SHARE_MIN_ROWS and type(model) is FittedGP
+    job = blocks if share else None
+    parts = _worker.run(blocks.count, blocks, job)
+    y_hat, mse = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    return y_hat, np.maximum(mse, 0.0)
+
+
+class _Blocks:
+    """The blocks of one `predict_many` call: called with k, it gives block k's
+    predictions and unclamped MSEs."""
+
+    def __init__(self, model: FittedGP, points: np.ndarray):
+        self.model, self.points = model, points
+        self.count = max(len(points) // PREDICT_BLOCK, 1)
+        L, ones = model.correlation.factor, np.ones(model.design.n)
+        self.one_r_one = float(cholesky_solve(L, ones).sum())
+        self.z_resid = triangular_solve(L, model.design.outputs - model.mu_hat)
+        self.z_ones = triangular_solve(L, ones)
+
+    def __call__(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        model, n, z_ones = self.model, self.model.design.n, self.z_ones
+        start = k * PREDICT_BLOCK
+        stop = len(self.points) if k == self.count - 1 else start + PREDICT_BLOCK
+        powered = powered_planes(self.points[start:stop], model.design.points, model.p)
         r = gaussian_kernel(powered, model.beta_star)
-        z_r = triangular_solve(L, r.reshape(stop - start, n).T)  # (n, block)
-        y_hat[start:stop] = model.mu_hat + z_r.T @ z_resid
+        z_r = triangular_solve(model.correlation.factor, r.reshape(stop - start, n).T)
+        y_hat = model.mu_hat + z_r.T @ self.z_resid
         # Weight vector C solves y_hat = C'Y; the MSE is sigma2 (1 - 2C'r + C'RC)
         # with both contractions done through the triangular factor.
-        a_coef = (1.0 - z_ones @ z_r) / one_r_one  # (block,)
+        a_coef = (1.0 - z_ones @ z_r) / self.one_r_one  # (block,)
         z_w = z_ones[:, None] * a_coef[None, :] + z_r  # (n, block)
-        mse[start:stop] = model.sigma2_hat * (
+        mse = model.sigma2_hat * (
             1.0 - 2.0 * np.sum(z_w * z_r, axis=0) + np.sum(z_w * z_w, axis=0)
         )
-        start = stop
-    return y_hat, np.maximum(mse, 0.0)
+        return y_hat, mse
 
 
 def prediction_weights(model: FittedGP, x_star: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gpdevopt import gp
+from gpdevopt import _worker
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -35,9 +35,9 @@ def count_calls(monkeypatch):
 @pytest.fixture(autouse=True)
 def own_worker():
     """Each test forks its own FE worker, if any, from the code it patched."""
-    gp._Worker.stop()
+    _worker._Worker.stop()
     yield
-    gp._Worker.stop()
+    _worker._Worker.stop()
 
 
 # Each script starts with a check, run at exit after gpdevopt has stopped its
@@ -49,7 +49,7 @@ def own_worker():
 # the first fork, and a script that changes `slow` does so before it too.
 # CAN_FORK says whether a worker can be forked at all, and
 # `evaluated_once(count)` holds when the two made `count` calls in all: the
-# claims keep both from evaluating one beta on x86 only (see `gp._claim`).
+# claims keep both from evaluating one beta on x86 only (see `_worker._claim`).
 PRELUDE = """
 import atexit, mmap, os, platform, sys, threading, time
 
@@ -79,7 +79,7 @@ def counting_fork():
 os.fork = counting_fork
 
 import numpy as np
-from gpdevopt import DesignSet, SearchBox, fit, gp, lhd_maximin, test_function
+from gpdevopt import DesignSet, SearchBox, _worker, cli, fit, gp, lhd_maximin, test_function
 from gpdevopt.global_search import STRATEGIES, run_strategy
 
 def design(name, n, seed=0):
@@ -111,7 +111,7 @@ def hexes(values):
 
 # 16 beta on a design of 20 points: a batch past the sharing threshold.
 BETAS = [np.array([b, -b / 2]) for b in np.linspace(-2.0, 2.0, 16)]
-assert len(BETAS) * 20 >= gp._SHARE_MIN_WORK
+assert len(BETAS) * 20 >= _worker._SHARE_MIN_WORK
 """
 
 

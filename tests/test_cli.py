@@ -751,12 +751,22 @@ class TestSurfaceCommand:
         ("field-count", "data.csv:2: expected 2 fields"),
         ("no-y-column", "missing output column 'y'"),
         ("header-only", "no data rows"),
-        ("zero-range-column", "input column x2 has zero range"),
+        # The ids keep the message without its file prefix, which the check now also asserts.
+        pytest.param(
+            "zero-range-column", "data.csv: input column x2 has zero range",
+            id="zero-range-column-input column x2 has zero range",
+        ),
         ("input-column-gap", "data.csv: input column x3 lies outside the run x1..x1"),
-        ("overflowing-range-column", "input column x1 spans -1e+308 to 1e+308: its range overflows"),
+        pytest.param(
+            "overflowing-range-column",
+            "data.csv: input column x1 spans -1e+308 to 1e+308: its range overflows",
+            id="overflowing-range-column-input column x1 spans -1e+308 to 1e+308: its range overflows",
+        ),
         ("model-range-overflows", "input_max - input_min must be a finite positive normal"),
         ("model-range-subnormal", "input_max - input_min must be a finite positive normal"),
         ("format-version", "unsupported model format"),
+        ("model-duplicate-points", "model.json: duplicate design points are not allowed"),
+        ("model-point-outside", "model.json: design coordinates must lie in [0, 1]"),
         ("p-not-repeated", "p must repeat one exponent per input column"),
         ("points-missing-column", "missing input column 'x1'"),
         ("points-extra-column", "points.csv: input column x2 lies outside the run x1..x1"),
@@ -811,6 +821,10 @@ def test_error_exits(tmp_path, capsys, case, message):
             payload["input_min"], payload["input_max"] = [-1e308], [1e308]
         elif case == "model-range-subnormal":
             payload["input_min"], payload["input_max"] = [0.0], [5e-324]
+        elif case == "model-duplicate-points":
+            payload["points"][1] = payload["points"][0]
+        elif case == "model-point-outside":
+            payload["points"][0] = [2.0]
         model.write_text(json.dumps(payload))
         if case == "model-not-json":
             model.write_text("{\n")

@@ -1,6 +1,7 @@
-"""Batches of deviance evaluations shared with the process's forked worker.
+"""Jobs shared with the process's forked worker: batches of deviance
+evaluations, `predict_many` blocks and the CLI's CSV rows.
 
-`DevianceObjective.batch` forks only in a process that runs one OS thread.
+The worker is forked only in a process that runs one OS thread.
 An unpinned BLAS keeps a pool of threads, so every fork test runs its own
 interpreter with BLAS at one thread (conftest's `run_script`, whose PRELUDE
 defines the names the scripts use).
@@ -8,11 +9,14 @@ defines the names the scripts use).
 
 import math
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gpdevopt import cli
 from gpdevopt.optreport import BudgetExhausted, CountedObjective
 
 fork_capable = pytest.mark.skipif(
@@ -142,7 +146,7 @@ def test_nothing_forks_below_the_crossover_beside_another_thread_or_without_proc
         os.fork = refuse
         small, ds = design("goldstein-price", 10), design("goldstein-price", 20)
         betas = [np.full(2, b) for b in np.linspace(-1.0, 1.0, 8)]
-        assert len(betas) * 10 < gp._SHARE_MIN_WORK <= len(betas) * 20
+        assert len(betas) * 10 < _worker._SHARE_MIN_WORK <= len(betas) * 20
         want = [gp.DevianceObjective(ds)(beta) for beta in betas]
         objective = gp.DevianceObjective(small)
         objective.batch(betas)
@@ -201,7 +205,7 @@ def test_a_process_forked_from_the_owner_evaluates_alone(run_script):
         assert len(forks) == 1
         pid = fork()
         if pid == 0:
-            alone = gp._Worker.live is None and objective.batch(BETAS) == want
+            alone = _worker._Worker.live is None and objective.batch(BETAS) == want
             sys.exit(0 if alone and len(forks) == 2 and not no_child_left() else 1)
         assert os.waitpid(pid, 0)[1] == 0
         assert objective.batch(BETAS[::-1]) == want[::-1]
@@ -234,10 +238,10 @@ def test_a_worker_that_ignores_the_claims_counts_each_beta_once(run_script):
     # The worker sees no claim of this process and publishes none of its
     # own, so both evaluate the whole batch; each beta still counts once.
     run_script("""
-        serve = gp._serve
-        gp._serve = lambda requests, replies, claims: serve(requests, replies, [0, 0])
-        receive, replies = gp._Worker.receive, []
-        gp._Worker.receive = lambda self: replies.append(receive(self)) or replies[-1]
+        serve = _worker._serve
+        _worker._serve = lambda requests, replies, claims: serve(requests, replies, [0, 0])
+        receive, replies = _worker._Worker.receive, []
+        _worker._Worker.receive = lambda self: replies.append(receive(self)) or replies[-1]
         ds = design("goldstein-price", 20)
         objective, plain = gp.DevianceObjective(ds), gp.DevianceObjective(ds)
         want = [plain(beta) for beta in BETAS + BETAS[::-1]]
@@ -264,8 +268,8 @@ def test_a_worker_that_evaluates_nothing_leaves_every_beta_to_the_owner(run_scri
                 return 1 << 40
             def __setitem__(self, k, value):
                 pass
-        serve = gp._serve
-        gp._serve = lambda requests, replies, claims: serve(requests, replies, Greedy(claims))
+        serve = _worker._serve
+        _worker._serve = lambda requests, replies, claims: serve(requests, replies, Greedy(claims))
         slow = lambda beta: os.getpid() == PARENT
         ds = design("goldstein-price", 20)
         objective, plain = gp.DevianceObjective(ds), gp.DevianceObjective(ds)
@@ -275,7 +279,7 @@ def test_a_worker_that_evaluates_nothing_leaves_every_beta_to_the_owner(run_scri
         assert hexes(got) == hexes(want)
         assert objective.fe_count == plain.fe_count == calls[0] == len(BETAS)
         assert calls[1] == 0
-        assert gp._Worker.live.claims[0] < len(BETAS) < gp._Worker.live.claims[1]
+        assert _worker._Worker.live.claims[0] < len(BETAS) < _worker._Worker.live.claims[1]
     """)
 
 
@@ -313,6 +317,192 @@ def test_objectives_of_every_size_take_turns_on_one_worker(run_script):
         assert len(forks) == 1
         os.kill(spinner, signal.SIGKILL)
         os.waitpid(spinner, 0)
+    """)
+
+
+@fork_capable
+def test_a_worker_killed_between_fits_is_forked_anew(run_script):
+    # SIGKILL, as an out-of-memory killer sends it, leaves the next request
+    # a broken pipe: that batch is evaluated here and the next shared batch
+    # forks a fresh worker.  The fit's bits and count are those of the first.
+    run_script("""
+        import signal
+        MAX_FORKS = 2
+        ds = design("goldstein-price", 20)
+        want = fit(ds, "DIRECT-BFGS", rng=3)
+        os.kill(forks[0], signal.SIGKILL)
+        calls[1] = 0
+        got = fit(ds, "DIRECT-BFGS", rng=3)
+        assert got.deviance.hex() == want.deviance.hex() and got.fe_count == want.fe_count
+        assert got.beta_star.tobytes() == want.beta_star.tobytes()
+        assert len(forks) == 2 and calls[1] > 0 and not no_child_left()
+    """)
+
+
+@fork_capable
+def test_a_worker_killed_mid_batch_leaves_its_share_to_the_owner(run_script):
+    # The worker dies at its third beta, which it has claimed: this process
+    # reads end of file, stops the worker and evaluates every beta it holds
+    # no value for.  The next shared batch forks a fresh worker.
+    run_script("""
+        import signal
+        MAX_FORKS = 2
+        def slow(beta):
+            if os.getpid() != PARENT and calls[1] == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return True
+        ds = design("goldstein-price", 20)
+        objective, plain = gp.DevianceObjective(ds), gp.DevianceObjective(ds)
+        want = [plain(beta) for beta in BETAS]
+        calls[0] = 0
+        assert hexes(objective.batch(BETAS)) == hexes(want)
+        assert objective.fe_count == len(BETAS) and calls[1] == 3
+        assert calls[0] == len(BETAS) and _worker._Worker.live is None and no_child_left()
+        slow = lambda beta: os.getpid() == PARENT
+        assert hexes(objective.batch(BETAS)) == hexes(want) and objective.fe_count == 32
+        assert len(forks) == 2 and calls[1] > 3
+    """)
+
+
+@fork_capable
+def test_a_worker_reaped_by_its_owner_is_stopped_quietly(run_script):
+    # A process that reaps its children reaps a killed worker before gpdevopt
+    # can: the pipe is broken and the pid is gone, and the next fit runs.
+    run_script("""
+        import signal
+        MAX_FORKS = 2
+        ds = design("goldstein-price", 40)
+        want = fit(ds, "MS-BFGS-2d1", rng=3)
+        os.kill(forks[0], signal.SIGKILL)
+        assert os.waitpid(-1, 0)[0] == forks[0]
+        got = fit(ds, "MS-BFGS-2d1", rng=3)
+        assert got.deviance.hex() == want.deviance.hex() and got.fe_count == want.fe_count
+        assert len(forks) == 2 and not no_child_left()
+    """)
+
+
+@fork_capable
+def test_sigint_during_a_shared_predict_raises_and_leaves_no_child(run_script):
+    # The worker ignores SIGINT; this process raises KeyboardInterrupt from
+    # its own block and stops the worker on the way out.
+    out = run_script("""
+        import signal
+        MAX_FORKS = 2
+        model = fit(design("goldstein-price", 20), "DIRECT-BFGS", rng=3)
+        points = np.random.default_rng(0).uniform(0.0, 1.0, (_worker._SHARE_MIN_ROWS, 2))
+        want = gp.predict_many(model, points)
+        block = gp._Blocks.__call__
+        def interrupted(self, k):
+            if os.getpid() == PARENT and k == 0:
+                os.kill(forks[0], signal.SIGINT)
+                os.kill(PARENT, signal.SIGINT)
+            return block(self, k)
+        gp._Blocks.__call__ = interrupted
+        try:
+            gp.predict_many(model, points)
+        except KeyboardInterrupt:
+            print("interrupted")
+        assert _worker._Worker.live is None and no_child_left()
+        gp._Blocks.__call__ = block
+        got = gp.predict_many(model, points)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert len(forks) == 2
+    """)
+    assert out.split() == ["interrupted"]
+
+
+@fork_capable
+def test_shared_predictions_match_the_serial_path_byte_for_byte(run_script):
+    # Every call is shared, whatever its size, and this process takes 5 ms
+    # more per block so that the worker takes part; the serial reference runs
+    # with sharing off.  Points and designs are C- and F-ordered.
+    run_script("""
+        blocks = memoryview(mmap.mmap(-1, 16)).cast("q")
+        block = gp._Blocks.__call__
+        def counted_block(self, k):
+            blocks[os.getpid() != PARENT] += 1
+            if os.getpid() == PARENT:
+                time.sleep(0.005)
+            return block(self, k)
+        gp._Blocks.__call__ = counted_block
+        B = gp.PREDICT_BLOCK
+        ds = design("goldstein-price", 40)
+        beta = fit(ds, "DIRECT-BFGS", rng=3).beta_star
+        rng = np.random.default_rng(2)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            model = gp.DevianceObjective(DesignSet(layout(ds.points), ds.outputs)).model(beta)
+            for m in (2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1, 10201):
+                points = rng.uniform(0.0, 1.0, (m, 2))
+                _worker._SHARE_MIN_ROWS = 1 << 62
+                want = gp.predict_many(model, points)
+                _worker._SHARE_MIN_ROWS = 0
+                for laid in (np.ascontiguousarray(points), np.asfortranarray(points)):
+                    worker_blocks = blocks[1]
+                    got = gp.predict_many(model, laid)
+                    assert [a.tobytes() for a in got] == [b.tobytes() for b in want], m
+                    assert m < 2 * B or blocks[1] > worker_blocks, (m, blocks.tolist())
+        assert len(forks) == 1
+    """)
+
+
+@fork_capable
+def test_shared_csv_rows_match_the_serial_path_byte_for_byte(run_script, tmp_path):
+    # `gpdevopt predict` shares its predictions and its CSV rows from
+    # `_SHARE_MIN_ROWS` points up: --out and stdout must hold the bytes of
+    # the serial path, and of a process with BLAS unpinned, which forks no
+    # worker.
+    data, model, points = tmp_path / "train.csv", tmp_path / "model.json", tmp_path / "pts.csv"
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-3.0, 3.0, (30, 2))
+    y = np.sin(x[:, 0]) * x[:, 1] ** 3
+    rows = np.column_stack([x, y]).tolist()
+    data.write_text("x1,x2,y\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows))
+    assert cli.main(["fit", "--data", str(data), "--out", str(model)]) == 0
+    grid = rng.uniform(-2.5, 2.5, (5000, 2))
+    points.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in grid.tolist()))
+    argv = ["predict", "--model", str(model), "--points", str(points)]
+    out = run_script(f"""
+        import contextlib, io
+        argv = {argv!r}
+        assert cli.main(argv + ["--out", {str(tmp_path / "shared.csv")!r}]) == 0
+        assert len(forks) == 1
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert cli.main(argv) == 0
+        _worker._SHARE_MIN_ROWS = 1 << 62
+        assert cli.main(argv + ["--out", {str(tmp_path / "serial.csv")!r}]) == 0
+        print(printed.getvalue(), end="")
+    """)
+    env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    unpinned = subprocess.run(
+        [sys.executable, "-m", "gpdevopt.cli", *argv], env=env, capture_output=True, timeout=120
+    )
+    assert unpinned.returncode == 0, unpinned.stderr
+    serial = (tmp_path / "serial.csv").read_bytes()
+    assert len(serial.splitlines()) == 5001
+    assert (tmp_path / "shared.csv").read_bytes() == serial
+    assert out.encode() == serial and unpinned.stdout == serial
+
+
+@fork_capable
+def test_a_shared_deviance_surface_matches_single_calls(run_script, tmp_path):
+    # `gpdevopt surface --what deviance` evaluates its grid as one batch,
+    # which the worker shares: the L column holds the bits of single calls.
+    out = tmp_path / "surface.csv"
+    run_script(f"""
+        import csv
+        assert cli.main(["surface", "--function", "goldstein-price", "--grid", "25",
+                         "--out", {str(out)!r}]) == 0
+        assert len(forks) == 1 and calls[1] > 0
+        with open({str(out)!r}, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        import argparse
+        ds = cli._surface_design(argparse.Namespace(data=None, function="goldstein-price", seed=0))
+        plain = gp.DevianceObjective(ds)
+        assert len(rows) == 625
+        for *beta, value in rows:
+            assert value == repr(plain(np.array([float(b) for b in beta]))), beta
     """)
 
 
