@@ -52,19 +52,21 @@ def run(count: int, item, job=None) -> list:
         return [item(k) for k in range(count)]
     values = []
     try:
-        sent = worker.send(count, job)
+        worker.send(count, job)
         while len(values) + _claim(worker.claims, 0, len(values)) < count:
             values.append(item(len(values)))
-        tail = worker.receive() if sent else None
+        tail = worker.receive()
         if isinstance(tail, BaseException):
             raise tail
+    except (EOFError, OSError):
+        # Lost, or an item raised one here or in the worker, which it raises
+        # again below: what a dead worker claimed counts as unevaluated.
+        _Worker.stop()
+        tail = []
     except BaseException:
         # The pipes may be out of step: the next shared job forks afresh.
         _Worker.stop()
         raise
-    if tail is None:  # lost: what a dead worker claimed counts as unevaluated
-        _Worker.stop()
-        tail = []
     head = count - len(tail)
     return values[:head] + [item(k) for k in range(len(values), head)] + tail
 
@@ -139,32 +141,26 @@ class _Worker:
         self._requests, self._replies = open(to_worker, "wb"), open(from_worker, "rb")
         self._owner, self._pid, self._serving = os.getpid(), pid, lambda: None
 
-    def send(self, count: int, job) -> bool:
-        """Request a job; False if the worker is gone, whose claim then stays 0."""
+    def send(self, count: int, job) -> None:
+        """Request a job; OSError if the worker is gone."""
         # The worker is idle between a reply and the next request.
         self.claims[0] = self.claims[1] = 0
         objective, betas = job if isinstance(job, tuple) else (None, None)
         kind = _JOB if objective is None else _SAME if self._serving() is objective else _NEW
-        try:
-            self._requests.write(np.array([count, kind], dtype=float).tobytes())
-            if kind == _NEW:
-                # Pickle keeps C or F order: the copy keeps the points' axis
-                # order, which sets the kernel's bits.
-                points = objective.design.points.copy(order="K")
-                pickle.dump((points, objective.design.outputs, objective.options), self._requests)
-                self._serving = weakref.ref(objective)
-            self._requests.write(pickle.dumps(job) if kind == _JOB else np.concatenate(betas))
-            self._requests.flush()
-        except OSError:
-            return False
-        return True
+        self._requests.write(np.array([count, kind], dtype=float).tobytes())
+        if kind == _NEW:
+            # Pickle keeps C or F order: the copy keeps the points' axis
+            # order, which sets the kernel's bits.
+            points = objective.design.points.copy(order="K")
+            pickle.dump((points, objective.design.outputs, objective.options), self._requests)
+            self._serving = weakref.ref(objective)
+        self._requests.write(pickle.dumps(job) if kind == _JOB else np.concatenate(betas))
+        self._requests.flush()
 
-    def receive(self) -> list | BaseException | None:
-        """The reply, or None if the worker is gone."""
-        with contextlib.suppress(EOFError, OSError):
-            size = int.from_bytes(_read(self._replies, 8), "little")
-            return pickle.loads(_read(self._replies, size))
-        return None
+    def receive(self) -> list | BaseException:
+        """The reply; EOFError or OSError if the worker is gone."""
+        size = int.from_bytes(_read(self._replies, 8), "little")
+        return pickle.loads(_read(self._replies, size))
 
     @classmethod
     def stop(cls) -> None:

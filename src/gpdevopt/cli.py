@@ -88,9 +88,10 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
     return header, np.reshape(values, (len(linenos), len(header)))
 
 
-def _input_columns(header: list[str], path: str, d: int | None = None) -> list[str]:
-    """x1..xd, with a model's d or by default the length of the header's run
-    x1, x2, ...  A missing one, or another column named x<digits>, is an error."""
+def _input_columns(table: tuple, path: str, d: int | None = None) -> tuple[list[str], np.ndarray]:
+    """x1..xd and their columns of a `_read_table` table, d a model's or the length of the
+    header's run x1, x2, ...  A missing one, another x<digits> or a non-finite cell is an error."""
+    header, data = table
     if d is None:
         d = next(k for k in range(len(header) + 1) if f"x{k + 1}" not in header)
         if d == 0:
@@ -102,18 +103,21 @@ def _input_columns(header: list[str], path: str, d: int | None = None) -> list[s
     for name in header:
         if name not in names and name[:1] == "x" and name[1:].isdecimal():
             raise ValueError(f"{path}: input column {name} lies outside the run x1..x{d}")
-    return names
+    x = data[:, [header.index(name) for name in names]]
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite input coordinate in data row {bad[0] + 1}")
+    return names, x
 
 
 def _load_training_csv(path: str) -> tuple[DesignSet, np.ndarray, np.ndarray]:
     """Design with inputs min-max scaled to [0, 1], plus the column minima and maxima."""
     header, data = _read_table(path)
-    x_names = _input_columns(header, path)
+    x_names, x = _input_columns((header, data), path)
     if "y" not in header:
         raise ValueError(f"{path}: missing output column 'y'")
     if not len(data):
         raise ValueError(f"{path}: no data rows")
-    x = data[:, [header.index(name) for name in x_names]]
     y = data[:, header.index("y")]
     mins = x.min(axis=0)
     maxs = x.max(axis=0)
@@ -126,7 +130,10 @@ def _load_training_csv(path: str) -> tuple[DesignSet, np.ndarray, np.ndarray]:
             raise ValueError(
                 f"{path}: input column {name} spans {lo!r} to {hi!r}: its range overflows"
             )
-    return DesignSet((x - mins) / width, y), mins, maxs
+    try:
+        return DesignSet((x - mins) / width, y), mins, maxs
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _model_payload(model: FittedGP, mins, maxs, strategy, seed) -> dict:
@@ -163,20 +170,18 @@ def _number_array(payload: dict, key: str, ndim: int = 1, order: str = "C") -> n
 
 
 def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
+    """A model file's model, rebuilt and checked, and input ranges; every error names the file."""
     try:
         with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: a model file must hold a JSON object")
-    missing = [key for key in _MODEL_KEYS if key not in payload]
-    if missing:
-        raise ValueError(f"{path}: model file lacks {', '.join(missing)}")
-    version = payload["format_version"]
-    if type(version) is not int or version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format")
-    try:
+            payload = json.load(handle)  # a ValueError if not UTF-8, or not JSON
+        if not isinstance(payload, dict):
+            raise ValueError("a model file must hold a JSON object")
+        missing = [key for key in _MODEL_KEYS if key not in payload]
+        if missing:
+            raise ValueError(f"model file lacks {', '.join(missing)}")
+        version = payload["format_version"]
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
+            raise ValueError("unsupported model format")
         # Column-major, as `_load_training_csv` builds it: the kernel's
         # reduction order follows the layout of the points, so this rebuilds
         # bit for bit the model that `fit` returned.
@@ -188,41 +193,40 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
         for key in ("fe_count", "seed"):
             if type(payload[key]) is not int or payload[key] < 0:
                 raise TypeError(f"{key}: expected an int >= 0, got {json.dumps(payload[key])[:40]}")
+        if a != CONDITION_EXPONENT:
+            raise ValueError(f"condition_exponent must be {CONDITION_EXPONENT!r}, got {a!r}")
+        if payload["strategy"] not in STRATEGIES:
+            raise ValueError(f"unknown strategy {json.dumps(payload['strategy'])[:40]}")
+        design = DesignSet(points, outputs)
+        if p.shape != (design.d,) or np.any(p != p[0]):
+            raise ValueError("p must repeat one exponent per input column")
+        # A width below the smallest normal float64 can overflow the scaling of a point.
+        with np.errstate(over="ignore", invalid="ignore"):
+            widths = maxs - mins if mins.shape == maxs.shape == (design.d,) else np.zeros(1)
+        if not np.all((widths >= np.finfo(float).tiny) & (widths < math.inf)):
+            raise ValueError(
+                "input_max - input_min must be a finite positive normal float64 per column"
+            )
+        options = GpOptions(p_exponent=float(p[0]))
+        model = DevianceObjective(design, options).model(beta, payload["fe_count"])
+        # Recomputing the model verifies the file.  The bound is the rounding error of two
+        # float64 evaluations at the condition number of R + delta*I, times each value's
+        # scale.  Past exp(a) kappa's bits do not carry across BLAS builds: it is clamped.
+        kappa = min(model.correlation.kappa, math.exp(CONDITION_EXPONENT))
+        stored[-1] = min(stored[-1], math.exp(CONDITION_EXPONENT))
+        rounding = (design.n + 1) * kappa * np.finfo(float).eps
+        recomputed = (model.deviance, model.mu_hat, model.sigma2_hat, model.correlation.delta)
+        scales = (1.0, design.output_range, model.sigma2_hat, design.n, kappa)
+        for key, got, want, scale in zip(scalars[1:], stored, (*recomputed, kappa), scales):
+            if not abs(got - want) <= 1e-8 * max(abs(want), scale) + rounding * scale:
+                raise ValueError(
+                    f"stored {key} {payload[key]!r} does not match "
+                    f"{want!r} recomputed from the file's data and beta"
+                )
     except TypeError as exc:
         raise ValueError(f"{path}: a model file value has the wrong type ({exc})") from None
-    if a != CONDITION_EXPONENT:
-        raise ValueError(f"{path}: condition_exponent must be {CONDITION_EXPONENT!r}, got {a!r}")
-    if payload["strategy"] not in STRATEGIES:
-        raise ValueError(f"{path}: unknown strategy {json.dumps(payload['strategy'])[:40]}")
-    try:
-        design = DesignSet(points, outputs)
-    except ValueError as exc:
+    except (ValueError, UnfittableError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if p.shape != (design.d,) or np.any(p != p[0]):
-        raise ValueError(f"{path}: p must repeat one exponent per input column")
-    # A width below the smallest normal float64 can overflow the scaling of a point.
-    with np.errstate(over="ignore", invalid="ignore"):
-        widths = maxs - mins if mins.shape == maxs.shape == (design.d,) else np.zeros(1)
-    if not np.all((widths >= np.finfo(float).tiny) & (widths < math.inf)):
-        raise ValueError(
-            f"{path}: input_max - input_min must be a finite positive normal float64 per column"
-        )
-    options = GpOptions(p_exponent=float(p[0]))
-    model = DevianceObjective(design, options).model(beta, payload["fe_count"])
-    # Recomputing the model verifies the file.  The bound is the rounding error of two
-    # float64 evaluations at the condition number of R + delta*I, times each value's
-    # scale.  Past exp(a) kappa's bits do not carry across BLAS builds: it is clamped.
-    kappa = min(model.correlation.kappa, math.exp(CONDITION_EXPONENT))
-    stored[-1] = min(stored[-1], math.exp(CONDITION_EXPONENT))
-    rounding = (design.n + 1) * kappa * np.finfo(float).eps
-    recomputed = (model.deviance, model.mu_hat, model.sigma2_hat, model.correlation.delta, kappa)
-    scales = (1.0, design.output_range, model.sigma2_hat, design.n, kappa)
-    for key, got, want, scale in zip(scalars[1:], stored, recomputed, scales):
-        if not abs(got - want) <= 1e-8 * max(abs(want), scale) + rounding * scale:
-            raise ValueError(
-                f"{path}: stored {key} {payload[key]!r} does not match "
-                f"{want!r} recomputed from the file's data and beta"
-            )
     return model, mins, maxs
 
 
@@ -279,12 +283,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     model, mins, maxs = _load_model(args.model)
-    header, data = _read_table(args.points)
-    x_names = _input_columns(header, args.points, model.design.d)
-    x_native = data[:, [header.index(name) for name in x_names]]
-    bad = np.flatnonzero(~np.isfinite(x_native).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{args.points}: non-finite input coordinate in data row {bad[0] + 1}")
+    x_names, x_native = _input_columns(_read_table(args.points), args.points, model.design.d)
     # Clamped in native units, a far point cannot overflow the scaling,
     # and a bound scales to exactly 0 or 1.
     x_clamped = np.clip(x_native, mins, maxs)

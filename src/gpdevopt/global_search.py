@@ -186,40 +186,35 @@ def run_strategy(
 ) -> OptReport:
     """Dispatch one of the seven named strategies and merge the accounting.
 
-    Multistart strategies cluster starts and run the local optimizer to
-    completion from each; IF2 caps each first-stage run at 20d evaluations
-    and then reruns the best one to completion; the DIRECT hybrids give
-    DIRECT a 200d budget and start a single local run from its best point.
-    The report's fe_used is exact: the sampling evaluations plus every
-    phase's fe_used.  Its beta_star and value are the best local or DIRECT
-    result, not the best sampled point.
+    A global phase yields the starts: cluster centers, or for the hybrids
+    the best point of a DIRECT run on a 200d budget.  IF2 caps a run from
+    each start at 20d evaluations and keeps the best run's point as its one
+    start.  The strategy's local optimizer then runs to completion from every
+    start.  fe_used is exact: the sampling evaluations plus every report's.
+    beta_star and value are the first best report's in phase order, not
+    the best sampled point's.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     start_box = default_beta_box(d)
     pattern_box = if_beta_box(d)
 
-    fe_sampling = 0
-    if strategy.startswith("MS-") or strategy == "IF2":
+    if strategy.startswith("DIRECT-"):
+        reports = [direct_search(objective, start_box, SAMPLING_FE_PER_DIM * d)]
+        starts, fe_sampling = [reports[0].beta_star], 0
+    else:
         include_diagonal = strategy.endswith("2d1")
         n_starts = 2 * d + 1 if include_diagonal else math.ceil(0.5 * d)
         starts, fe_sampling = cluster_starts(objective, start_box, n_starts, include_diagonal, rng)
-        if strategy == "IF2":
-            cap = IF2_STAGE1_FE_PER_DIM * d
-            stage1 = [implicit_filtering(objective, start, pattern_box, cap) for start in starts]
-            best_stage1 = min(stage1, key=lambda r: r.value)
-            reports = stage1 + [implicit_filtering(objective, best_stage1.beta_star, pattern_box)]
-        elif "BFGS" in strategy:
-            reports = [bfgs_minimize(objective, start) for start in starts]
-        else:
-            reports = [implicit_filtering(objective, start, pattern_box) for start in starts]
-    else:
-        global_report = direct_search(objective, start_box, SAMPLING_FE_PER_DIM * d)
-        if strategy == "DIRECT-BFGS":
-            local_report = bfgs_minimize(objective, global_report.beta_star)
-        else:
-            local_report = implicit_filtering(objective, global_report.beta_star, pattern_box)
-        reports = [global_report, local_report]
+        reports = []
+    if strategy == "IF2":
+        cap = IF2_STAGE1_FE_PER_DIM * d
+        reports = [implicit_filtering(objective, start, pattern_box, cap) for start in starts]
+        starts = [min(reports, key=lambda r: r.value).beta_star]
+    # Module globals, read per call: tests and the benchmark's tracer patch them.
+    local = bfgs_minimize if "BFGS" in strategy else implicit_filtering
+    box_args = () if "BFGS" in strategy else (pattern_box,)
+    reports += [local(objective, start, *box_args) for start in starts]
     best = min(reports, key=lambda r: r.value)
     return OptReport(
         beta_star=best.beta_star.copy(),

@@ -757,6 +757,10 @@ class TestSurfaceCommand:
             id="zero-range-column-input column x2 has zero range",
         ),
         ("input-column-gap", "data.csv: input column x3 lies outside the run x1..x1"),
+        ("input-nan", "data.csv: non-finite input coordinate in data row 2"),
+        ("output-nan", "data.csv: design points and outputs must be finite"),
+        ("output-inf", "data.csv: design points and outputs must be finite"),
+        ("duplicate-row", "data.csv: duplicate design points are not allowed"),
         pytest.param(
             "overflowing-range-column",
             "data.csv: input column x1 spans -1e+308 to 1e+308: its range overflows",
@@ -768,6 +772,11 @@ class TestSurfaceCommand:
         ("model-duplicate-points", "model.json: duplicate design points are not allowed"),
         ("model-point-outside", "model.json: design coordinates must lie in [0, 1]"),
         ("p-not-repeated", "p must repeat one exponent per input column"),
+        ("model-p-out-of-range", "model.json: smoothness exponent must lie in (0, 2]"),
+        ("model-beta-length", "model.json: beta must have length 1, got (2,)"),
+        ("model-beta-huge", "model.json: the deviance at beta=[1e+308] is not finite"),
+        ("model-beta-nan", "model.json: the deviance at beta=[nan] is not finite"),
+        ("model-constant-outputs", "model.json: the deviance at beta=["),
         ("points-missing-column", "missing input column 'x1'"),
         ("points-extra-column", "points.csv: input column x2 lies outside the run x1..x1"),
         ("1d-prediction-surface", "prediction surfaces require exactly 2 input dimensions"),
@@ -793,6 +802,11 @@ def test_error_exits(tmp_path, capsys, case, message):
         "input-column-gap": "x1,x3,y\n0.1,0.5,1.0\n0.9,0.2,2.0\n",
         # Every value is finite, but max - min is not.
         "overflowing-range-column": "x1,y\n-1e308,1.0\n0.0,2.0\n1e308,0.5\n",
+        # A non-finite input cell is named by its data row, before any range check.
+        "input-nan": "x1,y\n0.1,1.0\nnan,2.0\n0.9,0.5\n",
+        "output-nan": "x1,y\n0.1,1.0\n0.5,nan\n0.9,2.0\n",
+        "output-inf": "x1,y\n0.1,1.0\n0.5,-inf\n0.9,2.0\n",
+        "duplicate-row": "x1,y\n0.1,1.0\n0.9,2.0\n0.1,1.0\n",
         # Latin-1 writes the byte 0xff, which is not UTF-8.
         "csv-bad-byte": "x1,y\n0.1,1.0\n\xff0.9,2.0\n",
     }
@@ -825,6 +839,16 @@ def test_error_exits(tmp_path, capsys, case, message):
             payload["points"][1] = payload["points"][0]
         elif case == "model-point-outside":
             payload["points"][0] = [2.0]
+        elif case == "model-p-out-of-range":
+            payload["p"] = [3.0]
+        elif case == "model-beta-length":
+            payload["beta"] = payload["beta"] * 2
+        elif case == "model-beta-huge":
+            payload["beta"] = [1e308]
+        elif case == "model-beta-nan":
+            payload["beta"] = [math.nan]  # written as NaN, which Python's json reads
+        elif case == "model-constant-outputs":
+            payload["outputs"] = [1.0] * len(payload["outputs"])
         model.write_text(json.dumps(payload))
         if case == "model-not-json":
             model.write_text("{\n")

@@ -400,6 +400,46 @@ class TestRunStrategy:
         assert report.fe_used == obj.fe_count
         assert report.fe_used >= 400  # sampling included
 
+    def test_a_constant_objective_reports_the_first_run_in_phase_order(self, monkeypatch):
+        # Every report ties, so the result is the first one in phase order:
+        # DIRECT's centre for the hybrids, and the run from the first start
+        # for the multistart strategies and IF2 (its first capped run).
+        import gpdevopt.global_search as gs
+
+        for d in (1, 3):
+            box = default_beta_box(d)
+            for strategy in STRATEGIES:
+                runs, starts = [], []
+
+                def recording(name, original):
+                    def run(objective, start, *args):
+                        report = original(objective, start, *args)
+                        runs.append((name, start, report))
+                        return report
+
+                    return run
+
+                def clustering(*args):
+                    found, fe = cluster_starts(*args)
+                    starts.extend(found)
+                    return found, fe
+
+                with monkeypatch.context() as patch:
+                    for name in ("direct_search", "bfgs_minimize", "implicit_filtering"):
+                        patch.setattr(gs, name, recording(name, getattr(gs, name)))
+                    patch.setattr(gs, "cluster_starts", clustering)
+                    fn, calls = counting(lambda beta: 1.0)
+                    report = run_strategy(fn, strategy, d, np.random.default_rng(d))
+                name, start, first = runs[0]
+                key = (strategy, d)
+                assert report.value == 1.0 and report.fe_used == calls["n"], key
+                assert report.beta_star.tobytes() == first.beta_star.tobytes(), key
+                if strategy.startswith("DIRECT-"):
+                    assert name == "direct_search" and not starts, key
+                    assert np.array_equal(first.beta_star, (box.lower + box.upper) / 2), key
+                else:
+                    assert name != "direct_search" and start is starts[0], key
+
     def test_direct_strategies_deterministic(self):
         results = []
         for _ in range(2):

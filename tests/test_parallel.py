@@ -382,6 +382,33 @@ def test_a_worker_reaped_by_its_owner_is_stopped_quietly(run_script):
 
 
 @fork_capable
+def test_an_os_error_raised_by_an_item_here_reaches_the_caller_and_leaves_no_child(run_script):
+    # An OSError from an item takes the lost-worker path: the worker is
+    # stopped and this process evaluates the item a second time, which
+    # raises it to the caller.  The next shared batch forks a fresh worker.
+    out = run_script("""
+        MAX_FORKS = 2
+        objective = gp.DevianceObjective(design("goldstein-price", 20))
+        want = objective.batch(BETAS)
+        raised = []
+        def failing(beta):
+            if os.getpid() == PARENT and np.array_equal(beta, BETAS[0]):
+                raised.append(beta)
+                raise OSError("raised here")
+            return False
+        slow = failing
+        try:
+            objective.batch(BETAS)
+        except OSError as exc:
+            print(exc, len(raised))
+        assert _worker._Worker.live is None and no_child_left()
+        slow = lambda beta: False
+        assert objective.batch(BETAS) == want and len(forks) == 2
+    """)
+    assert out.split() == ["raised", "here", "2"]
+
+
+@fork_capable
 def test_sigint_during_a_shared_predict_raises_and_leaves_no_child(run_script):
     # The worker ignores SIGINT; this process raises KeyboardInterrupt from
     # its own block and stops the worker on the way out.
