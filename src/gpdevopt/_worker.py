@@ -30,29 +30,28 @@ _SHARE_MIN_WORK = 160
 # of 9 processes, reading and writing included, BLAS at one thread, 2 cores).
 _SHARE_MIN_ROWS = 4096
 
-# Request kinds: beta for the objective the worker holds, for a new one, or a job.
-_SAME, _NEW, _JOB = 0, 1, 2
 
+def run(count: int, job, args=None, share: bool = True) -> list:
+    """[job(k) for k in range(count)], or [job(args[k]) ...] given args: this
+    process evaluates items from the front and, where `share` holds and
+    `_live` finds a worker, the worker from the back, each up to the other's
+    claim (`_claim`); this process then evaluates what the reply leaves.
 
-def run(count: int, item, job=None) -> list:
-    """[item(k) for k in range(count)]: this process evaluates items from the
-    front and the worker from the back, each up to the other's claim
-    (`_claim`), and this process then evaluates what the reply leaves.
-
-    `job` tells the worker how to evaluate an item: a (DevianceObjective,
-    betas) pair, whose item k is the counted value at betas[k], or a
-    picklable callable that the worker calls as `item` is called here.
-    Without a job, or where `_live` finds no worker, every item is evaluated
-    here.  An exception raised in the worker reaches the caller.  A worker
-    lost on the way (end of file or an error on its pipes) is stopped, and
-    this process evaluates whatever has no value; the next job forks anew.
+    `job` is a picklable callable that takes weak references, and `args`
+    count vectors of one length w, sent as one (count, w) float64 array.  The
+    worker keeps the last job it received, so the same job again costs only
+    a header and its args.  An exception raised in the worker reaches the
+    caller.  A worker lost on the way (end of file or an error on its pipes)
+    is stopped, and this process evaluates whatever has no value; the next
+    shared job forks anew.
     """
-    worker = None if job is None else _live()
+    item = job if args is None else lambda k: job(args[k])
+    worker = _live() if share else None
     if worker is None:
         return [item(k) for k in range(count)]
     values = []
     try:
-        worker.send(count, job)
+        worker.send(count, job, args)
         while len(values) + _claim(worker.claims, 0, len(values)) < count:
             values.append(item(len(values)))
         tail = worker.receive()
@@ -107,13 +106,13 @@ def _claim(claims, side: int, k: int) -> int:
 
 class _Worker:
     """The process's worker, with a pipe each way and the two sides' claims
-    in shared memory.  A request is m and its kind as float64, then the
-    pickled job, or, for a new objective, its pickled points, outputs and
-    options, and then m beta as float64.  The reply is the length of a pickle
-    and the pickle: the results of the last k items in order, or the
-    exception that one raised.  The worker ignores SIGINT and exits at end of
-    file on its requests, unless `stop` kills it first: after an error, or at
-    exit.
+    in shared memory.  A request is three int64, the item count m, whether a
+    pickled job follows and the width w of its args; then that job, unless
+    the worker holds it from an earlier request, and m*w float64 args.  The
+    reply is the length of a pickle and the pickle: the results of the last k
+    items in order, or the exception that one raised.  The worker ignores
+    SIGINT and exits at end of file on its requests, unless `stop` kills it
+    first: after an error, or at exit.
     """
 
     live: _Worker | None = None
@@ -139,22 +138,19 @@ class _Worker:
         os.close(requests)
         os.close(replies)
         self._requests, self._replies = open(to_worker, "wb"), open(from_worker, "rb")
-        self._owner, self._pid, self._serving = os.getpid(), pid, lambda: None
+        self._owner, self._pid, self._job = os.getpid(), pid, lambda: None
 
-    def send(self, count: int, job) -> None:
+    def send(self, count: int, job, args) -> None:
         """Request a job; OSError if the worker is gone."""
         # The worker is idle between a reply and the next request.
         self.claims[0] = self.claims[1] = 0
-        objective, betas = job if isinstance(job, tuple) else (None, None)
-        kind = _JOB if objective is None else _SAME if self._serving() is objective else _NEW
-        self._requests.write(np.array([count, kind], dtype=float).tobytes())
-        if kind == _NEW:
-            # Pickle keeps C or F order: the copy keeps the points' axis
-            # order, which sets the kernel's bits.
-            points = objective.design.points.copy(order="K")
-            pickle.dump((points, objective.design.outputs, objective.options), self._requests)
-            self._serving = weakref.ref(objective)
-        self._requests.write(pickle.dumps(job) if kind == _JOB else np.concatenate(betas))
+        args = np.empty((count, 0)) if args is None else np.array(args, dtype=float)
+        new = self._job() is not job
+        self._requests.write(np.array([count, new, args.shape[1]], dtype=np.int64).tobytes())
+        if new:
+            pickle.dump(job, self._requests)
+            self._job = weakref.ref(job)
+        self._requests.write(args.tobytes())
         self._requests.flush()
 
     def receive(self) -> list | BaseException:
@@ -184,19 +180,12 @@ os.register_at_fork(after_in_child=_Worker.stop)
 
 
 def _serve(requests, replies, claims) -> None:
-    from .gp import DesignSet, DevianceObjective  # gp imports this module
-
     while True:
-        count, kind = np.frombuffer(_read(requests, 16)).astype(int).tolist()
-        if kind == _JOB:
-            item = pickle.load(requests)
-        else:
-            if kind == _NEW:
-                points, outputs, options = pickle.load(requests)
-                objective = DevianceObjective(DesignSet(points, outputs), options)
-            betas = np.frombuffer(_read(requests, 8 * count * objective.design.d))
-            betas = betas.reshape(count, -1)
-            item = lambda k: objective(betas[k])  # noqa: E731
+        count, new, width = np.frombuffer(_read(requests, 24), dtype=np.int64).tolist()
+        if new:
+            job = pickle.load(requests)
+        args = np.frombuffer(_read(requests, 8 * count * width)).reshape(count, width)
+        item = job if width == 0 else lambda k: job(args[k])
         values = []
         try:
             while len(values) + _claim(claims, 1, len(values)) < count:

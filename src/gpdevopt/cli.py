@@ -251,7 +251,7 @@ def _write_rows(
         if fmt == "csv":
             lines = functools.partial(_csv_lines, rows)
             share = len(rows) >= _worker._SHARE_MIN_ROWS
-            blocks = _worker.run(-(-len(rows) // PREDICT_BLOCK), lines, lines if share else None)
+            blocks = _worker.run(-(-len(rows) // PREDICT_BLOCK), lines, share=share)
             handle.write("".join([",".join(header) + "\n", *blocks]))
         elif fmt == "json":
             records = [dict(zip(header, row)) for row in rows]

@@ -62,22 +62,21 @@ _EPS = float(np.finfo(float).eps)
 _COMPARISON_MIN_N = 50
 
 
-def powered_distances(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """|x_ik - y_jk|**p_k for every pair of rows, as a (d, m*n) array; only
-    `DistanceCache` uses it (predictions use `powered_planes`).
+def powered_distances(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """|x_ik - x_jk|**p_k for every pair of rows of a design, as a (d, n*n)
+    array; only `DistanceCache` uses it (predictions use `powered_planes`).
 
     Column i*n + j holds pair (i, j).  The array is built in place as
-    (m, n, d), in the memory order numpy derives from the layouts of x and y,
-    and its (d, m, n) transpose is reshaped: a view when x and y share a
-    layout (as a design does with itself), a copy otherwise.  That layout
-    fixes the reduction order of the `dot` in `gaussian_kernel`, and with the
-    shape it picks the `**= p` loop numpy runs: both set the fits' bits.
+    (n, n, d), in the memory order numpy derives from the layout of x, and
+    its (d, n, n) transpose is reshaped, a view.  That layout fixes the
+    reduction order of the `dot` in `gaussian_kernel`, and with the shape it
+    picks the `**= p` loop numpy runs: both set the fits' bits.
     """
-    m, n, d = x.shape[0], y.shape[0], x.shape[1]
-    powered = x[:, None, :] - y[None, :, :]
+    n, d = x.shape
+    powered = x[:, None, :] - x[None, :, :]
     np.abs(powered, out=powered)
     powered **= p
-    return powered.transpose(2, 0, 1).reshape(d, m * n)
+    return powered.transpose(2, 0, 1).reshape(d, n * n)
 
 
 def powered_planes(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -134,7 +133,7 @@ class DistanceCache:
                 f"design has {pts.shape[1]} columns but p has length {p.size}"
             )
         self.n, self.d = pts.shape
-        self._powered = powered_distances(pts, pts, p)
+        self._powered = powered_distances(pts, p)
 
     def correlation(self, beta: np.ndarray) -> np.ndarray:
         """Correlation matrix at the given log10 inverse lengthscales.

@@ -235,18 +235,28 @@ class DevianceObjective:
     def batch(self, betas: list[np.ndarray]) -> list[float]:
         """The values and the count of __call__ on each beta in turn.
 
-        A batch of two or more beta and at least `_SHARE_MIN_WORK` beta times
-        design points is shared with the process's worker (`_worker.run`),
+        A batch of two or more beta of shape (d,) and at least `_SHARE_MIN_WORK`
+        beta times design points goes to the process's worker (`_worker.run`),
         unless self is a subclass, whose overrides the worker would not run.
         A counted value does not depend on the process or its anchors, so the
         bits and the count are those of single calls.
         """
-        share = len(betas) > 1 and len(betas) * self.design.n >= _worker._SHARE_MIN_WORK
-        count = self.fe_count
-        job = (self, betas) if share and type(self) is DevianceObjective else None
-        values = _worker.run(len(betas), lambda k: self(betas[k]), job)
+        d, count = self.design.d, self.fe_count
+        share = (len(betas) > 1 and len(betas) * self.design.n >= _worker._SHARE_MIN_WORK
+                 and type(self) is DevianceObjective and {np.shape(b) for b in betas} == {(d,)})
+        values = _worker.run(len(betas), self, betas, share)
         self.fe_count = count + len(betas)
         return values
+
+    def __getstate__(self):
+        # The worker's copy: the design and options, at count 0 with no
+        # anchors.  Pickle keeps C or F order: the copy keeps the points'
+        # axis order, which sets the bits.
+        return self.design.points.copy(order="K"), self.design.outputs, self.options
+
+    def __setstate__(self, state):
+        points, outputs, options = state
+        self.__init__(DesignSet(points, outputs), options)
 
     def evaluate(self, beta: np.ndarray) -> tuple[float, DevianceInfo]:
         factored = self._exact(self._cache.correlation(beta))
@@ -332,8 +342,7 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
         raise ValueError("prediction points must be finite")
     blocks = _Blocks(model, points)
     share = len(points) >= _worker._SHARE_MIN_ROWS and type(model) is FittedGP
-    job = blocks if share else None
-    parts = _worker.run(blocks.count, blocks, job)
+    parts = _worker.run(blocks.count, blocks, share=share)
     y_hat, mse = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     return y_hat, np.maximum(mse, 0.0)
 

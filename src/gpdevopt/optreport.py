@@ -39,7 +39,8 @@ class CountedObjective:
         if max_fe is not None and max_fe < 1:
             raise ValueError("the evaluation budget must be at least 1")
         self._fn = fn
-        self._batch = getattr(fn, "batch", None)
+        in_turn = lambda points: [fn(np.asarray(x, dtype=float)) for x in points]  # noqa: E731
+        self._batch = getattr(fn, "batch", in_turn)
         self.max_fe = max_fe
         self.count = 0
         self.best_value = np.inf
@@ -53,11 +54,10 @@ class CountedObjective:
 
     def batch(self, points) -> list[float]:
         """Values at `points` as from calling self on each in turn, raising
-        BudgetExhausted where such a call would.  An objective with its own
-        `batch` evaluates as many as the budget covers; the count and the best
-        point then follow in call order, so ties still go to the first."""
-        if self._batch is None:
-            return [self(x) for x in points]
+        BudgetExhausted where such a call would.  The objective's `batch`, or
+        its calls in turn, evaluates as many as the budget covers; the count
+        and the best point then follow in call order, so ties still go to the
+        first."""
         covered = points if self.max_fe is None else points[: self.max_fe - self.count]
         values = [self._record(x, value) for x, value in zip(covered, self._batch(covered))]
         if len(values) < len(points):

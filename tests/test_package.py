@@ -42,6 +42,18 @@ def test_src_has_no_unused_imports():
     assert unused == []
 
 
+def test_worker_imports_nothing_from_the_package():
+    # The worker runs any picklable job: it knows no objective or model.
+    path = Path(gpdevopt.__file__).parent / "_worker.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [name for name in imported if name.startswith((".", "gpdevopt"))] == []
+
+
 def test_readme_python_blocks_run():
     # The README's examples run in order in one namespace.  A small
     # Goldstein-Price design stands in for the reader's `points`, `outputs`

@@ -9,6 +9,7 @@ defines the names the scripts use).
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpdevopt import cli
+from gpdevopt import DesignSet, SearchBox, cli, gp, lhd_maximin
 from gpdevopt.optreport import BudgetExhausted, CountedObjective
+from gpdevopt.testbed import test_function as make_test_function
 
 fork_capable = pytest.mark.skipif(
     not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
@@ -533,6 +535,109 @@ def test_a_shared_deviance_surface_matches_single_calls(run_script, tmp_path):
     """)
 
 
+@fork_capable
+def test_a_shared_batch_of_integer_beta_matches_single_calls(run_script):
+    # Integer beta go to the worker as float64: read as raw bytes, int64
+    # beta would give the worker other values.  This process takes 2 ms per
+    # beta, so the worker evaluates most of the batch.
+    run_script("""
+        ds = design("goldstein-price", 60)
+        objective, plain = gp.DevianceObjective(ds), gp.DevianceObjective(ds)
+        betas = [np.array([k % 5 - 2, k // 5 % 5 - 2]) for k in range(400)]
+        want = [plain(beta) for beta in betas]
+        slow = lambda beta: os.getpid() == PARENT
+        calls[0] = calls[1] = 0
+        assert hexes(objective.batch(betas)) == hexes(want)
+        assert objective.fe_count == len(betas) and calls[1] > 0
+        assert evaluated_once(len(betas)), calls.tolist()
+    """)
+
+
+@fork_capable
+def test_a_batch_with_a_beta_of_the_wrong_length_raises_as_a_single_call_does(run_script):
+    # A beta of length 3 on a 2-D design keeps the batch in this process,
+    # where its call raises; the worker, forked at the next shared batch,
+    # stays in step.
+    out = run_script("""
+        ds = design("goldstein-price", 60)
+        objective, plain = gp.DevianceObjective(ds), gp.DevianceObjective(ds)
+        betas = [np.array([b, -b / 2]) for b in np.linspace(-2.0, 2.0, 399)]
+        try:
+            plain(np.zeros(3))
+        except ValueError as exc:
+            print(exc)
+        try:
+            objective.batch(betas + [np.zeros(3)])
+        except ValueError as exc:
+            print(exc)
+        assert not forks and objective.fe_count == len(betas) + 1
+        assert hexes(objective.batch(betas)) == hexes([plain(beta) for beta in betas])
+        assert len(forks) == 1 and calls[1] > 0
+    """)
+    assert out.splitlines() == ["beta must have length 2, got (3,)"] * 2
+
+
+@fork_capable
+def test_a_shared_predict_between_two_batches_replaces_the_objective_in_the_worker(run_script):
+    # The worker keeps the last job it received: a second batch of one
+    # objective pickles nothing, a shared predict replaces the objective, and
+    # the next batch pickles it again.  Every value is that of single calls.
+    run_script("""
+        pickled, getstate = [], gp.DevianceObjective.__getstate__
+        def counted_getstate(self):
+            pickled.append(self)
+            return getstate(self)
+        gp.DevianceObjective.__getstate__ = counted_getstate
+        ds = design("goldstein-price", 20)
+        objective, plain = gp.DevianceObjective(ds), gp.DevianceObjective(ds)
+        want = [plain(beta) for beta in BETAS]
+        model = plain.model(np.array([0.5, 0.2]))
+        points = np.random.default_rng(0).uniform(0.0, 1.0, (_worker._SHARE_MIN_ROWS, 2))
+        limit, _worker._SHARE_MIN_ROWS = _worker._SHARE_MIN_ROWS, 1 << 62
+        serial = gp.predict_many(model, points)
+        _worker._SHARE_MIN_ROWS = limit
+        slow = lambda beta: os.getpid() == PARENT  # the worker takes part in each batch
+        def shared_batch(sent):
+            calls[0] = calls[1] = 0
+            assert hexes(objective.batch(BETAS)) == hexes(want)
+            assert evaluated_once(len(BETAS)) and calls[1] > 0, calls.tolist()
+            assert pickled == [objective] * sent, len(pickled)
+        shared_batch(1)
+        shared_batch(1)
+        got = gp.predict_many(model, points)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in serial]
+        shared_batch(2)
+        shared_batch(2)
+        assert objective.fe_count == 4 * len(BETAS) and len(forks) == 1
+    """)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "F-strided"])
+def test_a_pickled_objective_starts_at_count_zero_with_its_points_in_axis_order(layout):
+    # The worker's copy of an objective: its design's points keep their axis
+    # order (at n = 100 a C-ordered copy of F-ordered points moves the bits),
+    # and its count and anchors stay behind.
+    fn = make_test_function("goldstein-price")
+    points = lhd_maximin(100, SearchBox(np.zeros(2), np.ones(2)), np.random.default_rng(0))
+    wide = np.repeat(points, 2, axis=1)
+    laid = {"C": np.ascontiguousarray(points), "F": np.asfortranarray(points),
+            "strided": wide[:, ::2], "F-strided": np.asfortranarray(wide)[:, ::2]}[layout]
+    objective = gp.DevianceObjective(DesignSet(laid, fn.evaluate(points)))
+    betas = list(np.random.default_rng(1).uniform(-3.0, 3.0, (60, 2)))
+    want = [objective(beta).hex() for beta in betas]
+    clone = pickle.loads(pickle.dumps(objective))
+    assert objective.fe_count == len(betas) and clone.fe_count == 0
+    copied = laid.copy(order="K")
+    for array in (clone.design.points, copied):
+        assert array.flags.c_contiguous == (layout in ("C", "strided"))
+        assert array.flags.f_contiguous == (layout in ("F", "F-strided"))
+    assert clone.design.points.strides == copied.strides
+    assert clone.design.points.tobytes(order="A") == copied.tobytes(order="A")
+    assert clone.design.outputs.tobytes() == objective.design.outputs.tobytes()
+    assert [clone(beta).hex() for beta in betas] == want
+    assert clone.fe_count == len(betas)
+
+
 class _Batching:
     """A plain objective with a `batch` method that logs the values of each
     batch."""
@@ -555,29 +660,32 @@ def test_counted_batch_replays_calls_one_at_a_time(max_fe):
     # yields to any other value.  A budget cut mid-batch leaves the count and
     # the best point where single calls stop, and the batch itself raises
     # BudgetExhausted, as the first call the budget does not cover would.
+    # This holds for an objective with a `batch` and for a plain callable.
     for sequence in ([3.0, 1.0, math.nan, 1.0, 0.5, math.inf],
                      [math.nan, math.nan, 2.0, math.nan, 2.0, 0.5]):
         values = dict(enumerate(sequence))
         points = [np.array([float(k)]) for k in values]
         fn = _Batching(lambda x: values[int(x[0])])
-        batched, single = CountedObjective(fn, max_fe), CountedObjective(fn.fn, max_fe)
-        want, got, cut = [], [], False
+        single = CountedObjective(fn.fn, max_fe)
+        want = []
         for point in points:
             try:
                 want.append(single(point))
             except BudgetExhausted:
                 break
-        try:
-            for part in (points[:3], points[3:]):
-                got += batched.batch(part)
-        except BudgetExhausted:
-            cut = True
-        assert cut == (len(want) < len(points))
-        assert np.array_equal(sum(fn.batches, []), want, equal_nan=True)
-        assert np.array_equal(got, want[: len(got)], equal_nan=True)
-        assert batched.count == single.count == len(want)
         seen = [(value, k) for k, value in enumerate(want) if not math.isnan(value)]
         best_value, best_k = min(seen) if seen else (math.nan, 0)
-        assert batched.best_value.hex() == single.best_value.hex() == best_value.hex()
-        assert batched.best_point.tobytes() == single.best_point.tobytes()
-        assert batched.best_point.tobytes() == points[best_k].tobytes()
+        for objective in (fn, fn.fn):
+            batched, got, cut = CountedObjective(objective, max_fe), [], False
+            try:
+                for part in (points[:3], points[3:]):
+                    got += batched.batch(part)
+            except BudgetExhausted:
+                cut = True
+            assert cut == (len(want) < len(points))
+            assert np.array_equal(got, want[: len(got)], equal_nan=True)
+            assert batched.count == single.count == len(want)
+            assert batched.best_value.hex() == single.best_value.hex() == best_value.hex()
+            assert batched.best_point.tobytes() == single.best_point.tobytes()
+            assert batched.best_point.tobytes() == points[best_k].tobytes()
+        assert np.array_equal(sum(fn.batches, []), want, equal_nan=True)
