@@ -30,12 +30,25 @@ _SHARE_MIN_WORK = 160
 # of 9 processes, reading and writing included, BLAS at one thread, 2 cores).
 _SHARE_MIN_ROWS = 4096
 
+# Work, in points times design points times (d + 4), from which a call of
+# `predict_many` of two or more blocks is shared with a worker already live;
+# its serial time is about 4-6 ns per unit.  With a warm worker, 1,024-4,096
+# points at n = 10, 40, 100 and 120 and d = 1, 2 and 12 ran at 0.55-0.80
+# times their serial time from 0.8 million units up (23 of 25 shapes; a 12-D
+# model of 120 points, 1,200 points: 14.3 against 9.7 ms), at 0.73-1.30 from
+# 0.6 to 0.8 million, and 10 of 16 at 0.95 or more below (median of 9 or 31
+# interleaved calls, BLAS at one thread, 2 cores).  The fork costs 5 ms or
+# more: below 4,096 points a first shared call gained on 1 of 36 shapes.
+_SHARE_MIN_PREDICT_WORK = 800_000
+
 
 def run(count: int, job, args=None, share: bool = True) -> list:
     """[job(k) for k in range(count)], or [job(args[k]) ...] given args: this
     process evaluates items from the front and, where `share` holds and
     `_live` finds a worker, the worker from the back, each up to the other's
     claim (`_claim`); this process then evaluates what the reply leaves.
+    A job's own jobs, such as the batches of a local run, are evaluated in
+    the process that runs it: the worker is busy until its reply.
 
     `job` is a picklable callable that takes weak references, and `args`
     count vectors of one length w, sent as one (count, w) float64 array.  The
@@ -51,6 +64,7 @@ def run(count: int, job, args=None, share: bool = True) -> list:
         return [item(k) for k in range(count)]
     values = []
     try:
+        _Worker.busy = True
         worker.send(count, job, args)
         while len(values) + _claim(worker.claims, 0, len(values)) < count:
             values.append(item(len(values)))
@@ -66,6 +80,8 @@ def run(count: int, job, args=None, share: bool = True) -> list:
         # The pipes may be out of step: the next shared job forks afresh.
         _Worker.stop()
         raise
+    finally:
+        _Worker.busy = False
     head = count - len(tail)
     return values[:head] + [item(k) for k in range(len(values), head)] + tail
 
@@ -73,8 +89,9 @@ def run(count: int, job, args=None, share: bool = True) -> list:
 def _live() -> _Worker | None:
     """The process's worker, forked at the first call on Linux with two cores
     and one thread (a BLAS pool holds the cores, and fork copies no thread);
-    None beside another Python thread or where no worker can be forked."""
-    if threading.active_count() != 1:
+    None while a job is shared, beside another Python thread or where no
+    worker can be forked."""
+    if _Worker.busy or threading.active_count() != 1:
         return None
     # /proc/self/task lists this process's threads, on Linux only.
     if _Worker.live is None and os.path.isdir("/proc/self/task") and (
@@ -112,10 +129,12 @@ class _Worker:
     reply is the length of a pickle and the pickle: the results of the last k
     items in order, or the exception that one raised.  The worker ignores
     SIGINT and exits at end of file on its requests, unless `stop` kills it
-    first: after an error, or at exit.
+    first: after an error, or at exit.  `busy` holds while this process
+    shares a job, and always in the worker, which shares none.
     """
 
     live: _Worker | None = None
+    busy = False
 
     def __init__(self):
         self.claims = memoryview(mmap.mmap(-1, 16)).cast("q")
@@ -129,6 +148,7 @@ class _Worker:
             raise
         if pid == 0:
             try:
+                _Worker.busy = True
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 os.close(to_worker)
                 os.close(from_worker)

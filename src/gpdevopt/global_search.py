@@ -10,9 +10,11 @@ a single local search from its best point.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
+from . import _worker, local_search
 from .boxes import SearchBox, default_beta_box, if_beta_box
 from .direct import direct_search
 from .local_search import bfgs_minimize, implicit_filtering
@@ -209,15 +211,40 @@ def run_strategy(
         reports = []
     if strategy == "IF2":
         cap = IF2_STAGE1_FE_PER_DIM * d
-        reports = [implicit_filtering(objective, start, pattern_box, cap) for start in starts]
+        reports = _local_runs(objective, implicit_filtering, starts, pattern_box, cap)
         starts = [min(reports, key=lambda r: r.value).beta_star]
     # Module globals, read per call: tests and the benchmark's tracer patch them.
     local = bfgs_minimize if "BFGS" in strategy else implicit_filtering
     box_args = () if "BFGS" in strategy else (pattern_box,)
-    reports += [local(objective, start, *box_args) for start in starts]
+    reports += _local_runs(objective, local, starts, *box_args)
     best = min(reports, key=lambda r: r.value)
     return OptReport(
         beta_star=best.beta_star.copy(),
         value=best.value,
         fe_used=fe_sampling + sum(report.fe_used for report in reports),
     )
+
+
+def _local_runs(objective, local, starts: list, *args) -> list[OptReport]:
+    """[local(objective, start, *args) for start in starts], as one job of the
+    process's worker (`_worker.run`): this process runs from the first start
+    and the worker from the last, and the reports come back in start order.
+
+    Two or more starts are shared when the objective is a `DevianceObjective`
+    itself and `local` is the package's own optimizer: the worker would not
+    run a subclass's overrides or a patched optimizer.  The objective then
+    counts the worker's evaluations too.
+    """
+    from .gp import DevianceObjective  # gp imports this module
+
+    share = (len(starts) > 1 and type(objective) is DevianceObjective
+             and local in (local_search.bfgs_minimize, local_search.implicit_filtering))
+    count = objective.fe_count if share else 0
+    reports = _worker.run(len(starts), partial(_local_run, local, objective, args), starts, share)
+    if share:
+        objective.fe_count = count + sum(report.fe_used for report in reports)
+    return reports
+
+
+def _local_run(local, objective, args: tuple, start) -> OptReport:
+    return local(objective, start, *args)

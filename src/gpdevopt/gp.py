@@ -330,18 +330,22 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
     would take numpy's pairwise path.  Even so, a row's last bits depend on
     the call it is in, because the solve and the sums round by block.
 
-    A call of at least `_worker._SHARE_MIN_ROWS` points (several blocks) is
-    shared with the process's worker, which takes whole blocks from the back
-    (`_worker.run`); a block's bytes do not depend on the process that
-    computed it.
+    A call of two or more blocks is shared with the process's worker, which
+    takes whole blocks from the back (`_worker.run`), from
+    `_worker._SHARE_MIN_ROWS` points up, or, once a worker is live, from
+    `_worker._SHARE_MIN_PREDICT_WORK` points times design points times
+    (d + 4) up; a block's bytes do not depend on the process that computed it.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != model.design.d:
         raise ValueError(f"points must have {model.design.d} columns")
     if not np.isfinite(points).all():
         raise ValueError("prediction points must be finite")
-    blocks = _Blocks(model, points)
-    share = len(points) >= _worker._SHARE_MIN_ROWS and type(model) is FittedGP
+    blocks, (n, d) = _Blocks(model, points), model.design.points.shape
+    work = len(points) * n * (d + 4)
+    share = blocks.count > 1 and type(model) is FittedGP and (
+        len(points) >= _worker._SHARE_MIN_ROWS
+        or _worker._Worker.live is not None and work >= _worker._SHARE_MIN_PREDICT_WORK)
     parts = _worker.run(blocks.count, blocks, share=share)
     y_hat, mse = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     return y_hat, np.maximum(mse, 0.0)

@@ -45,8 +45,10 @@ def own_worker():
 # workers (`fork` is the uncounted original, for a script's own children).
 # `calls` counts the calls of DevianceObjective.__call__ in the script's
 # process ([0]) and in its worker ([1]) in shared memory; a call sleeps 2 ms
-# in either process on the beta that `slow` picks.  Both are set up before
-# the first fork, and a script that changes `slow` does so before it too.
+# in either process on the beta that `slow` picks.  `singles` counts, the
+# same way, the single calls of a `CountedObjective`: in the worker only a
+# whole local run makes them.  All three are set up before the first fork,
+# and a script that changes `slow` does so before it too.
 # CAN_FORK says whether a worker can be forked at all, and
 # `evaluated_once(count)` holds when the two made `count` calls in all: the
 # claims keep both from evaluating one beta on x86 only (see `_worker._claim`).
@@ -79,7 +81,7 @@ def counting_fork():
 os.fork = counting_fork
 
 import numpy as np
-from gpdevopt import DesignSet, SearchBox, _worker, cli, fit, gp, lhd_maximin, test_function
+from gpdevopt import DesignSet, SearchBox, _worker, cli, fit, gp, lhd_maximin, optreport, test_function
 from gpdevopt.global_search import STRATEGIES, run_strategy
 
 def design(name, n, seed=0):
@@ -99,6 +101,13 @@ def counted(self, beta):
     return call(self, beta)
 
 gp.DevianceObjective.__call__ = counted
+singles, single = memoryview(mmap.mmap(-1, 16)).cast("q"), optreport.CountedObjective.__call__
+
+def counted_single(self, x):
+    singles[os.getpid() != PARENT] += 1
+    return single(self, x)
+
+optreport.CountedObjective.__call__ = counted_single
 
 CAN_FORK = sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2
 

@@ -35,9 +35,12 @@ def test_every_strategy_matches_a_serial_run_bit_for_bit(run_script):
     # in the same layout (at n = 100 a C-ordered copy of the last one moves
     # the bits).  Budgets cut DIRECT's and IF2's stage-one batches short: the
     # replay in `CountedObjective.batch` must stop, and raise, exactly where
-    # calls one at a time would have.  All fits share one worker.
+    # calls one at a time would have.  All fits share one worker.  Last, this
+    # process takes 2 ms more per FE, so that the worker surely runs whole
+    # starts.
     out = run_script("""
-        from gpdevopt import optreport
+        hold = memoryview(mmap.mmap(-1, 8)).cast("q")
+        slow = lambda beta: hold[0] and os.getpid() == PARENT
         cuts = set()
         batch = optreport.CountedObjective.batch
         def recording(self, points):
@@ -69,10 +72,97 @@ def test_every_strategy_matches_a_serial_run_bit_for_bit(run_script):
                     assert got.beta_star.tobytes() == want.beta_star.tobytes(), key
                     assert got.value.hex() == want.value.hex(), key
         assert {20, 200, 400} <= cuts, cuts
+        for name, n, strategy in (("goldstein-price", 60, "MS-BFGS-2d1"),
+                                  ("goldstein-price", 60, "MS-IF-2d1"), ("schwefel", 20, "IF2")):
+            ds = design(name, n)
+            plain = gp.DevianceObjective(ds)
+            want = run_strategy(lambda beta: plain(beta), strategy, ds.d, np.random.default_rng(1))
+            objective, singles[1], hold[0] = gp.DevianceObjective(ds), 0, 1
+            got = run_strategy(objective, strategy, ds.d, np.random.default_rng(1))
+            hold[0] = 0
+            key = (name, n, strategy)
+            assert got.fe_used == want.fe_used == objective.fe_count, key
+            assert got.beta_star.tobytes() == want.beta_star.tobytes(), key
+            assert got.value.hex() == want.value.hex(), key
+            assert singles[1] > 0, key
         assert len(forks) == 1 and calls[1] > 0, (forks, calls[1])
         print("ok")
     """)
     assert out.split() == ["ok"]
+
+
+@fork_capable
+def test_a_multistart_fit_keeps_each_run_in_one_process_and_forks_once(run_script):
+    # On Goldstein-Price n=60 every gradient and stencil batch of a run holds
+    # enough work to share, yet a run's batches stay in the process that runs
+    # it: the worker forks no worker of its own, and this process sends none
+    # to a worker busy with a run.  `forked` counts forks in both processes.
+    # This process takes 2 ms more per FE, so that the worker runs starts.
+    run_script("""
+        forked = memoryview(mmap.mmap(-1, 8)).cast("q")
+        def fork_counted():
+            forked[0] += 1
+            return counting_fork()
+        os.fork = fork_counted
+        slow = lambda beta: os.getpid() == PARENT
+        ds = design("goldstein-price", 60)
+        assert 2 * ds.d * ds.n >= _worker._SHARE_MIN_WORK
+        for strategy in ("MS-BFGS-2d1", "MS-IF-2d1"):
+            calls[0] = calls[1] = singles[1] = 0
+            model = fit(ds, strategy, rng=2)
+            assert evaluated_once(model.fe_count), (strategy, calls.tolist(), model.fe_count)
+            assert singles[1] > 0, strategy
+        assert forked[0] == len(forks) == 1, (forked[0], forks)
+    """)
+
+
+@fork_capable
+def test_a_worker_killed_mid_run_leaves_its_starts_to_the_owner(run_script):
+    # The worker dies inside its first local run: this process evaluates
+    # every start without a report, with the bits and count of a serial run,
+    # and its remaining batches fork a fresh worker.
+    run_script("""
+        import signal
+        MAX_FORKS = 2
+        killed = memoryview(mmap.mmap(-1, 8)).cast("q")
+        def slow(beta):
+            if os.getpid() != PARENT and singles[1] >= 3 and not killed[0]:
+                killed[0] = 1
+                os.kill(os.getpid(), signal.SIGKILL)
+            return False
+        ds = design("goldstein-price", 60)
+        plain = gp.DevianceObjective(ds)
+        want = run_strategy(lambda beta: plain(beta), "MS-BFGS-2d1", 2, np.random.default_rng(1))
+        assert not forks
+        for _ in range(2):
+            got = fit(ds, "MS-BFGS-2d1", rng=1)
+            assert got.fe_count == want.fe_used and got.deviance.hex() == want.value.hex()
+            assert got.beta_star.tobytes() == want.beta_star.tobytes()
+        assert killed[0] == 1 and len(forks) == 2
+    """)
+
+
+@fork_capable
+def test_runs_of_a_subclass_or_a_patched_optimizer_stay_in_this_process(run_script):
+    # The worker would run neither a subclass's overrides nor a patched
+    # optimizer, so every start of such a fit runs here.
+    run_script("""
+        from gpdevopt import global_search
+        ds = design("goldstein-price", 60)
+        class Recording(gp.DevianceObjective):
+            pass
+        objective = Recording(ds)
+        report = run_strategy(objective, "MS-BFGS-2d1", 2, np.random.default_rng(1))
+        assert report.fe_used == objective.fe_count == calls[0] and calls[1] == 0
+        starts, bfgs = [], global_search.bfgs_minimize
+        def recording(objective, start):
+            starts.append(os.getpid())
+            return bfgs(objective, start)
+        global_search.bfgs_minimize = recording
+        objective = gp.DevianceObjective(ds)
+        report = run_strategy(objective, "MS-BFGS-2d1", 2, np.random.default_rng(1))
+        assert report.fe_used == objective.fe_count and starts == [PARENT] * 5, starts
+    """)
 
 
 @fork_capable
@@ -387,24 +477,29 @@ def test_a_worker_reaped_by_its_owner_is_stopped_quietly(run_script):
 def test_an_os_error_raised_by_an_item_here_reaches_the_caller_and_leaves_no_child(run_script):
     # An OSError from an item takes the lost-worker path: the worker is
     # stopped and this process evaluates the item a second time, which
-    # raises it to the caller.  The next shared batch forks a fresh worker.
+    # raises it to the caller.  The worker's first beta waits until this
+    # process has made its first call, so this process always evaluates
+    # BETAS[0].  The next shared batch forks a fresh worker.
     out = run_script("""
         MAX_FORKS = 2
-        objective = gp.DevianceObjective(design("goldstein-price", 20))
-        want = objective.batch(BETAS)
         raised = []
         def failing(beta):
-            if os.getpid() == PARENT and np.array_equal(beta, BETAS[0]):
+            if os.getpid() != PARENT:
+                while calls[0] == 0:
+                    pass
+            elif np.array_equal(beta, BETAS[0]):
                 raised.append(beta)
                 raise OSError("raised here")
             return False
         slow = failing
+        objective = gp.DevianceObjective(design("goldstein-price", 20))
         try:
             objective.batch(BETAS)
         except OSError as exc:
             print(exc, len(raised))
         assert _worker._Worker.live is None and no_child_left()
         slow = lambda beta: False
+        want = [gp.DevianceObjective(objective.design)(beta) for beta in BETAS]
         assert objective.batch(BETAS) == want and len(forks) == 2
     """)
     assert out.split() == ["raised", "here", "2"]
@@ -444,7 +539,8 @@ def test_sigint_during_a_shared_predict_raises_and_leaves_no_child(run_script):
 def test_shared_predictions_match_the_serial_path_byte_for_byte(run_script):
     # Every call is shared, whatever its size, and this process takes 5 ms
     # more per block so that the worker takes part; the serial reference runs
-    # with sharing off.  Points and designs are C- and F-ordered.
+    # with sharing off by rows and by work.  Points and designs are C- and
+    # F-ordered.
     run_script("""
         blocks = memoryview(mmap.mmap(-1, 16)).cast("q")
         block = gp._Blocks.__call__
@@ -462,7 +558,7 @@ def test_shared_predictions_match_the_serial_path_byte_for_byte(run_script):
             model = gp.DevianceObjective(DesignSet(layout(ds.points), ds.outputs)).model(beta)
             for m in (2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1, 10201):
                 points = rng.uniform(0.0, 1.0, (m, 2))
-                _worker._SHARE_MIN_ROWS = 1 << 62
+                _worker._SHARE_MIN_ROWS = _worker._SHARE_MIN_PREDICT_WORK = 1 << 62
                 want = gp.predict_many(model, points)
                 _worker._SHARE_MIN_ROWS = 0
                 for laid in (np.ascontiguousarray(points), np.asfortranarray(points)):
@@ -475,11 +571,45 @@ def test_shared_predictions_match_the_serial_path_byte_for_byte(run_script):
 
 
 @fork_capable
+def test_the_prediction_rule_shares_a_perm_sized_call_once_a_worker_is_live(run_script):
+    # By the rule alone: a Perm-sized call (n=120, d=12, 1,200 points in two
+    # blocks) runs in one process while no worker is live, and once a batch
+    # has forked one the worker takes a block, with the same bytes.  Calls of
+    # one block (Rastrigin's 1,000 points, lowd-all's 100-200) and a two-block
+    # call of little work (hump n=10, 1,024 points) never reach the worker.
+    run_script("""
+        blocks = memoryview(mmap.mmap(-1, 16)).cast("q")
+        block = gp._Blocks.__call__
+        def counted_block(self, k):
+            blocks[os.getpid() != PARENT] += 1
+            if os.getpid() == PARENT:
+                time.sleep(0.005)
+            return block(self, k)
+        gp._Blocks.__call__ = counted_block
+        rng = np.random.default_rng(3)
+        model = gp.DevianceObjective(design("perm12", 120)).model(np.full(12, -0.3))
+        points = rng.uniform(0.0, 1.0, (1200, 12))
+        want = gp.predict_many(model, points)
+        assert not forks and blocks.tolist() == [2, 0]
+        gp.DevianceObjective(design("goldstein-price", 20)).batch(BETAS)
+        got = gp.predict_many(model, points)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        assert len(forks) == 1 and blocks.tolist() == [3, 1], blocks.tolist()
+        for name, n, m in (("rastrigin10", 100, 1000), ("hump", 10, 100),
+                           ("goldstein-price", 20, 200), ("hump", 10, 1024)):
+            ds = design(name, n)
+            small = gp.DevianceObjective(ds).model(np.full(ds.d, 0.3))
+            gp.predict_many(small, rng.uniform(0.0, 1.0, (m, ds.d)))
+        assert blocks[1] == 1, blocks.tolist()
+    """)
+
+
+@fork_capable
 def test_shared_csv_rows_match_the_serial_path_byte_for_byte(run_script, tmp_path):
     # `gpdevopt predict` shares its predictions and its CSV rows from
     # `_SHARE_MIN_ROWS` points up: --out and stdout must hold the bytes of
-    # the serial path, and of a process with BLAS unpinned, which forks no
-    # worker.
+    # the serial path (sharing off by rows and by work), and of a process
+    # with BLAS unpinned, which forks no worker.
     data, model, points = tmp_path / "train.csv", tmp_path / "model.json", tmp_path / "pts.csv"
     rng = np.random.default_rng(4)
     x = rng.uniform(-3.0, 3.0, (30, 2))
@@ -498,7 +628,7 @@ def test_shared_csv_rows_match_the_serial_path_byte_for_byte(run_script, tmp_pat
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
             assert cli.main(argv) == 0
-        _worker._SHARE_MIN_ROWS = 1 << 62
+        _worker._SHARE_MIN_ROWS = _worker._SHARE_MIN_PREDICT_WORK = 1 << 62
         assert cli.main(argv + ["--out", {str(tmp_path / "serial.csv")!r}]) == 0
         print(printed.getvalue(), end="")
     """)
