@@ -79,15 +79,18 @@ def powered_distances(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return powered.transpose(2, 0, 1).reshape(d, n * n)
 
 
-def powered_planes(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+def powered_planes(
+    x: np.ndarray, y: np.ndarray, p: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """`powered_distances` as a C-contiguous array, built one coordinate plane
     at a time: squared where p_k is 2, else `abs` then a scalar-exponent
     power, never an array-exponent `**=`, whose loop numpy picks by shape and
     layout.  Every entry is an exactly rounded function of two coordinates,
     whatever the layouts and however the rows of x are split into blocks.
+    `out`, d*m*n contiguous entries, receives the result.
     """
     m, n = x.shape[0], y.shape[0]
-    powered = np.empty((p.size, m, n))
+    powered = np.empty((p.size, m, n)) if out is None else out.reshape(p.size, m, n)
     for k, p_k in enumerate(p.tolist()):
         plane = powered[k]
         np.subtract.outer(x[:, k], y[:, k], out=plane)
@@ -99,10 +102,12 @@ def powered_planes(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
     return powered.reshape(p.size, m * n)
 
 
-def gaussian_kernel(powered: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def gaussian_kernel(
+    powered: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """exp(-sum_k 10**beta_k * powered[k]), the Gaussian product correlation,
     for every column of a (d, m*n) `powered_distances` or `powered_planes`
-    operand, as a (1, m*n) array.
+    operand, as a (1, m*n) array, in `out` if given (C-contiguous).
 
     Only a beta_k above `_QUIET_BETA` can make 10**beta_k or the `dot`
     overflow (or multiply an infinity by a zero distance).  The floating-point
@@ -110,10 +115,10 @@ def gaussian_kernel(powered: np.ndarray, beta: np.ndarray) -> np.ndarray:
     sizeable share of a small deviance evaluation.
     """
     if max(beta.tolist()) <= _QUIET_BETA:
-        out = np.dot(-(10.0 ** beta)[None, :], powered)
+        out = np.dot(-(10.0 ** beta)[None, :], powered, out)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.dot(-(10.0 ** beta)[None, :], powered)
+            out = np.dot(-(10.0 ** beta)[None, :], powered, out)
     return np.exp(out, out=out)
 
 
@@ -197,10 +202,11 @@ def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dpotrs(L, b, lower=1)[0]
 
 
-def triangular_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+def triangular_solve(L: np.ndarray, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """L^-1 b for a lower Cholesky factor L (its diagonal is positive, so the
-    solve cannot fail)."""
-    return dtrtrs(L, b, lower=1)[0]
+    solve cannot fail); with `overwrite`, a Fortran-ordered b is solved in
+    place.  The keyword is passed only then: it costs 0.3 us per call."""
+    return dtrtrs(L, b, lower=1, overwrite_b=1)[0] if overwrite else dtrtrs(L, b, lower=1)[0]
 
 
 def _comparison_bound(L: np.ndarray) -> float:

@@ -314,21 +314,22 @@ class FittedGP:
 # Points per block of `predict_many`.  On Goldstein-Price n=100 with a
 # 10,201-point grid (best of 9, three rounds, OpenBLAS at one thread, 2-core
 # VM), blocks of 128 to 512 points took 22-32 ms per call, 1024 and 2048
-# took 27-34 ms and no blocking 38-44 ms; the traced peak is 4.7 MiB at 512.
+# took 27-34 ms and no blocking 38-44 ms; the traced peak is 2.4 MiB at 512.
 PREDICT_BLOCK = 512
 
 
 def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predictions and clamped mean squared errors at many points at once.
 
-    Per block of `PREDICT_BLOCK` points, it builds the block's (d, block*n)
-    `powered_planes` operand and runs the kernel, the triangular solve and the
-    MSE sums, so a call holds a few (n, block) arrays.  The operand does not
-    depend on the layout of the points or the design: C- and F-ordered copies
-    predict the same bytes.  The last partial block joins the one before it: a
-    block of one point would be both C- and F-contiguous, and its column sums
-    would take numpy's pairwise path.  Even so, a row's last bits depend on
-    the call it is in, because the solve and the sums round by block.
+    Per block of `PREDICT_BLOCK` points (`_Blocks`), it builds the block's
+    (d, block*n) `powered_planes` operand and runs the kernel, the triangular
+    solve and the MSE sums.  The operand does not depend on the layout of the
+    points or the design: C- and F-ordered copies predict the same bytes.
+    Splitting the points at multiples of `PREDICT_BLOCK` keeps the bytes of
+    one call; other splits need not: two calls on the halves of 2,048 points,
+    split at 4, 8, 100, 256, 500 or 1,000, gave the one-call bytes on four
+    fitted models (d = 1-12, n = 40-120), and splits at 1, 2, 3, 6, 254, 510,
+    511 or 513 changed 1-7 rows (OpenBLAS 0.3.31, Haswell kernels).
 
     A call of two or more blocks is shared with the process's worker, which
     takes whole blocks from the back (`_worker.run`), from
@@ -353,30 +354,61 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
 
 class _Blocks:
     """The blocks of one `predict_many` call: called with k, it gives block k's
-    predictions and unclamped MSEs."""
+    predictions and unclamped MSEs.
+
+    Every block holds `PREDICT_BLOCK` points but the last, which holds the
+    rest; a lone last point joins the block before it, since a block of one
+    point is both C- and F-contiguous and numpy would sum its columns
+    pairwise.  A process computes the blocks in one workspace, allocated at
+    its first block for the largest: the (d, block*n) operand, the kernel
+    row, which the triangular solve overwrites, and two C-ordered (n, block)
+    arrays, whose column sums numpy adds row by row.  A block uses the
+    leading entries of each part, so its arrays have the strides of fresh
+    ones.  The workspace is not pickled, and no result is a view of it.
+    """
 
     def __init__(self, model: FittedGP, points: np.ndarray):
         self.model, self.points = model, points
-        self.count = max(len(points) // PREDICT_BLOCK, 1)
+        m = len(points)
+        self.count = max(-(-(m - 1) // PREDICT_BLOCK), 1)
+        self.largest = max(min(m, PREDICT_BLOCK), m - (self.count - 1) * PREDICT_BLOCK)
         L, ones = model.correlation.factor, np.ones(model.design.n)
         self.one_r_one = float(cholesky_solve(L, ones).sum())
         self.z_resid = triangular_solve(L, model.design.outputs - model.mu_hat)
         self.z_ones = triangular_solve(L, ones)
+        self._workspace = None
+
+    def __getstate__(self):
+        # The worker allocates its own workspace.
+        return {**self.__dict__, "_workspace": None}
 
     def __call__(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        model, n, z_ones = self.model, self.model.design.n, self.z_ones
+        model, z_ones = self.model, self.z_ones
+        n, d = model.design.points.shape
+        if self._workspace is None:
+            # One allocation: glibc's trim threshold follows the largest block
+            # it has freed, so the next call reuses kept pages (four parts
+            # faulted in about 470 per call at n=100).  Rows of a multiple of
+            # 8 entries give each part the alignment of the first.
+            self._workspace = np.empty((d + 3, -(-self.largest * n // 8) * 8))
+        space = self._workspace
         start = k * PREDICT_BLOCK
         stop = len(self.points) if k == self.count - 1 else start + PREDICT_BLOCK
-        powered = powered_planes(self.points[start:stop], model.design.points, model.p)
-        r = gaussian_kernel(powered, model.beta_star)
-        z_r = triangular_solve(model.correlation.factor, r.reshape(stop - start, n).T)
+        m, size = stop - start, (stop - start) * n
+        powered = powered_planes(self.points[start:stop], model.design.points, model.p,
+                                 space.reshape(-1)[: d * size])
+        r = gaussian_kernel(powered, model.beta_star, space[d : d + 1, :size])
+        z_r = triangular_solve(model.correlation.factor, r.reshape(m, n).T, overwrite=True)
         y_hat = model.mu_hat + z_r.T @ self.z_resid
         # Weight vector C solves y_hat = C'Y; the MSE is sigma2 (1 - 2C'r + C'RC)
         # with both contractions done through the triangular factor.
         a_coef = (1.0 - z_ones @ z_r) / self.one_r_one  # (block,)
-        z_w = z_ones[:, None] * a_coef[None, :] + z_r  # (n, block)
+        z_w = np.multiply(z_ones[:, None], a_coef[None, :], out=space[d + 1, :size].reshape(n, m))
+        z_w += z_r  # (n, block)
+        product = np.multiply(z_w, z_r, out=space[d + 2, :size].reshape(n, m))
+        cross = product.sum(axis=0)
         mse = model.sigma2_hat * (
-            1.0 - 2.0 * np.sum(z_w * z_r, axis=0) + np.sum(z_w * z_w, axis=0)
+            1.0 - 2.0 * cross + np.multiply(z_w, z_w, out=product).sum(axis=0)
         )
         return y_hat, mse
 

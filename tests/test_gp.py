@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -299,19 +301,48 @@ class TestPredict:
         with pytest.raises(ValueError, match="must have 1 columns"):
             predict_many(model, np.full((3, 2), 0.5))
 
-    @pytest.mark.parametrize("d, n, beta", [(1, 7, 0.5), (2, 11, 0.3), (10, 13, -0.5)])
+    @pytest.mark.parametrize("d, n, beta", [
+        (1, 7, 0.5), (2, 11, 0.3), (10, 13, -0.5), (10, 100, -0.3), (12, 120, -0.3)])
     @pytest.mark.parametrize("design_order", ["C", "F"])
     @pytest.mark.parametrize("points_order", ["C", "F"])
-    def test_blocked_matches_unblocked_bits(self, d, n, beta, design_order, points_order):
-        rng = np.random.default_rng(d)
-        pts = rng.random((n, d))
-        ds = DesignSet(np.array(pts, order=design_order), np.sin(3 * pts[:, 0]) + pts.sum(axis=1))
-        model = DevianceObjective(ds).model(np.full(d, beta))
+    def test_blocked_matches_unblocked_bits(self, d, n, beta, design_order, points_order, run_script):
+        # Blocks split the points at multiples of PREDICT_BLOCK, which keeps
+        # the bytes of one unblocked call; no block exceeds B + 1 points, so
+        # from B + 2 points on a call has two blocks or more.  A threaded BLAS
+        # splits the unblocked solve of a large design at other columns, so
+        # those designs are checked in an interpreter with BLAS at one thread.
+        args = d, n, beta, design_order, points_order
+        if n < 100:
+            _check_blocked_bits(*args)
+            return
+        run_script(
+            "from gpdevopt.correlation import *\n"
+            "from gpdevopt.gp import DesignSet, DevianceObjective, PREDICT_BLOCK, predict_many\n"
+            "gp_module = gp\n" + inspect.getsource(_unblocked_predict_many)
+            + inspect.getsource(_check_blocked_bits) + f"_check_blocked_bits{args!r}\n")
+
+    def test_blocks_in_any_order_keep_their_bytes_and_their_workspace(self):
+        # One `_Blocks` computes every block in its workspace, in any order,
+        # with the bytes of a fresh one; no result is a view of the workspace,
+        # and the workspace is never pickled.
+        rng = np.random.default_rng(31)
+        pts = rng.random((20, 3))
+        model = DevianceObjective(DesignSet(pts, np.sin(4 * pts).sum(axis=1))).model(np.full(3, 0.2))
         B = PREDICT_BLOCK
-        for m in (1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1):
-            x = np.array(rng.random((m, d)), order=points_order)
-            for got, want in zip(predict_many(model, x), _unblocked_predict_many(model, x)):
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), m
+        for m in (2 * B + 1, 3 * B + 100):
+            x = rng.random((m, 3))
+            count = gp_module._Blocks(model, x).count
+            want = [[a.tobytes() for a in gp_module._Blocks(model, x)(k)] for k in range(count)]
+            for order in (range(count)[::-1], rng.permutation(count).tolist()):
+                blocks = gp_module._Blocks(model, x)
+                size = len(pickle.dumps(blocks))
+                got = {}
+                for k in order:
+                    got[k] = blocks(k)
+                    assert [a.tobytes() for a in got[k]] == want[k], (m, k)
+                    assert not any(np.shares_memory(a, blocks._workspace) for a in got[k])
+                    assert len(pickle.dumps(blocks)) == size
+                assert [[a.tobytes() for a in got[k]] for k in range(count)] == want
 
     @pytest.mark.parametrize("d, n", [(1, 7), (2, 11), (10, 13)])
     def test_point_layout_gives_identical_bytes(self, d, n):
@@ -328,10 +359,10 @@ class TestPredict:
                         assert np.array_equal(got.view(np.int64), ref.view(np.int64)), m
 
     def test_peak_memory_is_one_block_operand(self):
-        # One (d, block*n) operand of the largest block (under 2 * PREDICT_BLOCK
-        # points) and four (n, block) arrays, plus 1 MiB: about 5.7 MiB on
-        # Goldstein-Price n=100 with a 101 x 101 grid.  A (d, m*n) operand for
-        # the whole grid alone would be 15.6 MiB.
+        # One workspace for the largest block (at most PREDICT_BLOCK + 1
+        # points): a (d, block*n) operand and three (n, block) rows, plus 1 MiB:
+        # about 3.0 MiB on Goldstein-Price n=100 with a 101 x 101 grid.  A
+        # (d, m*n) operand for the whole grid alone would be 15.6 MiB.
         fn = make_test_function("goldstein-price")
         pts = lhd_maximin(100, SearchBox(np.zeros(2), np.ones(2)), np.random.default_rng(0))
         model = DevianceObjective(DesignSet(pts, fn.evaluate(pts))).model(np.array([0.3, 0.3]))
@@ -344,7 +375,7 @@ class TestPredict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (2 + 4) * 2 * PREDICT_BLOCK * 100 * 8 + 2**20
+        assert peak <= (2 + 3) * (PREDICT_BLOCK + 1) * 100 * 8 + 2**20
 
     def test_weights_reject_several_points(self):
         model = self.build_model(n=6, d=2)
@@ -360,6 +391,22 @@ class TestPredict:
         model = self.build_model(n=6, d=2)
         with pytest.raises(ValueError, match="one point of 2 finite"):
             prediction_weights(model, np.array([0.5]))
+
+
+def _check_blocked_bits(d, n, beta, design_order, points_order):
+    rng = np.random.default_rng(d)
+    pts = rng.random((n, d))
+    ds = DesignSet(np.array(pts, order=design_order), np.sin(3 * pts[:, 0]) + pts.sum(axis=1))
+    model = DevianceObjective(ds).model(np.full(d, beta))
+    B = PREDICT_BLOCK
+    for m in (1, 2, B - 1, B, B + 1, B + 2, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1, 1000, 1200):
+        x = np.array(rng.random((m, d)), order=points_order)
+        for got, want in zip(predict_many(model, x), _unblocked_predict_many(model, x)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), m
+        blocks = gp_module._Blocks(model, x)
+        sizes = [len(blocks(k)[0]) for k in range(blocks.count)]
+        assert sum(sizes) == m and max(sizes) <= B + 1, (m, sizes)
+        assert m < B + 2 or len(sizes) >= 2, (m, sizes)
 
 
 def _unblocked_predict_many(model, points):

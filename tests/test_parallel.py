@@ -572,11 +572,12 @@ def test_shared_predictions_match_the_serial_path_byte_for_byte(run_script):
 
 @fork_capable
 def test_the_prediction_rule_shares_a_perm_sized_call_once_a_worker_is_live(run_script):
-    # By the rule alone: a Perm-sized call (n=120, d=12, 1,200 points in two
-    # blocks) runs in one process while no worker is live, and once a batch
-    # has forked one the worker takes a block, with the same bytes.  Calls of
-    # one block (Rastrigin's 1,000 points, lowd-all's 100-200) and a two-block
-    # call of little work (hump n=10, 1,024 points) never reach the worker.
+    # By the rule alone: a Perm-sized call (n=120, d=12, 1,200 points in three
+    # blocks) and a Rastrigin-sized one (n=100, d=10, 1,000 points in two)
+    # run in one process while no worker is live, and once a batch has forked
+    # one the worker takes a block of each, with the same bytes.  lowd-all's
+    # one-block calls (100-200 points) and a two-block call of little work
+    # (hump n=10, 1,024 points) never reach the worker.
     run_script("""
         blocks = memoryview(mmap.mmap(-1, 16)).cast("q")
         block = gp._Blocks.__call__
@@ -587,20 +588,26 @@ def test_the_prediction_rule_shares_a_perm_sized_call_once_a_worker_is_live(run_
             return block(self, k)
         gp._Blocks.__call__ = counted_block
         rng = np.random.default_rng(3)
-        model = gp.DevianceObjective(design("perm12", 120)).model(np.full(12, -0.3))
-        points = rng.uniform(0.0, 1.0, (1200, 12))
-        want = gp.predict_many(model, points)
-        assert not forks and blocks.tolist() == [2, 0]
+        shapes = []
+        for name, n, m in (("perm12", 120, 1200), ("rastrigin10", 100, 1000)):
+            ds = design(name, n)
+            model = gp.DevianceObjective(ds).model(np.full(ds.d, -0.3))
+            points = rng.uniform(0.0, 1.0, (m, ds.d))
+            shapes.append((model, points, gp.predict_many(model, points)))
+        assert not forks and blocks.tolist() == [5, 0], blocks.tolist()
         gp.DevianceObjective(design("goldstein-price", 20)).batch(BETAS)
-        got = gp.predict_many(model, points)
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-        assert len(forks) == 1 and blocks.tolist() == [3, 1], blocks.tolist()
-        for name, n, m in (("rastrigin10", 100, 1000), ("hump", 10, 100),
-                           ("goldstein-price", 20, 200), ("hump", 10, 1024)):
+        taken = 0
+        for model, points, want in shapes:
+            got = gp.predict_many(model, points)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+            assert blocks[1] > taken, blocks.tolist()
+            taken = blocks[1]
+        assert len(forks) == 1 and sum(blocks) == 10, blocks.tolist()
+        for name, n, m in (("hump", 10, 100), ("goldstein-price", 20, 200), ("hump", 10, 1024)):
             ds = design(name, n)
             small = gp.DevianceObjective(ds).model(np.full(ds.d, 0.3))
             gp.predict_many(small, rng.uniform(0.0, 1.0, (m, ds.d)))
-        assert blocks[1] == 1, blocks.tolist()
+        assert blocks[1] == taken, blocks.tolist()
     """)
 
 
