@@ -39,9 +39,10 @@ _SHARE_MIN_ROWS = 4096
 # 0.6 to 0.8 million, and 10 of 16 at 0.95 or more below (median of 9 or 31
 # interleaved calls, BLAS at one thread, 2 cores).  The fork costs 5 ms or
 # more: below 4,096 points a first shared call gained on 1 of 36 shapes.
-# Every call of 514 points or more has two blocks, so highd-direct's 1,000
-# Rastrigin points (n = 100, 1.4 million units) are shared as well as its
-# 1,200 Perm points (n = 120, 2.3 million); lowd-all's calls are one block.
+# Every call of 514 points or more has an even count of near-equal blocks, so
+# highd-direct's 1,000 Rastrigin points (n = 100, 1.4 million units, two
+# blocks) are shared as well as its 1,200 Perm points (n = 120, 2.3 million,
+# four), each process taking about half; lowd-all's calls are one block.
 _SHARE_MIN_PREDICT_WORK = 800_000
 
 

@@ -311,25 +311,38 @@ class FittedGP:
         return self.options.p_vector(self.design.d)
 
 
-# Points per block of `predict_many`.  On Goldstein-Price n=100 with a
-# 10,201-point grid (best of 9, three rounds, OpenBLAS at one thread, 2-core
-# VM), blocks of 128 to 512 points took 22-32 ms per call, 1024 and 2048
-# took 27-34 ms and no blocking 38-44 ms; the traced peak is 2.4 MiB at 512.
+# Points per block of `predict_many`, at most (a last block may hold one more,
+# and calls of 514 points or more take near-equal blocks of a multiple of 8).
+# On Goldstein-Price n=100 with a 10,201-point grid (best of 9, three rounds,
+# OpenBLAS at one thread, 2-core VM), blocks of 128 to 512 points took 22-32 ms
+# per call, 1024 and 2048 took 27-34 ms and no blocking 38-44 ms; the traced
+# peak is 2.4 MiB at 512.
 PREDICT_BLOCK = 512
+
+# Entries, 2**17 float64 or 1 MiB, of the (d, points*n) `powered_planes`
+# operand that a block builds at once: a larger block builds its kernel row in
+# slices of a multiple of 8 points, 128 at d=10, n=100 and 88 at d=12, n=120,
+# while lowd-all's and dense-cli's blocks are one slice each.  A 512-point
+# kernel row took 1.07 ms in slices against 1.22 whole at d=10, n=100, and
+# 1.48 against 1.66 ms at d=12, n=120 (best of 9, BLAS at one thread, 2-core
+# VM); highd-direct's peak RSS fell from 80.0-80.7 to 71.6-72.0 MiB.
+_SLICE_ENTRIES = 2**17
 
 
 def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predictions and clamped mean squared errors at many points at once.
 
-    Per block of `PREDICT_BLOCK` points (`_Blocks`), it builds the block's
-    (d, block*n) `powered_planes` operand and runs the kernel, the triangular
-    solve and the MSE sums.  The operand does not depend on the layout of the
+    Per block of at most `PREDICT_BLOCK` + 1 points (`_Blocks`), it builds
+    the block's kernel row from (d, slice*n) `powered_planes` operands of at
+    most `_SLICE_ENTRIES` entries, then runs the triangular solve and the MSE
+    sums on the whole row.  The operand does not depend on the layout of the
     points or the design: C- and F-ordered copies predict the same bytes.
-    Splitting the points at multiples of `PREDICT_BLOCK` keeps the bytes of
-    one call; other splits need not: two calls on the halves of 2,048 points,
-    split at 4, 8, 100, 256, 500 or 1,000, gave the one-call bytes on four
-    fitted models (d = 1-12, n = 40-120), and splits at 1, 2, 3, 6, 254, 510,
-    511 or 513 changed 1-7 rows (OpenBLAS 0.3.31, Haswell kernels).
+    Splitting the points, into blocks, slices or calls, at multiples of 8
+    points keeps the bytes of one call; other splits need not: two calls on
+    the halves of 2,048 points, split at 4, 8, 100, 256, 500 or 1,000, gave
+    the one-call bytes on four fitted models (d = 1-12, n = 40-120), and
+    splits at 1, 2, 3, 6, 254, 510, 511 or 513 changed 1-7 rows (OpenBLAS
+    0.3.31, Haswell kernels).
 
     A call of two or more blocks is shared with the process's worker, which
     takes whole blocks from the back (`_worker.run`), from
@@ -356,22 +369,31 @@ class _Blocks:
     """The blocks of one `predict_many` call: called with k, it gives block k's
     predictions and unclamped MSEs.
 
-    Every block holds `PREDICT_BLOCK` points but the last, which holds the
-    rest; a lone last point joins the block before it, since a block of one
-    point is both C- and F-contiguous and numpy would sum its columns
-    pairwise.  A process computes the blocks in one workspace, allocated at
-    its first block for the largest: the (d, block*n) operand, the kernel
-    row, which the triangular solve overwrites, and two C-ordered (n, block)
-    arrays, whose column sums numpy adds row by row.  A block uses the
-    leading entries of each part, so its arrays have the strides of fresh
-    ones.  The workspace is not pickled, and no result is a view of it.
+    A call of up to `PREDICT_BLOCK` + 1 points is one block.  From
+    `PREDICT_BLOCK` + 2 points up, (m - 1) / `PREDICT_BLOCK` rounds up to an
+    even count, for near-equal shares of a shared call: every block holds
+    `per_block` points, the least multiple of 8 at or above (m - 1) / count,
+    but the last, which holds the rest (2 to `per_block` + 1); rounding can
+    leave an odd count from 31,746 points up.  A lone last point joins the
+    block before it, since a block of one point is both C- and F-contiguous
+    and numpy would sum its columns pairwise.  A block builds its kernel row
+    in slices of the most points, a multiple of 8, whose operand fits
+    `_SLICE_ENTRIES`.  A process computes the blocks in one workspace,
+    allocated at its first block: the operand of one slice, then, for the
+    largest block, the kernel row, which the triangular solve overwrites, and
+    two C-ordered (n, block) arrays, whose column sums numpy adds row by row.
+    A block uses the leading entries of each part, so its arrays have the
+    strides of fresh ones.  The workspace is not pickled, and no result is a
+    view of it.
     """
 
     def __init__(self, model: FittedGP, points: np.ndarray):
         self.model, self.points = model, points
         m = len(points)
-        self.count = max(-(-(m - 1) // PREDICT_BLOCK), 1)
-        self.largest = max(min(m, PREDICT_BLOCK), m - (self.count - 1) * PREDICT_BLOCK)
+        count = -(-(m - 1) // PREDICT_BLOCK)
+        self.per_block = PREDICT_BLOCK if count < 2 else -(-(m - 1) // (count + count % 2)) + 7 & -8
+        self.count = max(-(-(m - 1) // self.per_block), 1)
+        self.largest = max(min(m, self.per_block), m - (self.count - 1) * self.per_block)
         L, ones = model.correlation.factor, np.ones(model.design.n)
         self.one_r_one = float(cholesky_solve(L, ones).sum())
         self.z_resid = triangular_solve(L, model.design.outputs - model.mu_hat)
@@ -385,27 +407,41 @@ class _Blocks:
     def __call__(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         model, z_ones = self.model, self.z_ones
         n, d = model.design.points.shape
+        step = _SLICE_ENTRIES // (d * n) & -8 or 8
         if self._workspace is None:
             # One allocation: glibc's trim threshold follows the largest block
             # it has freed, so the next call reuses kept pages (four parts
             # faulted in about 470 per call at n=100).  Rows of a multiple of
-            # 8 entries give each part the alignment of the first.
-            self._workspace = np.empty((d + 3, -(-self.largest * n // 8) * 8))
+            # 8 entries, at least one, give each part the alignment of the
+            # first; the operand of one slice takes the leading rows.
+            span = -(-self.largest * n // 8) * 8 or 8
+            rows = d if self.largest <= step else -(-d * step * n // span)
+            self._workspace = np.empty((rows + 3, span))
         space = self._workspace
-        start = k * PREDICT_BLOCK
-        stop = len(self.points) if k == self.count - 1 else start + PREDICT_BLOCK
+        row = len(space) - 3
+        start = k * self.per_block
+        stop = len(self.points) if k == self.count - 1 else start + self.per_block
         m, size = stop - start, (stop - start) * n
-        powered = powered_planes(self.points[start:stop], model.design.points, model.p,
-                                 space.reshape(-1)[: d * size])
-        r = gaussian_kernel(powered, model.beta_star, space[d : d + 1, :size])
+        r = space[row : row + 1, :size]
+        # One slice skips the loop, which cost hump's 100-point call about 1 us.
+        if m <= step:
+            powered = powered_planes(self.points[start:stop], model.design.points, model.p,
+                                     space.reshape(-1)[: d * size])
+            gaussian_kernel(powered, model.beta_star, r)
+        else:
+            for a in range(0, m, step):
+                b = min(a + step, m)
+                powered = powered_planes(self.points[start + a : start + b], model.design.points,
+                                         model.p, space.reshape(-1)[: d * (b - a) * n])
+                gaussian_kernel(powered, model.beta_star, r[:, a * n : b * n])
         z_r = triangular_solve(model.correlation.factor, r.reshape(m, n).T, overwrite=True)
         y_hat = model.mu_hat + z_r.T @ self.z_resid
         # Weight vector C solves y_hat = C'Y; the MSE is sigma2 (1 - 2C'r + C'RC)
         # with both contractions done through the triangular factor.
         a_coef = (1.0 - z_ones @ z_r) / self.one_r_one  # (block,)
-        z_w = np.multiply(z_ones[:, None], a_coef[None, :], out=space[d + 1, :size].reshape(n, m))
+        z_w = np.multiply(z_ones[:, None], a_coef[None, :], out=space[row + 1, :size].reshape(n, m))
         z_w += z_r  # (n, block)
-        product = np.multiply(z_w, z_r, out=space[d + 2, :size].reshape(n, m))
+        product = np.multiply(z_w, z_r, out=space[row + 2, :size].reshape(n, m))
         cross = product.sum(axis=0)
         mse = model.sigma2_hat * (
             1.0 - 2.0 * cross + np.multiply(z_w, z_w, out=product).sum(axis=0)

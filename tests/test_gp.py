@@ -302,15 +302,18 @@ class TestPredict:
             predict_many(model, np.full((3, 2), 0.5))
 
     @pytest.mark.parametrize("d, n, beta", [
-        (1, 7, 0.5), (2, 11, 0.3), (10, 13, -0.5), (10, 100, -0.3), (12, 120, -0.3)])
+        (1, 7, 0.5), (2, 11, 0.3), (10, 13, -0.5), (10, 100, -0.3), (12, 120, -0.3),
+        (2, 129, 0.3)])
     @pytest.mark.parametrize("design_order", ["C", "F"])
     @pytest.mark.parametrize("points_order", ["C", "F"])
     def test_blocked_matches_unblocked_bits(self, d, n, beta, design_order, points_order, run_script):
-        # Blocks split the points at multiples of PREDICT_BLOCK, which keeps
-        # the bytes of one unblocked call; no block exceeds B + 1 points, so
-        # from B + 2 points on a call has two blocks or more.  A threaded BLAS
-        # splits the unblocked solve of a large design at other columns, so
-        # those designs are checked in an interpreter with BLAS at one thread.
+        # Blocks and the slices of their kernel rows split the points at
+        # multiples of 8, which keeps the bytes of one unblocked call.  Slices
+        # hold 128 points at d=10, n=100, 88 at d=12, n=120 and 504 at d=2,
+        # n=129, whose 512-point block is just over `_SLICE_ENTRIES`.  A
+        # threaded BLAS splits the unblocked solve of a large design at other
+        # columns, so those designs are checked in an interpreter with BLAS
+        # at one thread.
         args = d, n, beta, design_order, points_order
         if n < 100:
             _check_blocked_bits(*args)
@@ -360,22 +363,31 @@ class TestPredict:
 
     def test_peak_memory_is_one_block_operand(self):
         # One workspace for the largest block (at most PREDICT_BLOCK + 1
-        # points): a (d, block*n) operand and three (n, block) rows, plus 1 MiB:
-        # about 3.0 MiB on Goldstein-Price n=100 with a 101 x 101 grid.  A
-        # (d, m*n) operand for the whole grid alone would be 15.6 MiB.
-        fn = make_test_function("goldstein-price")
-        pts = lhd_maximin(100, SearchBox(np.zeros(2), np.ones(2)), np.random.default_rng(0))
-        model = DevianceObjective(DesignSet(pts, fn.evaluate(pts))).model(np.array([0.3, 0.3]))
+        # points): the operand of one slice, at most `_SLICE_ENTRIES` entries
+        # and one row of rounding, and three (n, block) rows, plus 0.5 MiB.
+        # Goldstein-Price n=100 on a 101 x 101 grid builds each block's
+        # operand whole and peaks at 2.4 MiB; a (d, m*n) operand for the whole
+        # grid alone would be 15.6 MiB.  Perm 12-D n=120 builds slices of 88
+        # points and peaks at 2.1 MiB of its 3.4 MiB bound; with whole
+        # 512-point operands of 5.9 MiB it peaked at 7.2 MiB.
         axis = np.linspace(0.0, 1.0, 101)
         grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
-        assert grid.flags.c_contiguous and pts.flags.c_contiguous
-        tracemalloc.start()
-        try:
-            predict_many(model, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= (2 + 3) * (PREDICT_BLOCK + 1) * 100 * 8 + 2**20
+        perm_points = np.random.default_rng(1).random((1200, 12))
+        cases = ("goldstein-price", 100, grid, 0.3), ("perm12", 120, perm_points, -0.3)
+        for name, n, x, beta in cases:
+            fn = make_test_function(name)
+            pts = lhd_maximin(n, SearchBox(np.zeros(fn.d), np.ones(fn.d)), np.random.default_rng(0))
+            model = DevianceObjective(DesignSet(pts, fn.evaluate(pts))).model(np.full(fn.d, beta))
+            assert x.flags.c_contiguous and pts.flags.c_contiguous
+            tracemalloc.start()
+            try:
+                predict_many(model, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            row = (PREDICT_BLOCK + 1) * n * 8
+            operand = min(fn.d * row, 8 * gp_module._SLICE_ENTRIES + row)
+            assert peak <= operand + 3 * row + 2**19, (name, peak)
 
     def test_weights_reject_several_points(self):
         model = self.build_model(n=6, d=2)
@@ -399,14 +411,25 @@ def _check_blocked_bits(d, n, beta, design_order, points_order):
     ds = DesignSet(np.array(pts, order=design_order), np.sin(3 * pts[:, 0]) + pts.sum(axis=1))
     model = DevianceObjective(ds).model(np.full(d, beta))
     B = PREDICT_BLOCK
-    for m in (1, 2, B - 1, B, B + 1, B + 2, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1, 1000, 1200):
+    counts = [1, 2, B - 1, B, B + 1, B + 2, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1, 1000, 1200]
+    if n >= 100:
+        # The last slice of one block, and the last block of four and its
+        # last slice, at every residue mod 8.
+        counts += [*range(B - 6, B), *range(1201, 1208)]
+    for m in counts:
         x = np.array(rng.random((m, d)), order=points_order)
         for got, want in zip(predict_many(model, x), _unblocked_predict_many(model, x)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), m
         blocks = gp_module._Blocks(model, x)
         sizes = [len(blocks(k)[0]) for k in range(blocks.count)]
+        # Near-equal blocks of a multiple of 8 points, the last holding the
+        # rest, at most B + 1 points each: one block up to B + 1 points, an
+        # even count from B + 2 points on.
         assert sum(sizes) == m and max(sizes) <= B + 1, (m, sizes)
-        assert m < B + 2 or len(sizes) >= 2, (m, sizes)
+        assert (m >= B + 2) == (len(sizes) > 1), (m, sizes)
+        if len(sizes) > 1:
+            assert len(sizes) % 2 == 0 and sizes[-1] >= 2, (m, sizes)
+            assert set(sizes[:-1]) == {sizes[0]} and sizes[0] % 8 == 0, (m, sizes)
 
 
 def _unblocked_predict_many(model, points):

@@ -572,42 +572,47 @@ def test_shared_predictions_match_the_serial_path_byte_for_byte(run_script):
 
 @fork_capable
 def test_the_prediction_rule_shares_a_perm_sized_call_once_a_worker_is_live(run_script):
-    # By the rule alone: a Perm-sized call (n=120, d=12, 1,200 points in three
-    # blocks) and a Rastrigin-sized one (n=100, d=10, 1,000 points in two)
-    # run in one process while no worker is live, and once a batch has forked
-    # one the worker takes a block of each, with the same bytes.  lowd-all's
-    # one-block calls (100-200 points) and a two-block call of little work
-    # (hump n=10, 1,024 points) never reach the worker.
+    # By the rule alone: a Perm-sized call (n=120, d=12, 1,200 points in four
+    # blocks, 3 x 304 + 288) and a Rastrigin-sized one (n=100, d=10, 1,000
+    # points in two, 504 + 496) run in one process while no worker is live,
+    # and once a batch has forked one the worker takes blocks of each, with
+    # the same bytes.  Both processes take 0.2 ms per point after each block,
+    # so they go at one pace: each computes 600 +- 8 of Perm's points (512
+    # against 688 in three blocks of 512, 512 and 176).  lowd-all's one-block
+    # calls (100-200 points) and a two-block call of little work (hump n=10,
+    # 1,024 points) never reach the worker.
     run_script("""
-        blocks = memoryview(mmap.mmap(-1, 16)).cast("q")
+        points = memoryview(mmap.mmap(-1, 16)).cast("q")
         block = gp._Blocks.__call__
-        def counted_block(self, k):
-            blocks[os.getpid() != PARENT] += 1
-            if os.getpid() == PARENT:
-                time.sleep(0.005)
-            return block(self, k)
-        gp._Blocks.__call__ = counted_block
+        def paced_block(self, k):
+            y_hat, mse = block(self, k)
+            points[os.getpid() != PARENT] += len(y_hat)
+            time.sleep(2e-4 * len(y_hat))
+            return y_hat, mse
+        gp._Blocks.__call__ = paced_block
         rng = np.random.default_rng(3)
         shapes = []
         for name, n, m in (("perm12", 120, 1200), ("rastrigin10", 100, 1000)):
             ds = design(name, n)
             model = gp.DevianceObjective(ds).model(np.full(ds.d, -0.3))
-            points = rng.uniform(0.0, 1.0, (m, ds.d))
-            shapes.append((model, points, gp.predict_many(model, points)))
-        assert not forks and blocks.tolist() == [5, 0], blocks.tolist()
+            x = rng.uniform(0.0, 1.0, (m, ds.d))
+            shapes.append((model, x, gp.predict_many(model, x)))
+        assert not forks and points.tolist() == [2200, 0], points.tolist()
         gp.DevianceObjective(design("goldstein-price", 20)).batch(BETAS)
-        taken = 0
-        for model, points, want in shapes:
-            got = gp.predict_many(model, points)
+        for model, x, want in shapes:
+            before = points.tolist()
+            got = gp.predict_many(model, x)
             assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-            assert blocks[1] > taken, blocks.tolist()
-            taken = blocks[1]
-        assert len(forks) == 1 and sum(blocks) == 10, blocks.tolist()
+            shares = [after - b for after, b in zip(points.tolist(), before)]
+            assert sum(shares) == len(x) and shares[1] > 0, shares
+            assert len(x) != 1200 or max(abs(share - 600) for share in shares) <= 8, shares
+        assert len(forks) == 1
+        taken = points[1]
         for name, n, m in (("hump", 10, 100), ("goldstein-price", 20, 200), ("hump", 10, 1024)):
             ds = design(name, n)
             small = gp.DevianceObjective(ds).model(np.full(ds.d, 0.3))
             gp.predict_many(small, rng.uniform(0.0, 1.0, (m, ds.d)))
-        assert blocks[1] == taken, blocks.tolist()
+        assert points[1] == taken, points.tolist()
     """)
 
 
