@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import ge
 
 import numpy as np
@@ -279,7 +280,7 @@ class DevianceObjective:
         return FittedGP(
             design=self.design, beta_star=beta, mu_hat=info.mu_hat,
             sigma2_hat=info.sigma2_hat, correlation=info.factored, deviance=value,
-            fe_count=fe_count, options=self.options,
+            fe_count=fe_count, p=self.options.p_vector(self.design.d),
         )
 
     def _exact(self, R: np.ndarray) -> FactoredCorrelation | None:
@@ -295,7 +296,9 @@ class DevianceObjective:
 
 @dataclass(frozen=True)
 class FittedGP:
-    """Fitted emulator: optimal correlation parameters plus profile estimates."""
+    """Fitted emulator: optimal correlation parameters, the exponent `p` of each
+    input and profile estimates.  Its first prediction keeps the solves that
+    later ones reuse (`_solves`); a `dataclasses.replace` copy starts without."""
 
     design: DesignSet
     beta_star: np.ndarray
@@ -304,11 +307,14 @@ class FittedGP:
     correlation: FactoredCorrelation
     deviance: float
     fe_count: int
-    options: GpOptions
+    p: np.ndarray
 
-    @property
-    def p(self) -> np.ndarray:
-        return self.options.p_vector(self.design.d)
+    @cached_property
+    def _solves(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """1'R^-1 1, L^-1 (Y - mu_hat) and L^-1 1, through the factor L of R."""
+        L, ones = self.correlation.factor, np.ones(self.design.n)
+        z_resid = triangular_solve(L, self.design.outputs - self.mu_hat)
+        return float(cholesky_solve(L, ones).sum()), z_resid, triangular_solve(L, ones)
 
 
 # Points per block of `predict_many`, at most (a last block may hold one more,
@@ -335,8 +341,9 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
     Per block of at most `PREDICT_BLOCK` + 1 points (`_Blocks`), it builds
     the block's kernel row from (d, slice*n) `powered_planes` operands of at
     most `_SLICE_ENTRIES` entries, then runs the triangular solve and the MSE
-    sums on the whole row.  The operand does not depend on the layout of the
-    points or the design: C- and F-ordered copies predict the same bytes.
+    sums on the whole row, with the solves the model keeps from its first
+    prediction.  The operand does not depend on the layout of the points or
+    the design: C- and F-ordered copies predict the same bytes.
     Splitting the points, into blocks, slices or calls, at multiples of 8
     points keeps the bytes of one call; other splits need not: two calls on
     the halves of 2,048 points, split at 4, 8, 100, 256, 500 or 1,000, gave
@@ -377,8 +384,9 @@ class _Blocks:
     leave an odd count from 31,746 points up.  A lone last point joins the
     block before it, since a block of one point is both C- and F-contiguous
     and numpy would sum its columns pairwise.  A block builds its kernel row
-    in slices of the most points, a multiple of 8, whose operand fits
-    `_SLICE_ENTRIES`.  A process computes the blocks in one workspace,
+    in one loop over slices of the most points, a multiple of 8, whose
+    operand fits `_SLICE_ENTRIES` (a small block is one slice), and takes the
+    model's kept solves.  A process computes the blocks in one workspace,
     allocated at its first block: the operand of one slice, then, for the
     largest block, the kernel row, which the triangular solve overwrites, and
     two C-ordered (n, block) arrays, whose column sums numpy adds row by row.
@@ -394,10 +402,6 @@ class _Blocks:
         self.per_block = PREDICT_BLOCK if count < 2 else -(-(m - 1) // (count + count % 2)) + 7 & -8
         self.count = max(-(-(m - 1) // self.per_block), 1)
         self.largest = max(min(m, self.per_block), m - (self.count - 1) * self.per_block)
-        L, ones = model.correlation.factor, np.ones(model.design.n)
-        self.one_r_one = float(cholesky_solve(L, ones).sum())
-        self.z_resid = triangular_solve(L, model.design.outputs - model.mu_hat)
-        self.z_ones = triangular_solve(L, ones)
         self._workspace = None
 
     def __getstate__(self):
@@ -405,7 +409,8 @@ class _Blocks:
         return {**self.__dict__, "_workspace": None}
 
     def __call__(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        model, z_ones = self.model, self.z_ones
+        model = self.model
+        one_r_one, z_resid, z_ones = model._solves
         n, d = model.design.points.shape
         step = _SLICE_ENTRIES // (d * n) & -8 or 8
         if self._workspace is None:
@@ -415,7 +420,7 @@ class _Blocks:
             # 8 entries, at least one, give each part the alignment of the
             # first; the operand of one slice takes the leading rows.
             span = -(-self.largest * n // 8) * 8 or 8
-            rows = d if self.largest <= step else -(-d * step * n // span)
+            rows = -(-d * min(step, self.largest) * n // span)
             self._workspace = np.empty((rows + 3, span))
         space = self._workspace
         row = len(space) - 3
@@ -423,22 +428,16 @@ class _Blocks:
         stop = len(self.points) if k == self.count - 1 else start + self.per_block
         m, size = stop - start, (stop - start) * n
         r = space[row : row + 1, :size]
-        # One slice skips the loop, which cost hump's 100-point call about 1 us.
-        if m <= step:
-            powered = powered_planes(self.points[start:stop], model.design.points, model.p,
-                                     space.reshape(-1)[: d * size])
-            gaussian_kernel(powered, model.beta_star, r)
-        else:
-            for a in range(0, m, step):
-                b = min(a + step, m)
-                powered = powered_planes(self.points[start + a : start + b], model.design.points,
-                                         model.p, space.reshape(-1)[: d * (b - a) * n])
-                gaussian_kernel(powered, model.beta_star, r[:, a * n : b * n])
+        for a in range(0, m, step):
+            b = min(a + step, m)
+            powered = powered_planes(self.points[start + a : start + b], model.design.points,
+                                     model.p, space.reshape(-1)[: d * (b - a) * n])
+            gaussian_kernel(powered, model.beta_star, r[:, a * n : b * n])
         z_r = triangular_solve(model.correlation.factor, r.reshape(m, n).T, overwrite=True)
-        y_hat = model.mu_hat + z_r.T @ self.z_resid
+        y_hat = model.mu_hat + z_r.T @ z_resid
         # Weight vector C solves y_hat = C'Y; the MSE is sigma2 (1 - 2C'r + C'RC)
         # with both contractions done through the triangular factor.
-        a_coef = (1.0 - z_ones @ z_r) / self.one_r_one  # (block,)
+        a_coef = (1.0 - z_ones @ z_r) / one_r_one  # (block,)
         z_w = np.multiply(z_ones[:, None], a_coef[None, :], out=space[row + 1, :size].reshape(n, m))
         z_w += z_r  # (n, block)
         product = np.multiply(z_w, z_r, out=space[row + 2, :size].reshape(n, m))

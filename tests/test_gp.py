@@ -347,6 +347,41 @@ class TestPredict:
                     assert len(pickle.dumps(blocks)) == size
                 assert [[a.tobytes() for a in got[k]] for k in range(count)] == want
 
+    def _model_and_points(self, d=2, n=11):
+        rng = np.random.default_rng(n)
+        pts = rng.random((n, d))
+        model = DevianceObjective(DesignSet(pts, np.sin(3 * pts).sum(axis=1))).model(np.full(d, 0.3))
+        return model, rng.random((600, d))
+
+    def test_a_model_solves_once_for_all_its_predictions(self, count_calls):
+        model, x = self._model_and_points()
+        solves = count_calls(gp_module, "cholesky_solve")
+        for _ in range(3):
+            predict_many(model, x[:100])
+        assert solves.calls == 1
+
+    def test_a_replaced_model_predicts_from_its_own_fields(self):
+        # A copy made after the model has predicted does not reuse its solves.
+        model, x = self._model_and_points()
+        predict_many(model, x)
+        fortran = DesignSet(np.asfortranarray(model.design.points), model.design.outputs)
+        for other in (dataclasses.replace(model, mu_hat=model.mu_hat + 1.0),
+                      dataclasses.replace(model, design=fortran)):
+            for got, want in zip(predict_many(other, x), _unblocked_predict_many(other, x)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_a_model_pickled_before_or_after_predicting_keeps_its_bytes(self):
+        # A shared call's worker gets the model without its solves at the
+        # model's first call and with them at later calls.
+        model, x = self._model_and_points()
+        before = pickle.loads(pickle.dumps(model))
+        want = predict_many(model, x)
+        after = pickle.loads(pickle.dumps(model))
+        assert "_solves" not in vars(before) and "_solves" in vars(after)
+        for copy in (before, after):
+            for got, ref in zip(predict_many(copy, x), want):
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
     @pytest.mark.parametrize("d, n", [(1, 7), (2, 11), (10, 13)])
     def test_point_layout_gives_identical_bytes(self, d, n):
         rng = np.random.default_rng(d + 20)
