@@ -48,9 +48,9 @@ _SHARE_MIN_PREDICT_WORK = 800_000
 
 def run(count: int, job, args=None, share: bool = True) -> list:
     """[job(k) for k in range(count)], or [job(args[k]) ...] given args: this
-    process evaluates items from the front and, where `share` holds and
-    `_live` finds a worker, the worker from the back, each up to the other's
-    claim (`_claim`); this process then evaluates what the reply leaves.
+    process evaluates items from the front and, where `share` holds, count > 1
+    and `_live` finds a worker, the worker from the back, each up to the
+    other's claim (`_claim`); this process then evaluates what the reply leaves.
     A job's own jobs, such as the batches of a local run, are evaluated in
     the process that runs it: the worker is busy until its reply.
 
@@ -63,7 +63,7 @@ def run(count: int, job, args=None, share: bool = True) -> list:
     shared job forks anew.
     """
     item = job if args is None else lambda k: job(args[k])
-    worker = _live() if share else None
+    worker = _live() if share and count > 1 else None
     if worker is None:
         return [item(k) for k in range(count)]
     values = []

@@ -355,24 +355,26 @@ def _cmd_surface(args) -> int:
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
     design = _surface_design(args)
-    if args.what == "deviance":
-        if design.d > 2:
-            raise ValueError("deviance surfaces are limited to 1 or 2 input dimensions")
-        objective = DevianceObjective(design, GpOptions(p_exponent=args.p))
-        box = default_beta_box(design.d)
-        betas = _grid([np.linspace(lo, hi, args.grid) for lo, hi in zip(box.lower, box.upper)])
-        rows = np.column_stack([betas, objective.batch(list(betas))])
-        header = [f"beta{k + 1}" for k in range(design.d)] + ["L"]
-        _write_rows(args.out, header, rows)
-        return 0
-    # prediction surface
-    if design.d != 2:
+    deviance = args.what == "deviance"
+    if deviance and design.d > 2:
+        raise ValueError("deviance surfaces are limited to 1 or 2 input dimensions")
+    if not deviance and design.d != 2:
         raise ValueError("prediction surfaces require exactly 2 input dimensions")
-    model = fit(design, args.strategy, p_exponent=args.p, rng=args.seed)
-    axis = np.linspace(0.0, 1.0, args.grid)
-    grid = _grid([axis, axis])
-    rows = np.column_stack([grid, *predict_many(model, grid)])
-    _write_rows(args.out, ["x1", "x2", "y_hat", "mse"], rows)
+    # The grid comes before the fit, so that a grid past memory costs none.
+    box = default_beta_box(design.d) if deviance else SearchBox(np.zeros(2), np.ones(2))
+    try:
+        grid = _grid([np.linspace(lo, hi, args.grid) for lo, hi in zip(box.lower, box.upper)])
+    except MemoryError:
+        raise ValueError(f"--grid {args.grid}: the grid does not fit in memory") from None
+    if deviance:
+        objective = DevianceObjective(design, GpOptions(p_exponent=args.p))
+        rows = np.column_stack([grid, objective.batch(list(grid))])
+        header = [f"beta{k + 1}" for k in range(design.d)] + ["L"]
+    else:
+        model = fit(design, args.strategy, p_exponent=args.p, rng=args.seed)
+        rows = np.column_stack([grid, *predict_many(model, grid)])
+        header = ["x1", "x2", "y_hat", "mse"]
+    _write_rows(args.out, header, rows)
     return 0
 
 

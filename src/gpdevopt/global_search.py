@@ -211,12 +211,13 @@ def run_strategy(
         reports = []
     if strategy == "IF2":
         cap = IF2_STAGE1_FE_PER_DIM * d
-        reports = _local_runs(objective, implicit_filtering, starts, pattern_box, cap)
+        reports = _local_runs(objective, implicit_filtering, starts, box=pattern_box, max_fe=cap)
         starts = [min(reports, key=lambda r: r.value).beta_star]
     # Module globals, read per call: tests and the benchmark's tracer patch them.
-    local = bfgs_minimize if "BFGS" in strategy else implicit_filtering
-    box_args = () if "BFGS" in strategy else (pattern_box,)
-    reports += _local_runs(objective, local, starts, *box_args)
+    if "BFGS" in strategy:
+        reports += _local_runs(objective, bfgs_minimize, starts)
+    else:
+        reports += _local_runs(objective, implicit_filtering, starts, box=pattern_box)
     best = min(reports, key=lambda r: r.value)
     return OptReport(
         beta_star=best.beta_star.copy(),
@@ -225,26 +226,22 @@ def run_strategy(
     )
 
 
-def _local_runs(objective, local, starts: list, *args) -> list[OptReport]:
-    """[local(objective, start, *args) for start in starts], as one job of the
-    process's worker (`_worker.run`): this process runs from the first start
-    and the worker from the last, and the reports come back in start order.
+def _local_runs(objective, local, starts: list, **options) -> list[OptReport]:
+    """[local(objective, start, **options) for start in starts], as one job
+    of the process's worker (`_worker.run`): this process runs from the first
+    start and the worker from the last, and the reports come back in order.
 
     Two or more starts are shared when the objective is a `DevianceObjective`
     itself and `local` is the package's own optimizer: the worker would not
     run a subclass's overrides or a patched optimizer.  The objective then
-    counts the worker's evaluations too.
+    counts the worker's evaluations too; a lone start counted its own here.
     """
     from .gp import DevianceObjective  # gp imports this module
 
     share = (len(starts) > 1 and type(objective) is DevianceObjective
              and local in (local_search.bfgs_minimize, local_search.implicit_filtering))
     count = objective.fe_count if share else 0
-    reports = _worker.run(len(starts), partial(_local_run, local, objective, args), starts, share)
+    reports = _worker.run(len(starts), partial(local, objective, **options), starts, share)
     if share:
         objective.fe_count = count + sum(report.fe_used for report in reports)
     return reports
-
-
-def _local_run(local, objective, args: tuple, start) -> OptReport:
-    return local(objective, start, *args)

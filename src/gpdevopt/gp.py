@@ -13,7 +13,7 @@ evaluation is the unit of optimization cost throughout the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import ge
 
@@ -236,28 +236,26 @@ class DevianceObjective:
     def batch(self, betas: list[np.ndarray]) -> list[float]:
         """The values and the count of __call__ on each beta in turn.
 
-        A batch of two or more beta of shape (d,) and at least `_SHARE_MIN_WORK`
-        beta times design points goes to the process's worker (`_worker.run`),
-        unless self is a subclass, whose overrides the worker would not run.
+        A batch of beta of shape (d,) and at least `_SHARE_MIN_WORK` beta times
+        design points is shared with the process's worker (`_worker.run`, which
+        keeps a lone beta here), unless self is a subclass, whose overrides the
+        worker would not run.
         A counted value does not depend on the process or its anchors, so the
         bits and the count are those of single calls.
         """
         d, count = self.design.d, self.fe_count
-        share = (len(betas) > 1 and len(betas) * self.design.n >= _worker._SHARE_MIN_WORK
+        share = (len(betas) * self.design.n >= _worker._SHARE_MIN_WORK
                  and type(self) is DevianceObjective and {np.shape(b) for b in betas} == {(d,)})
         values = _worker.run(len(betas), self, betas, share)
         self.fe_count = count + len(betas)
         return values
 
-    def __getstate__(self):
+    def __reduce__(self):
         # The worker's copy: the design and options, at count 0 with no
         # anchors.  Pickle keeps C or F order: the copy keeps the points'
         # axis order, which sets the bits.
-        return self.design.points.copy(order="K"), self.design.outputs, self.options
-
-    def __setstate__(self, state):
-        points, outputs, options = state
-        self.__init__(DesignSet(points, outputs), options)
+        return type(self), (replace(self.design, points=self.design.points.copy(order="K")),
+                            self.options)
 
     def evaluate(self, beta: np.ndarray) -> tuple[float, DevianceInfo]:
         factored = self._exact(self._cache.correlation(beta))
@@ -351,8 +349,8 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
     splits at 1, 2, 3, 6, 254, 510, 511 or 513 changed 1-7 rows (OpenBLAS
     0.3.31, Haswell kernels).
 
-    A call of two or more blocks is shared with the process's worker, which
-    takes whole blocks from the back (`_worker.run`), from
+    A call is shared with the process's worker, which takes whole blocks from
+    the back (`_worker.run`, which keeps a one-block call here), from
     `_worker._SHARE_MIN_ROWS` points up, or, once a worker is live, from
     `_worker._SHARE_MIN_PREDICT_WORK` points times design points times
     (d + 4) up; a block's bytes do not depend on the process that computed it.
@@ -364,9 +362,8 @@ def predict_many(model: FittedGP, points: np.ndarray) -> tuple[np.ndarray, np.nd
         raise ValueError("prediction points must be finite")
     blocks, (n, d) = _Blocks(model, points), model.design.points.shape
     work = len(points) * n * (d + 4)
-    share = blocks.count > 1 and type(model) is FittedGP and (
-        len(points) >= _worker._SHARE_MIN_ROWS
-        or _worker._Worker.live is not None and work >= _worker._SHARE_MIN_PREDICT_WORK)
+    share = type(model) is FittedGP and (len(points) >= _worker._SHARE_MIN_ROWS or (
+        _worker._Worker.live is not None and work >= _worker._SHARE_MIN_PREDICT_WORK))
     parts = _worker.run(blocks.count, blocks, share=share)
     y_hat, mse = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     return y_hat, np.maximum(mse, 0.0)

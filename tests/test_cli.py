@@ -1,4 +1,5 @@
 import argparse
+import copy
 import csv
 import io
 import json
@@ -559,6 +560,62 @@ class TestPredictCommand:
         assert 0.5 * bench.mean_rmspe <= cli_rmspe <= 2.0 * bench.mean_rmspe
 
 
+# The value classes that replace each key of a model file, and the first
+# element of each list, as Python's json writes them (NaN and Infinity read
+# back as floats, a huge literal as an int).
+MODEL_VALUES = {
+    "0": 0, "-0.0": -0.0, "5e-324": 5e-324, "1e308": 1e308, "-1e308": -1e308, "NaN": math.nan,
+    "Infinity": math.inf, "10**400": 10**400, "2**63": 2**63, "-1": -1, "true": True,
+    "null": None, '"x"': "x", "[]": [], "[[1.0]]": [[1.0]], "{}": {},
+}
+MODEL_LISTS = ("beta", "input_max", "input_min", "outputs", "p", "points")
+MODEL_KEYS = MODEL_LISTS + (
+    "condition_exponent", "delta", "deviance", "fe_count", "format_version", "kappa", "mu",
+    "seed", "sigma2", "strategy",
+)
+
+
+def _model_file_mutations():
+    for target in MODEL_KEYS + tuple(f"{key}[0]" for key in MODEL_LISTS):
+        for name, value in MODEL_VALUES.items():
+            marks = ()
+            if target == "outputs[0]" and name in ("1e308", "-1e308"):
+                # The loader's profile mean overflows in a matmul
+                # (`_Profile.centered_mean`): outputs at the float limit.
+                marks = pytest.mark.xfail(raises=RuntimeWarning, strict=True)
+            yield pytest.param(target, value, id=f"{target}={name}", marks=marks)
+
+
+@pytest.fixture(scope="module")
+def model_file_12(tmp_path_factory):
+    """The directory and payload of a model fitted to 12 Goldstein-Price rows,
+    with a points CSV of two points inside the inputs' range."""
+    root = tmp_path_factory.mktemp("model12")
+    goldstein_price_csv(root / "train.csv", n=12)
+    assert main(["fit", "--data", str(root / "train.csv"), "--out", str(root / "model.json")]) == 0
+    write_csv(root / "points.csv", ["x1", "x2"], [[0.1, 0.2], [-1.0, 1.5]])
+    payload = json.loads((root / "model.json").read_text())
+    assert sorted(payload) == sorted(MODEL_KEYS)
+    return root, payload
+
+
+@pytest.mark.parametrize("target, value", _model_file_mutations())
+def test_a_mutated_model_file_predicts_or_exits_2(model_file_12, target, value):
+    root, payload = model_file_12
+    payload = copy.deepcopy(payload)
+    if target.endswith("[0]"):
+        payload[target.removesuffix("[0]")][0] = value
+    else:
+        payload[target] = value
+    model = root / "mutated.json"
+    model.write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        # A mutated input range may put the points outside it: they clamp.
+        warnings.filterwarnings("ignore", "inputs outside the training range", UserWarning)
+        rc = main(["predict", "--model", str(model), "--points", str(root / "points.csv")])
+    assert rc in (0, 2)
+
+
 class TestBenchmarkCommand:
     def test_small_table_csv(self, tmp_path, capsys):
         rc = main([
@@ -730,6 +787,22 @@ class TestSurfaceCommand:
         assert len(rows) == grid ** design.d
         for *beta, value in rows:
             assert value == objective.evaluate(np.array(beta))[0], beta
+
+    @pytest.mark.parametrize("what", ["deviance", "prediction"])
+    def test_a_grid_past_memory_exits_2_before_any_fit(self, monkeypatch, capsys, what):
+        # One axis of 10**16 points is 80 PB, past any address space: no
+        # overcommit setting lets numpy reserve it.
+        def no_call(*args, **kwargs):
+            raise AssertionError("a model was fitted or a deviance evaluated")
+
+        monkeypatch.setattr(cli, "fit", no_call)
+        monkeypatch.setattr(DevianceObjective, "batch", no_call)
+        grid = str(10**16)
+        rc = main(["surface", "--function", "goldstein-price", "--grid", grid, "--what", what])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --grid {grid}: the grid does not fit in memory\n"
 
     def test_high_dimension_rejected(self, tmp_path):
         rc = main(["surface", "--function", "schwefel", "--grid", "3"])

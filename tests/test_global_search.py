@@ -412,8 +412,8 @@ class TestRunStrategy:
                 runs, starts = [], []
 
                 def recording(name, original):
-                    def run(objective, start, *args):
-                        report = original(objective, start, *args)
+                    def run(objective, start, *args, **options):
+                        report = original(objective, start, *args, **options)
                         runs.append((name, start, report))
                         return report
 

@@ -287,6 +287,18 @@ def test_nothing_forks_below_the_crossover_beside_another_thread_or_without_proc
 
 
 @fork_capable
+def test_a_shared_job_of_fewer_than_two_items_forks_nothing(run_script):
+    # A job of no item or of one stays in this process, whoever calls it:
+    # there is nothing to split between two processes.
+    run_script("""
+        job = str
+        assert _worker.run(0, job, share=True) == []
+        assert _worker.run(1, job, share=True) == [job(0)]
+        assert not forks and _worker._Worker.live is None
+    """)
+
+
+@fork_capable
 def test_a_process_forked_from_the_owner_evaluates_alone(run_script):
     # A process forked from the owner closes its copies of the owner's
     # pipes and forks a worker of its own when it shares a batch; the owner's
@@ -725,11 +737,11 @@ def test_a_shared_predict_between_two_batches_replaces_the_objective_in_the_work
     # objective pickles nothing, a shared predict replaces the objective, and
     # the next batch pickles it again.  Every value is that of single calls.
     run_script("""
-        pickled, getstate = [], gp.DevianceObjective.__getstate__
-        def counted_getstate(self):
+        pickled, reduce = [], gp.DevianceObjective.__reduce__
+        def counted_reduce(self):
             pickled.append(self)
-            return getstate(self)
-        gp.DevianceObjective.__getstate__ = counted_getstate
+            return reduce(self)
+        gp.DevianceObjective.__reduce__ = counted_reduce
         ds = design("goldstein-price", 20)
         objective, plain = gp.DevianceObjective(ds), gp.DevianceObjective(ds)
         want = [plain(beta) for beta in BETAS]
