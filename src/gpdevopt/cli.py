@@ -53,8 +53,10 @@ _MODEL_KEYS = (
 def _read_table(path: str) -> tuple[list[str], np.ndarray]:
     """Header names and the non-blank data rows as an (m, width) float array.
 
-    A leading UTF-8 byte-order mark is dropped.  Errors give the file's
-    line number of the record's last line.
+    A leading UTF-8 byte-order mark is dropped.  numpy's tokenizer reads the
+    body; a body it rejects or reads to another width is read again by csv,
+    which decides it and gives each error the file's line number of the
+    record's last line.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -63,6 +65,17 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
             for k, name in enumerate(header):
                 if name in header[:k]:
                     raise ValueError(f"{path}: duplicate column name {name!r}")
+            # numpy strips the separators \x1c-\x1f around a number; float() rejects them.
+            with open(path, "rb") as raw, warnings.catch_warnings(), contextlib.suppress(ValueError):
+                warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
+                chunks = iter(functools.partial(raw.read, 1 << 16), b"")
+                if not any(c in chunk for chunk in chunks for c in b"\x1c\x1d\x1e\x1f"):
+                    rows = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None, ndmin=2)
+                    if rows.shape[1] == len(header):
+                        return header, rows
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
             cells, linenos = [], []
             for row in reader:
                 if not row:
@@ -75,6 +88,8 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"{path}: empty file, a header row is required") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     try:
         values = list(map(float, cells))
     except ValueError:
@@ -231,11 +246,13 @@ def _load_model(path: str) -> tuple[FittedGP, np.ndarray, np.ndarray]:
 
 
 def _csv_lines(rows: list[list] | np.ndarray, k: int) -> str:
-    """The CSV lines of block k of the rows, `PREDICT_BLOCK` rows to a block.
-    Cells are Python scalars and fixed identifiers, so no cell needs quoting;
-    str(float) is the shortest round-trip repr."""
+    """The CSV lines of block k of the rows, `PREDICT_BLOCK` rows to a block, a
+    float array's a column at a time.  Cells are Python scalars and fixed identifiers,
+    so no cell needs quoting; format(float, "") is str(float), the shortest round-trip repr."""
     rows = rows[k * PREDICT_BLOCK:(k + 1) * PREDICT_BLOCK]
-    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["{}"] * rows.shape[1]) + "\n"
+        return "".join(map(line.format, *rows.T.tolist()))
     return "".join([",".join(map(str, row)) + "\n" for row in rows])
 
 

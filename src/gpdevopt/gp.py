@@ -12,8 +12,9 @@ evaluation is the unit of optimization cost throughout the package.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from operator import ge
 
@@ -251,11 +252,12 @@ class DevianceObjective:
         return values
 
     def __reduce__(self):
-        # The worker's copy: the design and options, at count 0 with no
-        # anchors.  Pickle keeps C or F order: the copy keeps the points'
-        # axis order, which sets the bits.
-        return type(self), (replace(self.design, points=self.design.points.copy(order="K")),
-                            self.options)
+        # The worker's copy, not checked again: the design and options, at
+        # count 0 with no anchors.  Pickle keeps C or F order: the copy keeps
+        # the points' axis order, which sets the bits.
+        design = copy.copy(self.design)
+        object.__setattr__(design, "points", design.points.copy(order="K"))
+        return type(self), (design, self.options)
 
     def evaluate(self, beta: np.ndarray) -> tuple[float, DevianceInfo]:
         factored = self._exact(self._cache.correlation(beta))

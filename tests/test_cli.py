@@ -8,8 +8,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpdevopt import cli, testbed
+from gpdevopt import _worker, cli, testbed
 from gpdevopt.boxes import SearchBox
 from gpdevopt.cli import main
 from gpdevopt.global_search import STRATEGIES, lhd_maximin
@@ -159,6 +161,21 @@ class TestFitCommand:
         with pytest.raises(ValueError) as by_row:
             row_read_table(str(data))
         assert str(by_row.value).endswith(message)
+
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_a_field_past_the_csv_limit_names_its_line(self, tmp_path, capsys, command):
+        # An open quote swallows the rows after it until csv's field limit
+        # (131,072 characters) stops the record on line 14,566.
+        data, model = tmp_path / "long.csv", tmp_path / "model.json"
+        hump_csv(data)
+        assert main(["fit", "--data", str(data), "--out", str(model)]) == 0
+        data.write_text('x1,y\n"0.1\n' + "0.25,1.0\n" * 20000)
+        argv = {"fit": ["fit", "--data", str(data), "--out", str(tmp_path / "m.json")],
+                "predict": ["predict", "--model", str(model), "--points", str(data)]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        message = "long.csv:14566: field larger than field limit (131072)"
+        assert capsys.readouterr().err == f"error: {data.parent}/{message}\n"
 
     def test_byte_order_mark_accepted(self, tmp_path):
         # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark.
@@ -967,6 +984,79 @@ def test_read_table_header_only_gives_empty_array(tmp_path):
     assert header == ["x1", "x2"] and values.shape == (0, 2)
 
 
+def test_read_table_reads_a_number_past_the_csv_field_limit(tmp_path):
+    # numpy's tokenizer has no field limit; csv stops at 131,072 characters.
+    data = tmp_path / "long.csv"
+    data.write_text("x1,y\n0.5" + "0" * 200000 + ",1\n")
+    header, values = cli._read_table(str(data))
+    assert header == ["x1", "y"] and values.tolist() == [[0.5, 1.0]]
+
+
+# Cells that numpy's tokenizer and float() read alike, cells that only
+# float() reads, and cells that float() rejects.  Of the last two lists the
+# tokenizer reads only the cells padded with a separator \x1c-\x1f, which it
+# strips as whitespace.
+TABLE_NUMBERS = [
+    "0.1", "-0.0", "nan", "-nan", "inf", "-inf", "+Infinity", "5e-324", "-2.5e-310", "1e308",
+    "-1e308", "1.7976931348623157e308", "0.30000000000000004", "-1.2345678901234567e-05",
+]
+TABLE_FLOAT_ONLY = ["1_000", "\u0661\u0662"]
+TABLE_BAD = ["\x1c1.5", "2.5\x1f", "oops", "", "1e", "0x10"]
+
+
+@st.composite
+def csv_tables(draw):
+    """A header x1..xw and lines of cells, each plain, padded or quoted (a
+    quoted cell may span two lines), ended by LF, CRLF or CR, with blank
+    lines between.  A table has at most one kind of error, since the CLI
+    checks every row's width before any cell: ragged lines (a whitespace-only
+    line is one past x1) or bad cells (a whitespace-only line is one in x1)."""
+    width = draw(st.integers(1, 3))
+    error = draw(st.sampled_from([None, "width", "cell"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    styles = st.sampled_from(["{}", " {} ", "\t{}", '"{}"', '" {}\t"', '"{}' + end + '"'])
+    rare = TABLE_FLOAT_ONLY + TABLE_BAD * (error == "cell")
+
+    def cell():
+        value = draw(st.sampled_from(rare if draw(st.integers(0, 15)) == 0 else TABLE_NUMBERS))
+        return draw(styles).format(value)
+
+    lines = []
+    for kind in draw(st.lists(st.integers(0, 15), max_size=6)):
+        if kind == 0 and error == ("cell" if width == 1 else "width"):
+            lines.append(draw(st.sampled_from([" ", "\t"])))
+        elif kind == 1 and error == "width":
+            lines.append(",".join(cell() for _ in range(draw(st.sampled_from([1, width + 1])))))
+        else:
+            lines.append(",".join(cell() for _ in range(width)) if kind > 2 else "")
+    header = ",".join(f"x{k + 1}" for k in range(width))
+    return header + end + end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=csv_tables(), bom=st.booleans())
+def test_read_table_matches_the_row_reader(tmp_path_factory, text, bom):
+    # The tokenizer's table, or the error of the csv loop it falls back to,
+    # must be the row reader's: its names, its value bits or its message.
+    data = tmp_path_factory.getbasetemp() / "generated.csv"
+
+    def read(reader):
+        try:
+            header, rows = reader(str(data))
+        except ValueError as exc:
+            return str(exc)
+        return header, np.array(rows, dtype=float).reshape(-1, len(header)).view(np.uint64)
+
+    data.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+    got = read(cli._read_table)
+    data.write_bytes(text.encode("utf-8"))  # the row reader keeps a mark in the first name
+    want = read(row_read_table)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[0] == want[0] and np.array_equal(got[1], want[1]), (got, want)
+
+
 # Every fixed identifier a CLI table can hold: strategy and function names
 # in benchmark rows, and the column names of every command's header.
 IDENTIFIERS = [
@@ -980,9 +1070,14 @@ def test_table_identifiers_need_no_csv_quoting():
         assert not set(name) & set(',"\r\n'), name
 
 
+SPECIAL_FLOATS = [
+    -0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e22, 0.1 + 0.2, 1e-5, 123456789.125,
+    -2.5e-310, 1.7976931348623157e308,
+]
+
+
 def test_write_rows_csv_matches_csv_writer(tmp_path):
-    floats = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e22, 0.1 + 0.2,
-              1e-5, 123456789.125, -2.5e-310, 1.7976931348623157e308]
+    floats = SPECIAL_FLOATS
     rows = [[name, 3, -1, *floats] for name in IDENTIFIERS]
     rows += [[0, 1.0, round(2.0 / 3.0, 3), float(np.mean([1.0, 2.0])), *floats[::-1]]]
     header = [f"c{k}" for k in range(len(rows[0]))]
@@ -992,3 +1087,27 @@ def test_write_rows_csv_matches_csv_writer(tmp_path):
         want = io.StringIO()
         legacy_write_csv(want, header, table)
         assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("count", [0, 1, 512, 513, 514, 4096])
+def test_write_rows_of_a_float_array_match_csv_writer(tmp_path, run_script, count):
+    # Float arrays are formatted a block of 512 rows and a column at a time.
+    # From `_SHARE_MIN_ROWS` rows (4,096) on, the worker forked by a process
+    # with BLAS at one thread formats blocks from the back.
+    floats = SPECIAL_FLOATS
+    table = np.array([np.roll(floats, k) for k in range(count)]).reshape(count, len(floats))
+    header = [f"c{k}" for k in range(len(floats))]
+    want = io.StringIO()
+    legacy_write_csv(want, header, table.tolist())
+    want = want.getvalue().encode("utf-8")
+    path = tmp_path / "table.csv"
+    cli._write_rows(str(path), header, table)
+    assert path.read_bytes() == want
+    if count >= _worker._SHARE_MIN_ROWS:
+        np.save(tmp_path / "table.npy", table)
+        run_script(f"""
+            table = np.load({str(tmp_path / "table.npy")!r})
+            cli._write_rows({str(tmp_path / "shared.csv")!r}, {header!r}, table)
+            assert len(forks) == CAN_FORK
+        """)
+        assert (tmp_path / "shared.csv").read_bytes() == want

@@ -520,25 +520,32 @@ def test_an_os_error_raised_by_an_item_here_reaches_the_caller_and_leaves_no_chi
 @fork_capable
 def test_sigint_during_a_shared_predict_raises_and_leaves_no_child(run_script):
     # The worker ignores SIGINT; this process raises KeyboardInterrupt from
-    # its own block and stops the worker on the way out.
+    # its own block and stops the worker on the way out.  While `armed`, the
+    # worker, forked by the fit after the patch, takes 10 ms per block, so
+    # that it cannot claim block 0 too before this process starts on it.
     out = run_script("""
         import signal
         MAX_FORKS = 2
-        model = fit(design("goldstein-price", 20), "DIRECT-BFGS", rng=3)
-        points = np.random.default_rng(0).uniform(0.0, 1.0, (_worker._SHARE_MIN_ROWS, 2))
-        want = gp.predict_many(model, points)
+        armed = memoryview(mmap.mmap(-1, 8)).cast("q")
         block = gp._Blocks.__call__
         def interrupted(self, k):
-            if os.getpid() == PARENT and k == 0:
+            if armed[0] and os.getpid() != PARENT:
+                time.sleep(0.01)
+            elif armed[0] and k == 0:
                 os.kill(forks[0], signal.SIGINT)
                 os.kill(PARENT, signal.SIGINT)
             return block(self, k)
         gp._Blocks.__call__ = interrupted
+        model = fit(design("goldstein-price", 20), "DIRECT-BFGS", rng=3)
+        points = np.random.default_rng(0).uniform(0.0, 1.0, (_worker._SHARE_MIN_ROWS, 2))
+        want = gp.predict_many(model, points)
+        armed[0] = 1
         try:
             gp.predict_many(model, points)
         except KeyboardInterrupt:
             print("interrupted")
         assert _worker._Worker.live is None and no_child_left()
+        armed[0] = 0
         gp._Blocks.__call__ = block
         got = gp.predict_many(model, points)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
@@ -790,6 +797,20 @@ def test_a_pickled_objective_starts_at_count_zero_with_its_points_in_axis_order(
     assert clone.design.outputs.tobytes() == objective.design.outputs.tobytes()
     assert [clone(beta).hex() for beta in betas] == want
     assert clone.fe_count == len(betas)
+
+
+def test_a_pickled_objective_runs_no_design_check(monkeypatch):
+    # The design was checked when it was built: neither its pickle nor the
+    # worker's copy checks it again.
+    fn = make_test_function("goldstein-price")
+    points = lhd_maximin(20, SearchBox(np.zeros(2), np.ones(2)), np.random.default_rng(0))
+    objective = gp.DevianceObjective(DesignSet(points, fn.evaluate(points)))
+    checks = []
+    monkeypatch.setattr(DesignSet, "__post_init__", lambda self: checks.append(self))
+    clone = pickle.loads(pickle.dumps(objective))
+    assert checks == [] and clone.design is not objective.design
+    beta = np.array([0.5, -1.0])
+    assert clone(beta).hex() == objective(beta).hex()
 
 
 class _Batching:
