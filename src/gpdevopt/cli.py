@@ -13,10 +13,12 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -50,13 +52,21 @@ _MODEL_KEYS = (
 )
 
 
+def _plain_lines(handle) -> Iterator[str]:
+    """The handle's lines, checked 1,024 at a time for a separator \\x1c-\\x1f: numpy
+    strips one around a number and float() rejects it, so here it is a ValueError."""
+    while lines := list(itertools.islice(handle, 1024)):
+        if any(map("".join(lines).__contains__, "\x1c\x1d\x1e\x1f")):
+            raise ValueError("a separator \\x1c-\\x1f")
+        yield from lines
+
+
 def _read_table(path: str) -> tuple[list[str], np.ndarray]:
     """Header names and the non-blank data rows as an (m, width) float array.
 
-    A leading UTF-8 byte-order mark is dropped.  numpy's tokenizer reads the
-    body; a body it rejects or reads to another width is read again by csv,
-    which decides it and gives each error the file's line number of the
-    record's last line.
+    A leading UTF-8 byte-order mark is dropped.  numpy's tokenizer reads a seekable file's
+    body; csv reads a pipe's, or a body the tokenizer rejects or reads to another width,
+    and gives each error the file's line number of the record's last line.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -65,17 +75,16 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
             for k, name in enumerate(header):
                 if name in header[:k]:
                     raise ValueError(f"{path}: duplicate column name {name!r}")
-            # numpy strips the separators \x1c-\x1f around a number; float() rejects them.
-            with open(path, "rb") as raw, warnings.catch_warnings(), contextlib.suppress(ValueError):
-                warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
-                chunks = iter(functools.partial(raw.read, 1 << 16), b"")
-                if not any(c in chunk for chunk in chunks for c in b"\x1c\x1d\x1e\x1f"):
-                    rows = np.loadtxt(handle, delimiter=",", quotechar='"', comments=None, ndmin=2)
+            if handle.seekable():  # a pipe cannot be read again
+                with warnings.catch_warnings(), contextlib.suppress(ValueError):
+                    warnings.simplefilter("ignore", UserWarning)  # a file with no data rows
+                    lines = _plain_lines(handle)
+                    rows = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
                     if rows.shape[1] == len(header):
                         return header, rows
-            handle.seek(0)
-            reader = csv.reader(handle)
-            next(reader)
+                handle.seek(0)
+                reader = csv.reader(handle)
+                next(reader)
             cells, linenos = [], []
             for row in reader:
                 if not row:

@@ -1,9 +1,12 @@
 import argparse
 import copy
 import csv
+import contextlib
 import io
 import json
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -43,6 +46,26 @@ def row_read_table(path):
             except ValueError:
                 raise ValueError(f"{path}:{reader.line_num}: non-numeric value") from None
     return header, rows
+
+
+@contextlib.contextmanager
+def pipe_of(text):
+    """The /dev/fd path of a pipe that a thread fills with text.  Each open of
+    the path reads the same pipe, which cannot seek."""
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(write_fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)  # a writer left blocked by a reader that stopped early gets EPIPE
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def legacy_write_csv(handle, header, rows):
@@ -259,6 +282,20 @@ class TestPredictCommand:
             argv = ["predict", "--model", str(model_path), "--points", str(points)]
             assert main(argv + ["--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_points_from_a_pipe_match_the_file(self, tmp_path):
+        # A pipe cannot be read twice, so csv reads it; 2,000 points span many buffers.
+        model_path, native, _ = self.fit_hump(tmp_path)
+        points = tmp_path / "pts.csv"
+        write_csv(points, ["x1"], [[v] for v in np.linspace(native.min(), native.max(), 2000)])
+        assert points.stat().st_size > 1 << 15
+        outs = [tmp_path / "file.pred.csv", tmp_path / "pipe.pred.csv"]
+        with pipe_of(points.read_text()) as pipe:
+            for source, out in zip((str(points), pipe), outs):
+                argv = ["predict", "--model", str(model_path), "--points", source]
+                assert main(argv + ["--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(outs[1].read_text().splitlines()) == 2001
 
     def test_duplicate_point_column_rejected(self, tmp_path, capsys):
         model_path, native, _ = self.fit_hump(tmp_path)
@@ -982,6 +1019,27 @@ def test_read_table_header_only_gives_empty_array(tmp_path):
     data.write_text("x1,x2\n\n")
     header, values = cli._read_table(str(data))
     assert header == ["x1", "x2"] and values.shape == (0, 2)
+
+
+@pytest.mark.parametrize("last, message", [
+    ("0.5,1,2", "2002: expected 2 fields"),
+    ("0.5\x1c,1", "2002: non-numeric value"),
+    ("0.5,1", None),
+])
+def test_read_table_of_a_pipe_reads_like_the_file(tmp_path, last, message):
+    text = "x1,y\n" + "0.123456789012345,-9.87654321e-05\n" * 2000 + last + "\n"
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    with pipe_of(text) as pipe:
+        if message is None:
+            header, values = cli._read_table(pipe)
+            assert header == ["x1", "y"] and values.shape == (2001, 2)
+            assert np.array_equal(values, cli._read_table(str(data))[1])
+        else:
+            for source in (str(data), pipe):
+                with pytest.raises(ValueError) as error:
+                    cli._read_table(source)
+                assert str(error.value) == f"{source}:{message}"
 
 
 def test_read_table_reads_a_number_past_the_csv_field_limit(tmp_path):
