@@ -126,15 +126,16 @@ def _claim(claims, side: int, k: int) -> int:
 
 
 class _Worker:
-    """The process's worker, with a pipe each way and the two sides' claims
-    in shared memory.  A request is three int64, the item count m, whether a
-    pickled job follows and the width w of its args; then that job, unless
-    the worker holds it from an earlier request, and m*w float64 args.  The
-    reply is the length of a pickle and the pickle: the results of the last k
-    items in order, or the exception that one raised.  The worker ignores
-    SIGINT and exits at end of file on its requests, unless `stop` kills it
-    first: after an error, or at exit.  `busy` holds while this process
-    shares a job, and always in the worker, which shares none.
+    """The process's worker, with a pipe each way and the two sides' claims in
+    shared memory.  A request is three int64, the item count m, whether a pickled
+    job follows and the width w of its args; then that job, unless the worker
+    holds it from an earlier request, and m*w float64 args.  The reply is the
+    length of a pickle and the pickle: the results of the last k items in order,
+    or the exception that one raised.  The worker ignores SIGINT, keeps off the
+    CPU the caller last ran on (left alone, it stayed there) and exits at end
+    of file on its requests, unless `stop` kills it first: after an error, or at
+    exit.  `busy` holds while this process shares a job, and always in the
+    worker, which shares none.
     """
 
     live: _Worker | None = None
@@ -142,6 +143,8 @@ class _Worker:
 
     def __init__(self):
         self.claims = memoryview(mmap.mmap(-1, 16)).cast("q")
+        with open("/proc/self/stat") as stat:  # field 39: the CPU this process last ran on
+            cpu = int(stat.read().rpartition(")")[2].split()[36])
         requests, to_worker = os.pipe()
         from_worker, replies = os.pipe()
         try:
@@ -153,6 +156,7 @@ class _Worker:
         if pid == 0:
             try:
                 _Worker.busy = True
+                os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
                 os.close(to_worker)
                 os.close(from_worker)

@@ -80,26 +80,24 @@ def powered_distances(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def powered_planes(
-    x: np.ndarray, y: np.ndarray, p: np.ndarray, out: np.ndarray | None = None
+    x: np.ndarray, y: np.ndarray, p: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """`powered_distances` as a C-contiguous array, built one coordinate plane
-    at a time: squared where p_k is 2, else `abs` then a scalar-exponent
-    power, never an array-exponent `**=`, whose loop numpy picks by shape and
-    layout.  Every entry is an exactly rounded function of two coordinates,
-    whatever the layouts and however the rows of x are split into blocks.
-    `out`, d*m*n contiguous entries, receives the result.
+    """`powered_distances` for one exponent p as a C-contiguous array, in two
+    whole-array passes: the differences, then their squares where p is 2, else
+    `abs` then a scalar-exponent power, never an array-exponent `**=`, whose
+    loop numpy picks by shape and layout.  Every entry is an exactly rounded
+    function of two coordinates, whatever the layouts and however the rows of
+    x are split into blocks.  `out`, d*m*n contiguous entries, receives it.
     """
-    m, n = x.shape[0], y.shape[0]
-    powered = np.empty((p.size, m, n)) if out is None else out.reshape(p.size, m, n)
-    for k, p_k in enumerate(p.tolist()):
-        plane = powered[k]
-        np.subtract.outer(x[:, k], y[:, k], out=plane)
-        if p_k == 2.0:
-            np.square(plane, out=plane)
-        else:
-            np.abs(plane, out=plane)
-            np.power(plane, p_k, out=plane)
-    return powered.reshape(p.size, m * n)
+    (m, d), n = x.shape, y.shape[0]
+    powered = np.empty((d, m, n)) if out is None else out.reshape(d, m, n)
+    np.subtract(x.T[:, :, None], np.ascontiguousarray(y.T)[:, None, :], out=powered)
+    if p == 2.0:
+        np.square(powered, out=powered)
+    else:
+        np.abs(powered, out=powered)
+        np.power(powered, p, out=powered)
+    return powered.reshape(d, m * n)
 
 
 def gaussian_kernel(

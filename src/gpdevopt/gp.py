@@ -386,12 +386,12 @@ class _Blocks:
     in one loop over slices of the most points, a multiple of 8, whose
     operand fits `_SLICE_ENTRIES` (a small block is one slice), and takes the
     model's kept solves.  A process computes the blocks in one workspace,
-    allocated at its first block: the operand of one slice, then, for the
-    largest block, the kernel row, which the triangular solve overwrites, and
-    two C-ordered (n, block) arrays, whose column sums numpy adds row by row.
-    A block uses the leading entries of each part, so its arrays have the
-    strides of fresh ones.  The workspace is not pickled, and no result is a
-    view of it.
+    allocated at its first block: rows for the operand of one slice, at least
+    two, then the largest block's kernel row, which the triangular solve
+    overwrites.  The dead operand's first two rows then take two C-ordered
+    (n, block) arrays, whose column sums numpy adds row by row.  A block uses
+    the leading entries of each row, so its arrays have the strides of fresh
+    ones.  The workspace is not pickled, and no result is a view of it.
     """
 
     def __init__(self, model: FittedGP, points: np.ndarray):
@@ -414,32 +414,30 @@ class _Blocks:
         step = _SLICE_ENTRIES // (d * n) & -8 or 8
         if self._workspace is None:
             # One allocation: glibc's trim threshold follows the largest block
-            # it has freed, so the next call reuses kept pages (four parts
+            # it has freed, so the next call reuses kept pages (separate arrays
             # faulted in about 470 per call at n=100).  Rows of a multiple of
-            # 8 entries, at least one, give each part the alignment of the
-            # first; the operand of one slice takes the leading rows.
+            # 8 entries, at least one, all have the alignment of the first.
             span = -(-self.largest * n // 8) * 8 or 8
             rows = -(-d * min(step, self.largest) * n // span)
-            self._workspace = np.empty((rows + 3, span))
+            self._workspace = np.empty((max(rows, 2) + 1, span))
         space = self._workspace
-        row = len(space) - 3
         start = k * self.per_block
         stop = len(self.points) if k == self.count - 1 else start + self.per_block
         m, size = stop - start, (stop - start) * n
-        r = space[row : row + 1, :size]
+        r = space[-1:, :size]
         for a in range(0, m, step):
             b = min(a + step, m)
             powered = powered_planes(self.points[start + a : start + b], model.design.points,
-                                     model.p, space.reshape(-1)[: d * (b - a) * n])
+                                     model.p[0], space.reshape(-1)[: d * (b - a) * n])
             gaussian_kernel(powered, model.beta_star, r[:, a * n : b * n])
         z_r = triangular_solve(model.correlation.factor, r.reshape(m, n).T, overwrite=True)
         y_hat = model.mu_hat + z_r.T @ z_resid
         # Weight vector C solves y_hat = C'Y; the MSE is sigma2 (1 - 2C'r + C'RC)
         # with both contractions done through the triangular factor.
         a_coef = (1.0 - z_ones @ z_r) / one_r_one  # (block,)
-        z_w = np.multiply(z_ones[:, None], a_coef[None, :], out=space[row + 1, :size].reshape(n, m))
+        z_w = np.multiply(z_ones[:, None], a_coef[None, :], out=space[0, :size].reshape(n, m))
         z_w += z_r  # (n, block)
-        product = np.multiply(z_w, z_r, out=space[row + 2, :size].reshape(n, m))
+        product = np.multiply(z_w, z_r, out=space[1, :size].reshape(n, m))
         cross = product.sum(axis=0)
         mse = model.sigma2_hat * (
             1.0 - 2.0 * cross + np.multiply(z_w, z_w, out=product).sum(axis=0)
@@ -455,7 +453,7 @@ def prediction_weights(model: FittedGP, x_star: np.ndarray) -> np.ndarray:
         raise ValueError(f"x_star must be one point of {d} finite coordinates")
     L = model.correlation.factor
     ones = np.ones(model.design.n)
-    powered = powered_planes(x_star.reshape(1, d), model.design.points, model.p)
+    powered = powered_planes(x_star.reshape(1, d), model.design.points, model.p[0])
     r = gaussian_kernel(powered, model.beta_star)[0]
     u = cholesky_solve(L, ones)
     a_coef = (1.0 - float(r @ u)) / float(u.sum())

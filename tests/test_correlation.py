@@ -336,8 +336,7 @@ class TestKernelBits:
         rng = np.random.default_rng(m + n + d)
         x = np.array(rng.random((m, d)), order=order)
         y = np.array(rng.random((n, d)), order=order)
-        p = np.full(d, 2.0)
-        powered = powered_planes(x, y, p)
+        powered = powered_planes(x, y, 2.0)
         planes = np.ascontiguousarray(np.square(x[:, None, :] - y[None, :, :]).transpose(2, 0, 1))
         for beta in (rng.uniform(-2.0, 2.0, d), np.full(d, -3.0), np.full(d, 1.5)):
             got = gaussian_kernel(powered, beta).reshape(m, n)
@@ -361,11 +360,10 @@ class TestPoweredPlanes:
     two coordinates, whatever the layouts and however the rows are split."""
 
     @pytest.mark.parametrize("p_value", [2.0, 1.99])
-    @pytest.mark.parametrize("d", [1, 2, 10])
+    @pytest.mark.parametrize("d", [1, 2, 10, 12])
     def test_entries_match_elementwise_reference(self, p_value, d):
         rng = np.random.default_rng(d)
         x, y = rng.random((300, d)), rng.random((40, d))
-        p = np.full(d, p_value)
         want = np.stack([
             np.square(np.subtract.outer(x[:, k], y[:, k])) if p_value == 2.0
             else np.power(np.abs(np.subtract.outer(x[:, k], y[:, k])), p_value)
@@ -374,7 +372,7 @@ class TestPoweredPlanes:
         for x_layout in (x, np.asfortranarray(x)):
             for y_layout in (y, np.asfortranarray(y)):
                 for cuts in ([], [1], [7, 8, 150], [299]):
-                    blocks = [powered_planes(b, y_layout, p) for b in np.split(x_layout, cuts)]
+                    blocks = [powered_planes(b, y_layout, p_value) for b in np.split(x_layout, cuts)]
                     assert all(block.flags.c_contiguous for block in blocks)
                     got = np.concatenate(blocks, axis=1)
                     assert np.array_equal(got.view(np.int64), want.view(np.int64)), cuts

@@ -229,6 +229,14 @@ class TestEvaluateDeviance:
         assert R[0, 1] == pytest.approx(math.exp(-(0.5 ** 1.99)), rel=1e-14)
 
 
+# (d, n, beta, p) of `test_blocked_matches_unblocked_bits`; a case at p = 2 is
+# named by d, n and beta alone.
+_BLOCKED_CASES = [
+    (1, 7, 0.5, 2.0), (2, 11, 0.3, 2.0), (10, 13, -0.5, 2.0), (10, 100, -0.3, 2.0),
+    (12, 120, -0.3, 2.0), (2, 129, 0.3, 2.0), (10, 100, -0.3, 1.99),
+]
+
+
 class TestPredict:
     def build_model(self, seed=0, n=10, d=1):
         rng = np.random.default_rng(seed)
@@ -301,26 +309,26 @@ class TestPredict:
         with pytest.raises(ValueError, match="must have 1 columns"):
             predict_many(model, np.full((3, 2), 0.5))
 
-    @pytest.mark.parametrize("d, n, beta", [
-        (1, 7, 0.5), (2, 11, 0.3), (10, 13, -0.5), (10, 100, -0.3), (12, 120, -0.3),
-        (2, 129, 0.3)])
+    @pytest.mark.parametrize("d, n, beta, p", _BLOCKED_CASES, ids=[
+        "-".join(map(str, case[:3] if case[3] == 2.0 else case)) for case in _BLOCKED_CASES])
     @pytest.mark.parametrize("design_order", ["C", "F"])
     @pytest.mark.parametrize("points_order", ["C", "F"])
-    def test_blocked_matches_unblocked_bits(self, d, n, beta, design_order, points_order, run_script):
+    def test_blocked_matches_unblocked_bits(self, d, n, beta, p, design_order, points_order, run_script):
         # Blocks and the slices of their kernel rows split the points at
         # multiples of 8, which keeps the bytes of one unblocked call.  Slices
         # hold 128 points at d=10, n=100, 88 at d=12, n=120 and 504 at d=2,
-        # n=129, whose 512-point block is just over `_SLICE_ENTRIES`.  A
-        # threaded BLAS splits the unblocked solve of a large design at other
-        # columns, so those designs are checked in an interpreter with BLAS
-        # at one thread.
-        args = d, n, beta, design_order, points_order
+        # n=129, whose 512-point block is just over `_SLICE_ENTRIES`.  The
+        # p = 1.99 model takes the abs-and-power pass of `powered_planes` on
+        # every slice.  A threaded BLAS splits the unblocked solve of a large
+        # design at other columns, so those designs are checked in an
+        # interpreter with BLAS at one thread.
+        args = d, n, beta, p, design_order, points_order
         if n < 100:
             _check_blocked_bits(*args)
             return
         run_script(
             "from gpdevopt.correlation import *\n"
-            "from gpdevopt.gp import DesignSet, DevianceObjective, PREDICT_BLOCK, predict_many\n"
+            "from gpdevopt.gp import DesignSet, DevianceObjective, GpOptions, PREDICT_BLOCK, predict_many\n"
             "gp_module = gp\n" + inspect.getsource(_unblocked_predict_many)
             + inspect.getsource(_check_blocked_bits) + f"_check_blocked_bits{args!r}\n")
 
@@ -399,12 +407,14 @@ class TestPredict:
     def test_peak_memory_is_one_block_operand(self):
         # One workspace for the largest block (at most PREDICT_BLOCK + 1
         # points): the operand of one slice, at most `_SLICE_ENTRIES` entries
-        # and one row of rounding, and three (n, block) rows, plus 0.5 MiB.
-        # Goldstein-Price n=100 on a 101 x 101 grid builds each block's
-        # operand whole and peaks at 2.4 MiB; a (d, m*n) operand for the whole
-        # grid alone would be 15.6 MiB.  Perm 12-D n=120 builds slices of 88
-        # points and peaks at 2.1 MiB of its 3.4 MiB bound; with whole
-        # 512-point operands of 5.9 MiB it peaked at 7.2 MiB.
+        # and one row of rounding, but at least two (n, block) rows, which
+        # take the MSE products once the operand is dead, and the kernel row,
+        # plus 0.5 MiB.  Goldstein-Price n=100 on a 101 x 101 grid builds each
+        # block's operand whole and peaks at 1.6 MiB of its 1.7 MiB bound
+        # (2.4 MiB with the products in rows of their own); a (d, m*n) operand
+        # for the whole grid alone would be 15.6 MiB.  Perm 12-D n=120 builds
+        # slices of 88 points and peaks at 1.5 MiB of its 2.4 MiB bound; with
+        # whole 512-point operands of 5.9 MiB it peaked at 7.2 MiB.
         axis = np.linspace(0.0, 1.0, 101)
         grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
         perm_points = np.random.default_rng(1).random((1200, 12))
@@ -422,7 +432,7 @@ class TestPredict:
                 tracemalloc.stop()
             row = (PREDICT_BLOCK + 1) * n * 8
             operand = min(fn.d * row, 8 * gp_module._SLICE_ENTRIES + row)
-            assert peak <= operand + 3 * row + 2**19, (name, peak)
+            assert peak <= max(operand, 2 * row) + row + 2**19, (name, peak)
 
     def test_weights_reject_several_points(self):
         model = self.build_model(n=6, d=2)
@@ -440,11 +450,11 @@ class TestPredict:
             prediction_weights(model, np.array([0.5]))
 
 
-def _check_blocked_bits(d, n, beta, design_order, points_order):
+def _check_blocked_bits(d, n, beta, p, design_order, points_order):
     rng = np.random.default_rng(d)
     pts = rng.random((n, d))
     ds = DesignSet(np.array(pts, order=design_order), np.sin(3 * pts[:, 0]) + pts.sum(axis=1))
-    model = DevianceObjective(ds).model(np.full(d, beta))
+    model = DevianceObjective(ds, GpOptions(p_exponent=p)).model(np.full(d, beta))
     B = PREDICT_BLOCK
     counts = [1, 2, B - 1, B, B + 1, B + 2, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1, 1000, 1200]
     if n >= 100:
@@ -473,7 +483,7 @@ def _unblocked_predict_many(model, points):
     n = model.design.n
     ones = np.ones(n)
     resid = model.design.outputs - model.mu_hat
-    powered = powered_planes(points, model.design.points, model.p)
+    powered = powered_planes(points, model.design.points, model.p[0])
     r = gaussian_kernel(powered, model.beta_star).reshape(points.shape[0], n)
     u = cholesky_solve(L, ones)
     one_r_one = float(u.sum())

@@ -299,6 +299,20 @@ def test_a_shared_job_of_fewer_than_two_items_forks_nothing(run_script):
 
 
 @fork_capable
+def test_the_worker_runs_on_the_callers_cpus_but_one(run_script):
+    # The worker may run on every CPU the caller may but the one the caller
+    # last ran on at the fork; the caller's own set stays as it was.  A reply
+    # shows that the worker has set its CPUs.
+    run_script("""
+        cores = os.sched_getaffinity(0)
+        assert _worker.run(4, str, share=True) == ["0", "1", "2", "3"] and len(forks) == 1
+        apart = os.sched_getaffinity(_worker._Worker.live._pid)
+        assert os.sched_getaffinity(0) == cores
+        assert apart < cores and len(cores - apart) == 1, (cores, apart)
+    """)
+
+
+@fork_capable
 def test_a_process_forked_from_the_owner_evaluates_alone(run_script):
     # A process forked from the owner closes its copies of the owner's
     # pipes and forks a worker of its own when it shares a batch; the owner's
